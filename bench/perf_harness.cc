@@ -21,7 +21,7 @@
  * single digits.
  *
  * Usage:
- *   perf_harness [--smoke] [--batched] [--sampled] [--iters N]
+ *   perf_harness [--smoke] [--sampled] [--iters N]
  *                [--out PATH]
  *                [--compare BASELINE [--min-ratio R] [--strict]]
  *                [--min-sampled-speedup S]
@@ -29,9 +29,6 @@
  *                [--queue WORKER_BIN [--queue-workers N]]
  *
  *   --smoke     small point grid and budgets (CI-sized)
- *   --batched   extra timed phase: the same sweep through the batched
- *               trace-major runner (sim/batched), verified bit-identical
- *               against the scalar in-process sweep before it is timed
  *   --sampled   extra timed phase: the same grid with SMARTS sampling
  *               (defaultSamplingSpec), verified run-to-run bit-identical
  *               and statistically against the exact reference — every
@@ -84,7 +81,6 @@
 #include "dispatch/dispatcher.hh"
 #include "queue/backend.hh"
 #include "queue/queue.hh"
-#include "sim/batched.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sweepio/codec.hh"
@@ -165,7 +161,6 @@ struct PhaseResult
 struct HarnessConfig
 {
     bool smoke = false;
-    bool batched = false;
     bool sampled = false;
     bool strict = false;
     double minSampledSpeedup = 0.0; ///< 0 = no floor
@@ -359,42 +354,13 @@ harnessMain(const HarnessConfig &cfg)
                  cached.seconds, cached.pointsPerSec, cached.minstsPerSec,
                  warm_seconds, allocs_per_kinst);
 
-    // One in-process scalar reference serves the batched, sampled, and
+    // One in-process scalar reference serves the sampled and
     // multi-process phases: the harness has already asserted results
     // are run-to-run identical.
     SweepResult reference;
-    if (cfg.batched || cfg.sampled || !cfg.dispatchSweepBin.empty() ||
+    if (cfg.sampled || !cfg.dispatchSweepBin.empty() ||
         !cfg.queueWorkerBin.empty())
         reference = runTimingSweep(points, config, engine);
-
-    // Batched phase (opt-in): the same sweep through the trace-major
-    // batched runner, cache warm. Bit-identity with the scalar path is
-    // asserted on every timed iteration before the number is kept.
-    PhaseResult batched;
-    bool have_batched = false;
-    if (cfg.batched) {
-        batched.seconds = 1e300;
-        for (unsigned i = 0; i < cfg.iters; ++i) {
-            const auto start = Clock::now();
-            const SweepResult merged =
-                runBatchedSweep(points, config, engine);
-            const std::chrono::duration<double> elapsed =
-                Clock::now() - start;
-            cfl_assert(sweepio::encodeResult(merged) ==
-                           sweepio::encodeResult(reference),
-                       "batched sweep diverged from scalar sweep");
-            if (elapsed.count() < batched.seconds)
-                batched.seconds = elapsed.count();
-        }
-        batched.geomean = live.geomean;
-        batched.pointsPerSec = points.size() / batched.seconds;
-        batched.minstsPerSec = total_minsts / batched.seconds;
-        have_batched = true;
-        std::fprintf(stderr, "  batched: %7.2fs  %6.2f points/s  %7.2f "
-                     "Minsts/s  (bit-identical to scalar)\n",
-                     batched.seconds, batched.pointsPerSec,
-                     batched.minstsPerSec);
-    }
 
     // Sampled phase (opt-in): the same grid with SMARTS sampling.
     // Sampled results are not bit-comparable to exact ones — the gates
@@ -704,12 +670,6 @@ harnessMain(const HarnessConfig &cfg)
          << ", \"minsts_per_sec\": " << cached.minstsPerSec << "},\n"
          << "  \"cache_speedup\": "
          << cached.pointsPerSec / live.pointsPerSec << ",\n";
-    if (have_batched)
-        json << "  \"batched\": {\"seconds\": " << batched.seconds
-             << ", \"points_per_sec\": " << batched.pointsPerSec
-             << ", \"minsts_per_sec\": " << batched.minstsPerSec
-             << ", \"speedup_vs_cached\": "
-             << batched.pointsPerSec / cached.pointsPerSec << "},\n";
     if (have_sampled)
         json << "  \"sampled\": {\"seconds\": " << sampled.seconds
              << ", \"points_per_sec\": " << sampled.pointsPerSec
@@ -802,8 +762,6 @@ harnessMain(const HarnessConfig &cfg)
 
         if (!gate("cached", true, cached.pointsPerSec))
             return 1;
-        if (!gate("batched", have_batched, batched.pointsPerSec))
-            return 1;
         if (!gate("sampled", have_sampled, sampled.pointsPerSec))
             return 1;
         if (ungated && cfg.strict) {
@@ -831,8 +789,6 @@ main(int argc, char **argv)
         };
         if (arg == "--smoke")
             cfg.smoke = true;
-        else if (arg == "--batched")
-            cfg.batched = true;
         else if (arg == "--sampled")
             cfg.sampled = true;
         else if (arg == "--strict")

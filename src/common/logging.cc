@@ -43,7 +43,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    // Flush stdio, then exit without running static destructors: a
+    // fatal() can fire in a forked child (a death test) whose static
+    // SweepEngine's threads did not survive the fork, and no static
+    // object holds state that only its destructor would save.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -109,16 +109,15 @@ class Cmp
     CmpMetrics runSampled(Counter warmup_insts, Counter measure_insts,
                           const SamplingSpec &spec);
 
-    // Stepping API: run() split into its four phases so batched sweep
-    // drivers (sim/batched.cc) can hoist trace acquisition out of the
-    // per-point loop and drive points individually. Calling the four
-    // phases in order is bit-identical to run().
+    // Stepping API: run() split into its four phases so sweep drivers
+    // (sim/sweep.cc) and profilers can drive and time each phase of a
+    // point. Calling the four phases in order is bit-identical to run().
 
     /**
      * Predecode phase: swap each core's engine onto a shared replay
      * trace sized for @p total_insts retired instructions, when the
      * trace cache can serve one. Engines already replaying (e.g. a
-     * trace attached directly by a batched driver) are left alone, so
+     * trace a caller attached directly) are left alone, so
      * pre-attaching a longer shared buffer is safe: results do not
      * depend on trace-buffer length, only on the generated stream.
      */

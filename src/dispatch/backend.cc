@@ -30,20 +30,6 @@ shellQuote(const std::string &text)
     return out;
 }
 
-std::string
-sshWrapCommand(const std::string &host, const std::string &remote_dir,
-               const std::string &command, unsigned timeout_sec)
-{
-    std::string remote;
-    if (!remote_dir.empty())
-        remote = "cd " + shellQuote(remote_dir) + " && ";
-    if (timeout_sec != 0)
-        remote += "timeout " + std::to_string(timeout_sec) + " ";
-    remote += command;
-    return "ssh -o BatchMode=yes " + shellQuote(host) + " " +
-           shellQuote(remote);
-}
-
 RunStatus
 runLocalCommand(const std::string &command, unsigned timeout_sec,
                 const std::function<bool()> &poll_tick)
@@ -117,26 +103,6 @@ LocalBackend::run(unsigned worker, const std::string &command,
 {
     cfl_assert(worker < workers_, "worker %u out of range", worker);
     return runLocalCommand(command, timeout_sec);
-}
-
-SshBackend::SshBackend(std::vector<std::string> hosts,
-                       std::string remote_dir)
-    : hosts_(std::move(hosts)), remoteDir_(std::move(remote_dir))
-{
-    cfl_assert(!hosts_.empty(), "a backend needs at least one worker");
-}
-
-RunStatus
-SshBackend::run(unsigned worker, const std::string &command,
-                unsigned timeout_sec)
-{
-    cfl_assert(worker < workers(), "worker %u out of range", worker);
-    // The remote `timeout` wrapper is authoritative (it kills the
-    // sweep where it runs); the local watchdog gets a grace period on
-    // top and only fires when the connection itself is dead.
-    return runLocalCommand(
-        sshWrapCommand(hosts_[worker], remoteDir_, command, timeout_sec),
-        timeout_sec == 0 ? 0 : timeout_sec + 10);
 }
 
 } // namespace cfl::dispatch

@@ -3,24 +3,12 @@
  * Pluggable worker backends for the shard dispatcher.
  *
  * A backend models a fixed pool of workers, each able to run one shell
- * command at a time. The dispatcher (dispatcher.hh) owns scheduling,
- * retry, and worker exclusion; a backend only has to answer "run this
- * command as worker w and tell me how it exited". Two implementations
- * ship:
- *
- *   LocalBackend — every worker is a subprocess slot on this machine
- *                  (/bin/sh -c), so a 3-worker local dispatch is three
- *                  concurrent OS processes;
- *   SshBackend   — worker w is a remote host reached through a
- *                  non-interactive ssh command; the command runs in a
- *                  configurable remote directory. Only the spec/result
- *                  files need to travel (a shared filesystem or a prior
- *                  rsync of the binary is assumed, as is key-based
- *                  auth: BatchMode never prompts).
- *
- * Both execute through the same local process-spawn helper; SshBackend
- * merely wraps the command line, so timeout and exit-status semantics
- * are identical across backends.
+ * command at a time. The dispatcher (dispatcher.hh) owns scheduling
+ * and retry; a backend only has to answer "run this command as worker
+ * w and tell me how it exited". LocalBackend makes every worker a
+ * subprocess slot on this machine (/bin/sh -c), so a 3-worker local
+ * dispatch is three concurrent OS processes; queue/backend.hh adapts
+ * the persistent work queue to the same interface.
  */
 
 #ifndef CFL_DISPATCH_BACKEND_HH
@@ -28,7 +16,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace cfl::dispatch
 {
@@ -64,25 +51,8 @@ class WorkerBackend
 std::string shellQuote(const std::string &text);
 
 /**
- * The ssh invocation SshBackend uses for one command: BatchMode (never
- * prompt), optional cd into @p remote_dir, the command itself quoted
- * once for the remote shell. A non-zero @p timeout_sec additionally
- * wraps the remote command in coreutils `timeout`, because the local
- * SIGKILL a timeout fires only kills the ssh client — without the
- * remote wrapper the sweep would keep running as an orphan and could
- * race the retry's writes on a shared filesystem. (An orphan window
- * remains if the ssh *connection* dies; keep shard result files on
- * per-attempt scratch space if that matters.) Exposed so tests can pin
- * the quoting.
- */
-std::string sshWrapCommand(const std::string &host,
-                           const std::string &remote_dir,
-                           const std::string &command,
-                           unsigned timeout_sec = 0);
-
-/**
  * Run @p command under /bin/sh -c, enforcing @p timeout_sec (0 = no
- * timeout) by SIGKILL. The shared engine under both backends. A
+ * timeout) by SIGKILL. The engine under LocalBackend. A
  * non-empty @p poll_tick is invoked every ~20ms while the child runs —
  * the hook confluence_worker uses to heartbeat its queue lease without
  * a second thread. Returning false from the tick aborts the child by
@@ -106,31 +76,6 @@ class LocalBackend : public WorkerBackend
 
   private:
     unsigned workers_;
-};
-
-/** One remote host per worker, reached through ssh. */
-class SshBackend : public WorkerBackend
-{
-  public:
-    /**
-     * @p hosts one ssh destination (user@host) per worker;
-     * @p remote_dir directory to cd into before the command ("" = the
-     * remote login directory).
-     */
-    SshBackend(std::vector<std::string> hosts, std::string remote_dir);
-
-    unsigned workers() const override
-    {
-        return static_cast<unsigned>(hosts_.size());
-    }
-    RunStatus run(unsigned worker, const std::string &command,
-                  unsigned timeout_sec) override;
-
-    const std::vector<std::string> &hosts() const { return hosts_; }
-
-  private:
-    std::vector<std::string> hosts_;
-    std::string remoteDir_;
 };
 
 } // namespace cfl::dispatch

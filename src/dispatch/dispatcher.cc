@@ -4,10 +4,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
-#include <set>
 #include <thread>
 
 #include "common/logging.hh"
@@ -27,7 +25,6 @@ struct JobState
 {
     const ShardJob *job = nullptr;
     ShardRun run;
-    std::set<unsigned> excluded; ///< workers that failed this shard
     bool inProgress = false;
     bool done = false;
     /** Earliest time the next attempt may start (retry backoff). */
@@ -43,27 +40,11 @@ struct Scheduler
     std::size_t doneCount = 0;
 };
 
-/**
- * Whether worker @p w may take job @p j at @p now: pending, past its
- * retry backoff, and either the worker has not failed it or every
- * worker has (retry anywhere rather than deadlock once the pool is
- * exhausted).
- */
-bool
-eligible(const JobState &j, unsigned w, unsigned workers,
-         std::chrono::steady_clock::time_point now)
-{
-    if (j.done || j.inProgress || now < j.readyAt)
-        return false;
-    return j.excluded.count(w) == 0 || j.excluded.size() >= workers;
-}
-
 void
 workerLoop(Scheduler &sched, WorkerBackend &backend,
            const RetryPolicy &policy, unsigned w)
 {
     using Clock = std::chrono::steady_clock;
-    const unsigned workers = backend.workers();
     while (true) {
         JobState *picked = nullptr;
         {
@@ -75,8 +56,10 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
                 if (sched.doneCount == sched.jobs.size())
                     return;
                 const Clock::time_point now = Clock::now();
+                // Any pending job past its retry backoff will do: every
+                // worker of a backend is interchangeable.
                 for (JobState &j : sched.jobs) {
-                    if (eligible(j, w, workers, now)) {
+                    if (!j.done && !j.inProgress && now >= j.readyAt) {
                         j.inProgress = true;
                         picked = &j;
                         break;
@@ -89,19 +72,13 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
             }
         }
 
-        const bool first = picked->run.attempts == 0;
-        const std::string &command =
-            (first && !picked->job->firstAttemptCommand.empty())
-                ? picked->job->firstAttemptCommand
-                : picked->job->command;
         const RunStatus status =
-            backend.run(w, command, policy.timeoutSec);
+            backend.run(w, picked->job->command, policy.timeoutSec);
 
         {
             std::lock_guard<std::mutex> lock(sched.mutex);
             ShardRun &run = picked->run;
             ++run.attempts;
-            run.workers.push_back(w);
             run.lastExit = status.exitCode;
             run.timedOut = status.timedOut;
             picked->inProgress = false;
@@ -109,7 +86,6 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
                 run.ok = true;
                 picked->done = true;
             } else {
-                picked->excluded.insert(w);
                 const bool corrupt =
                     !status.timedOut &&
                     std::find(policy.noRetryExits.begin(),
@@ -132,22 +108,6 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
         }
         sched.wake.notify_all();
     }
-}
-
-unsigned
-parseFaultShard(const std::string &fault)
-{
-    const std::string prefix = "shard:";
-    if (fault.compare(0, prefix.size(), prefix) != 0)
-        cfl_fatal("fault spec must be \"shard:K\", got \"%s\"",
-                  fault.c_str());
-    char *end = nullptr;
-    const long shard =
-        std::strtol(fault.c_str() + prefix.size(), &end, 10);
-    if (end == fault.c_str() + prefix.size() || *end != '\0' || shard < 0)
-        cfl_fatal("fault spec must be \"shard:K\", got \"%s\"",
-                  fault.c_str());
-    return static_cast<unsigned>(shard);
 }
 
 } // namespace
@@ -243,12 +203,6 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
             cfl_fatal("cannot create work directory \"%s\": %s",
                       opts.workDir.c_str(), ec.message().c_str());
 
-        const unsigned fault_shard =
-            opts.fault.empty() ? nshards : parseFaultShard(opts.fault);
-        if (!opts.fault.empty() && fault_shard >= nshards)
-            cfl_warn("fault shard %u >= shard count %u; nothing injected",
-                     fault_shard, nshards);
-
         std::vector<ShardJob> jobs;
         std::vector<std::string> result_paths;
         jobs.reserve(nshards);
@@ -264,23 +218,9 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
                                  sweepio::shardPoints(misses, k, nshards));
             std::remove(result_path.c_str()); // no stale result can leak
 
-            ShardJob job;
-            job.shard = k;
-            job.command = shellQuote(opts.sweepBin) + " --points " +
-                          shellQuote(spec_path) + " --out " +
-                          shellQuote(result_path);
-            // `env` rather than a bare VAR=val prefix: an ssh backend
-            // with a timeout wraps the command in coreutils `timeout`,
-            // which execs its first argument — a bare assignment there
-            // would be taken for the program name. The pinned plan
-            // kills the sweep at its result-publish site (exit 4, the
-            // old CONFLUENCE_SWEEP_FAULT=abort behaviour).
-            if (k == fault_shard)
-                job.firstAttemptCommand =
-                    "env 'CONFLUENCE_FAULT_PLAN=pin=sweep.result."
-                    "publish@0:die:4' " +
-                    job.command;
-            jobs.push_back(std::move(job));
+            jobs.push_back({k, shellQuote(opts.sweepBin) + " --points " +
+                                   shellQuote(spec_path) + " --out " +
+                                   shellQuote(result_path)});
             result_paths.push_back(result_path);
         }
 

@@ -4,13 +4,11 @@
  *
  * Two layers. dispatchShards() is the scheduling core: it drives a set
  * of shard jobs through a WorkerBackend with one scheduling thread per
- * worker, a per-shard timeout, and bounded retry with worker exclusion
- * — a shard that fails on worker w is retried on a worker that has not
- * yet failed it (falling back to any worker once every worker has), so
- * a single bad host cannot wedge a sweep. Exit codes listed in
- * RetryPolicy::noRetryExits (confluence_sweep uses 3 for a corrupt /
- * duplicate-point shard) fail immediately instead of burning retries:
- * a deterministic rejection will not pass on a different machine.
+ * worker, a per-shard timeout, and bounded retry — a failed shard goes
+ * back into the pending set and the next free worker takes it. Exit
+ * codes listed in RetryPolicy::noRetryExits (confluence_sweep uses 3
+ * for a corrupt / duplicate-point shard) fail immediately instead of
+ * burning retries: a deterministic rejection will not pass on a retry.
  *
  * runDispatchedSweep() is the sweep driver built on top: it consults a
  * content-addressed ResultCache (result_cache.hh) so only cache-miss
@@ -28,13 +26,10 @@
  * exactly). While one shard waits out its backoff, workers pick up
  * other pending shards.
  *
- * Fault injection for tests/CI: DispatchOptions::fault = "shard:K"
- * prefixes shard K's *first* attempt with a CONFLUENCE_FAULT_PLAN
- * pinning a death at sweep.result.publish, which makes
- * confluence_sweep die without writing its result; the retry then
- * proceeds clean. The CONFLUENCE_DISPATCH_FAULT environment variable
- * feeds this through tools/confluence_dispatch (legacy alias — the
- * full plan grammar lives in fault/fault.hh).
+ * Fault injection for tests/CI goes through fault/fault.hh: a plan
+ * pinning `dispatch.child.kill@K:eio` SIGKILLs the shard child of this
+ * process's (K+1)-th spawn (hits count from 0), and the retry then
+ * proceeds clean.
  */
 
 #ifndef CFL_DISPATCH_DISPATCHER_HH
@@ -55,11 +50,8 @@ class ResultCache;
 /** One schedulable unit: a shell command producing one shard result. */
 struct ShardJob
 {
-    unsigned shard = 0;       ///< shard index, for reporting/faults
+    unsigned shard = 0;       ///< shard index, for reporting/backoff
     std::string command;      ///< the command every attempt runs
-    /** Override for attempt 0 only ("" = use command). The fault-
-     *  injection hook: a poisoned first attempt, clean retries. */
-    std::string firstAttemptCommand;
 };
 
 /** Retry behaviour of dispatchShards(). */
@@ -99,7 +91,6 @@ struct ShardRun
     unsigned shard = 0;
     bool ok = false;
     unsigned attempts = 0;
-    std::vector<unsigned> workers; ///< worker id of each attempt
     int lastExit = 0;
     bool timedOut = false;         ///< last attempt hit the timeout
     std::uint64_t backoffMs = 0;   ///< total injected retry delay
@@ -120,7 +111,6 @@ struct DispatchOptions
     std::string workDir;      ///< shard spec/result files live here
     unsigned shards = 0;      ///< shard count (0 = one per worker)
     RetryPolicy retry;
-    std::string fault;        ///< "shard:K" first-attempt fault, or ""
     /** Store fresh outcomes back into the cache. Queue-mode dispatch
      *  turns this off: there the worker daemons append each shard's
      *  outcomes themselves (so a SIGKILLed coordinator loses nothing),

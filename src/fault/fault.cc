@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fcntl.h>
 #include <mutex>
 #include <signal.h>
@@ -139,8 +138,8 @@ injector()
 
 std::atomic<bool> g_active{false};
 
-/** Load CONFLUENCE_FAULT_PLAN (or the CONFLUENCE_SWEEP_FAULT=abort
- *  alias) into @p inj if neither has been checked yet. */
+/** Load CONFLUENCE_FAULT_PLAN into @p inj if it has not been checked
+ *  yet. */
 void
 ensureEnvLoadedLocked(Injector &inj)
 {
@@ -152,19 +151,6 @@ ensureEnvLoadedLocked(Injector &inj)
         std::string error;
         if (!FaultPlan::parse(spec, &inj.plan, &error))
             cfl_fatal("bad CONFLUENCE_FAULT_PLAN: %s", error.c_str());
-        inj.hasPlan = true;
-        g_active.store(true, std::memory_order_relaxed);
-        return;
-    }
-    const char *legacy = std::getenv("CONFLUENCE_SWEEP_FAULT");
-    if (legacy && *legacy) {
-        if (std::strcmp(legacy, "abort") != 0) {
-            cfl_fatal("unknown CONFLUENCE_SWEEP_FAULT value '%s' "
-                      "(expected 'abort')", legacy);
-        }
-        inj.plan = FaultPlan{};
-        inj.plan.pins.push_back(
-            {"sweep.result.publish", 0, Kind::Die, false, 0});
         inj.hasPlan = true;
         g_active.store(true, std::memory_order_relaxed);
     }

@@ -36,12 +36,6 @@
  *                     injected-fault code)
  *   skew-cap-ms=N     clock-skew magnitude cap (default 30000)
  *
- * Legacy aliases (older CI spellings, translated here and in
- * confluence_dispatch): CONFLUENCE_SWEEP_FAULT=abort becomes the plan
- * "pin=sweep.result.publish@0:die:4"; CONFLUENCE_DISPATCH_FAULT keeps
- * its spellings in confluence_dispatch, which now routes both through
- * this framework.
- *
  * When no plan is configured, every helper is a cheap no-op (one
  * relaxed atomic load), so production paths pay nothing.
  */
@@ -137,7 +131,7 @@ struct FaultPlan
 
 // --- process-global injector -------------------------------------------
 
-/** Install @p plan for this process (tests, legacy-alias translation).
+/** Install @p plan for this process (tests).
  *  Overrides any environment-configured plan and resets hit counters. */
 void installPlan(const FaultPlan &plan);
 
@@ -145,8 +139,8 @@ void installPlan(const FaultPlan &plan);
  *  skew, log). The environment is not re-read afterwards. */
 void clearPlan();
 
-/** Whether any plan is active (loading CONFLUENCE_FAULT_PLAN / the
- *  CONFLUENCE_SWEEP_FAULT alias on first use). */
+/** Whether any plan is active (loading CONFLUENCE_FAULT_PLAN on first
+ *  use). */
 bool active();
 
 /** A copy of the active plan, if any (env-loaded on first use). */

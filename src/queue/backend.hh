@@ -26,9 +26,7 @@
  * the "queue.backend.completion" fault site, so a plan pinning a kill
  * there SIGKILLs the coordinator after the K-th completion — the
  * coordinator-crash injection the queue-sweep CI job restarts from
- * (confluence_dispatch translates the legacy
- * CONFLUENCE_DISPATCH_FAULT=kill-after:K spelling into exactly that
- * pin).
+ * (pin=queue.backend.completion@0:kill dies at the first).
  */
 
 #ifndef CFL_QUEUE_BACKEND_HH

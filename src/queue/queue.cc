@@ -71,11 +71,8 @@ allDigits(const std::string &text, std::size_t pos, std::size_t len)
     return true;
 }
 
-/**
- * Decode a task file name, current or legacy ("<seq>-<id>.task", which
- * reads as the default tenant at priority 0 so pre-multi-tenant queue
- * directories keep draining); nullopt for foreign files.
- */
+/** Decode a task file name (see taskFileName); nullopt for foreign
+ *  files. */
 std::optional<TaskFileInfo>
 parseTaskFileName(const std::string &name)
 {
@@ -86,28 +83,19 @@ parseTaskFileName(const std::string &name)
         return std::nullopt;
     const std::string stem = name.substr(0, name.size() - suffix_len);
 
+    if (stem.size() <= 20 || stem[0] != 'p' || stem[6] != '-' ||
+        stem[19] != '-' || !allDigits(stem, 1, 5) ||
+        !allDigits(stem, 7, 12))
+        return std::nullopt;
+    const std::size_t dash = stem.find('-', 20);
+    if (dash == std::string::npos || dash == 20 || dash + 1 >= stem.size())
+        return std::nullopt;
     TaskFileInfo info;
     info.name = name;
-    if (stem.size() > 20 && stem[0] == 'p' && stem[6] == '-' &&
-        stem[19] == '-' && allDigits(stem, 1, 5) &&
-        allDigits(stem, 7, 12)) {
-        const std::size_t dash = stem.find('-', 20);
-        if (dash == std::string::npos || dash == 20 ||
-            dash + 1 >= stem.size())
-            return std::nullopt;
-        info.priority = 10000 - std::stoll(stem.substr(1, 5));
-        info.seq = std::stoull(stem.substr(7, 12));
-        info.tenant = stem.substr(20, dash - 20);
-        info.id = stem.substr(dash + 1);
-        return info;
-    }
-    // Legacy single-tenant name: "<seq as 12 digits>-<id>".
-    if (stem.size() < 14 || stem[12] != '-' || !allDigits(stem, 0, 12))
-        return std::nullopt;
-    info.seq = std::stoull(stem.substr(0, 12));
-    info.tenant = kDefaultTenant;
-    info.priority = 0;
-    info.id = stem.substr(13);
+    info.priority = 10000 - std::stoll(stem.substr(1, 5));
+    info.seq = std::stoull(stem.substr(7, 12));
+    info.tenant = stem.substr(20, dash - 20);
+    info.id = stem.substr(dash + 1);
     return info;
 }
 

@@ -66,11 +66,6 @@
  * a coordinator can be SIGKILLed at any point and a fresh one resumes
  * from the queue + cache without losing — or repeating — any work.
  *
- * Compatibility: task files written by the single-tenant code (name
- * "<seq>-<id>.task", record without tenant/priority) still parse — as
- * tenant "default" at priority 0 — so pre-existing queue directories
- * keep draining under the new policy.
- *
  * Environment: CONFLUENCE_QUEUE_DIR — defaultDir() (default
  * ".confluence-queue"); CONFLUENCE_QUARANTINE_AFTER — quarantine
  * strike budget (default 3, 0 disables).

@@ -36,7 +36,10 @@ SearchJournal::conflict(const std::string &why) const
     std::fprintf(stderr,
                  "confluence_search: journal conflict in \"%s\": %s\n",
                  path_.c_str(), why.c_str());
-    std::exit(kSearchExitJournalConflict);
+    // The same exit path as fatal(): flush stdio, skip static
+    // destructors (see fatalImpl in common/logging.cc).
+    std::fflush(nullptr);
+    std::_Exit(kSearchExitJournalConflict);
 }
 
 void

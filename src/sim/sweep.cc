@@ -241,6 +241,12 @@ SweepResult::merge(SweepResult &&other)
     other.points.clear();
 }
 
+namespace
+{
+
+/** Evaluate one sweep point on @p cmp, built with the point's
+ *  kind/workload and core count: the sampled run when point.sampling
+ *  is enabled, else the exact run through the stepping API. */
 CmpMetrics
 runSweepPointOn(Cmp &cmp, const SweepPoint &point)
 {
@@ -254,6 +260,8 @@ runSweepPointOn(Cmp &cmp, const SweepPoint &point)
     cmp.runMeasurement(point.scale.timingMeasureInsts);
     return cmp.collectMetrics();
 }
+
+} // namespace
 
 CmpMetrics
 evaluateSweepPoint(const SweepPoint &point, const SystemConfig &config,

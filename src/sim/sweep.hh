@@ -138,8 +138,7 @@ sweepMap2(SweepEngine &engine, std::size_t rows, std::size_t cols, Fn &&fn)
  * The overlay is part of the point identity (codec, digests) but NOT
  * of sweepPointSeed: two geometry variants of the same (kind,
  * workload) replay the identical instruction stream, which is exactly
- * what a design-space search wants to compare (and what lets the
- * batched runner group them onto one trace).
+ * what a design-space search wants to compare.
  */
 struct DesignOverlay
 {
@@ -223,14 +222,6 @@ struct SweepResult
     /** Append another sweep's outcomes (for sharded/merged sweeps). */
     void merge(SweepResult &&other);
 };
-
-/**
- * Evaluate one sweep point on @p cmp, which must have been built with
- * the point's kind/workload and core count. Dispatches between the
- * exact run and the sampled run on point.sampling; shared by the
- * scalar and batched runners so the two cannot drift.
- */
-CmpMetrics runSweepPointOn(Cmp &cmp, const SweepPoint &point);
 
 /** Evaluate one sweep point standalone (builds its own Cmp). */
 CmpMetrics evaluateSweepPoint(const SweepPoint &point,

@@ -34,13 +34,10 @@ parseTaskBody(Parser &p)
     task.command = p.namedString("command");
     p.expect(',');
     task.result = p.namedString("result");
-    // Records from the single-tenant era stop here; they decode as the
-    // default tenant at priority 0, so old queue directories load.
-    if (p.accept(',')) {
-        task.tenant = p.namedString("tenant");
-        p.expect(',');
-        task.priority = p.namedSignedNumber("priority");
-    }
+    p.expect(',');
+    task.tenant = p.namedString("tenant");
+    p.expect(',');
+    task.priority = p.namedSignedNumber("priority");
     p.expect('}');
     return task;
 }
@@ -54,8 +51,8 @@ parseDoneBody(Parser &p)
     done.owner = p.namedString("owner");
     p.expect(',');
     done.exitCode = p.namedNumber("exit");
-    if (p.accept(',')) // absent on single-tenant-era records
-        done.tenant = p.namedString("tenant");
+    p.expect(',');
+    done.tenant = p.namedString("tenant");
     p.expect('}');
     return done;
 }
@@ -150,8 +147,8 @@ parseLease(Parser &p)
     lease.owner = p.namedString("owner");
     p.expect(',');
     lease.deadlineMs = p.namedNumber("deadline_ms");
-    if (p.accept(',')) // absent on records from older writers
-        lease.sinceMs = p.namedNumber("since_ms");
+    p.expect(',');
+    lease.sinceMs = p.namedNumber("since_ms");
     p.expect('}');
     p.end();
     return lease;

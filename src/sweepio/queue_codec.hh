@@ -32,11 +32,6 @@
  * "reclaim", "quarantine", "done"), giving every queue directory an
  * auditable, greppable history.
  *
- * Compatibility: the tenant/priority fields on task and done records
- * (and since_ms on leases) are *optional on decode* — a record written
- * by the single-tenant code decodes with tenant "default", priority 0
- * — so pre-existing queue directories load unchanged.
- *
  * Unlike the sweep codec, the strings here (shell commands, file
  * paths, owners) are user-influenced, so encoding escapes '"' and '\\'
  * via escapeJsonString() — the only escapes the parser accepts back.

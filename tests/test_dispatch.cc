@@ -1,13 +1,15 @@
 /**
  * @file Tests for the dispatch subsystem: result-cache key stability
  * (same point+seed → same digest across runs; code-version bump →
- * miss), the content-addressed store round trip, shard retry/worker-
- * exclusion scheduling, the no-retry classification of corrupt-shard
- * exit codes, and the local backend's timeout enforcement.
+ * miss), the content-addressed store round trip, shard retry and
+ * exhaustion, the no-retry classification of corrupt-shard exit codes,
+ * retry of an injected child kill, the local backend's timeout
+ * enforcement, and shell quoting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -16,10 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "death_test_style.hh"
 #include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
+#include "fault/fault.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/digest.hh"
 
@@ -67,7 +71,7 @@ tmpPath(const std::string &name)
 /**
  * A scriptable backend: fails the first @p failures attempts of the
  * shards listed in @p failShards (with @p failExit), records every
- * (worker, command) invocation, and never touches the OS.
+ * command it runs, and never touches the OS.
  */
 class FakeBackend : public WorkerBackend
 {
@@ -81,7 +85,7 @@ class FakeBackend : public WorkerBackend
 
     unsigned workers() const override { return workers_; }
 
-    RunStatus run(unsigned worker, const std::string &command,
+    RunStatus run(unsigned, const std::string &command,
                   unsigned) override
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -89,7 +93,7 @@ class FakeBackend : public WorkerBackend
         // fake encodes the shard index directly instead.
         const unsigned shard = static_cast<unsigned>(
             std::stoul(command.substr(command.rfind(' ') + 1)));
-        calls_.push_back({worker, command});
+        calls_.push_back(command);
         RunStatus status;
         if (failShards_.count(shard) != 0 &&
             attempts_[shard]++ < failures_)
@@ -97,13 +101,7 @@ class FakeBackend : public WorkerBackend
         return status;
     }
 
-    struct Call
-    {
-        unsigned worker;
-        std::string command;
-    };
-
-    std::vector<Call> calls() const
+    std::vector<std::string> calls() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
         return calls_;
@@ -116,7 +114,7 @@ class FakeBackend : public WorkerBackend
     unsigned failures_;
     int failExit_;
     std::map<unsigned, unsigned> attempts_;
-    std::vector<Call> calls_;
+    std::vector<std::string> calls_;
 };
 
 std::vector<ShardJob>
@@ -124,7 +122,7 @@ fakeJobs(unsigned count)
 {
     std::vector<ShardJob> jobs;
     for (unsigned k = 0; k < count; ++k)
-        jobs.push_back({k, "run " + std::to_string(k), ""});
+        jobs.push_back({k, "run " + std::to_string(k)});
     return jobs;
 }
 
@@ -338,10 +336,10 @@ TEST(RegressionHistory, StoreIsOpenedOncePerRunNotPerAppend)
 }
 
 // ---------------------------------------------------------------------------
-// Shard scheduling: retry, worker exclusion, no-retry classification
+// Shard scheduling: retry, exhaustion, no-retry classification
 // ---------------------------------------------------------------------------
 
-TEST(DispatchShards, FailedShardRetriesOnADifferentWorker)
+TEST(DispatchShards, FailedShardIsRetriedUntilItSucceeds)
 {
     FakeBackend backend(3, {1}, 1);
     RetryPolicy policy;
@@ -356,16 +354,16 @@ TEST(DispatchShards, FailedShardRetriesOnADifferentWorker)
     const ShardRun &faulty = runs[1];
     EXPECT_EQ(faulty.shard, 1u);
     EXPECT_EQ(faulty.attempts, 2u);
-    ASSERT_EQ(faulty.workers.size(), 2u);
-    // Worker exclusion: the retry must land on a worker that has not
-    // already failed this shard.
-    EXPECT_NE(faulty.workers[0], faulty.workers[1]);
+    EXPECT_EQ(faulty.lastExit, 0);
     // The healthy shards succeeded on their first attempt.
     EXPECT_EQ(runs[0].attempts, 1u);
     EXPECT_EQ(runs[2].attempts, 1u);
+    const std::vector<std::string> calls = backend.calls();
+    EXPECT_EQ(calls.size(), 4u);
+    EXPECT_EQ(std::count(calls.begin(), calls.end(), "run 1"), 2);
 }
 
-TEST(DispatchShards, ExhaustsAttemptsAcrossDistinctWorkersThenFails)
+TEST(DispatchShards, ExhaustsItsAttemptsThenFails)
 {
     FakeBackend backend(3, {0}, 1000, 9);
     RetryPolicy policy;
@@ -377,25 +375,26 @@ TEST(DispatchShards, ExhaustsAttemptsAcrossDistinctWorkersThenFails)
     EXPECT_FALSE(runs[0].ok);
     EXPECT_EQ(runs[0].attempts, 3u);
     EXPECT_EQ(runs[0].lastExit, 9);
-    // Three attempts on three workers: all distinct before any reuse.
-    std::set<unsigned> distinct(runs[0].workers.begin(),
-                                runs[0].workers.end());
-    EXPECT_EQ(distinct.size(), 3u);
+    EXPECT_EQ(backend.calls().size(), 3u);
 }
 
-TEST(DispatchShards, SingleWorkerPoolMayRetryOnTheSameWorker)
+TEST(DispatchShards, SingleAttemptPolicyNeverRetries)
 {
-    FakeBackend backend(1, {0}, 1);
+    FakeBackend backend(2, {0}, 1);
     RetryPolicy policy;
-    policy.maxAttempts = 2;
+    policy.maxAttempts = 1;
 
     const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(1), policy);
-    ASSERT_EQ(runs.size(), 1u);
-    // With every worker excluded, retry-anywhere beats deadlock.
-    EXPECT_TRUE(runs[0].ok);
-    EXPECT_EQ(runs[0].attempts, 2u);
-    EXPECT_EQ(runs[0].workers[0], runs[0].workers[1]);
+        dispatchShards(backend, fakeJobs(2), policy);
+    ASSERT_EQ(runs.size(), 2u);
+    // One failure exhausts a one-attempt budget: no retry, no backoff,
+    // and the healthy shard is unaffected.
+    EXPECT_FALSE(runs[0].ok);
+    EXPECT_EQ(runs[0].attempts, 1u);
+    EXPECT_EQ(runs[0].lastExit, 1);
+    EXPECT_EQ(runs[0].backoffMs, 0u);
+    EXPECT_TRUE(runs[1].ok);
+    EXPECT_EQ(backend.calls().size(), 2u);
 }
 
 TEST(DispatchShards, CorruptShardExitCodeIsNeverRetried)
@@ -414,24 +413,37 @@ TEST(DispatchShards, CorruptShardExitCodeIsNeverRetried)
     EXPECT_EQ(runs[0].lastExit, 3);
 }
 
-TEST(DispatchShards, FirstAttemptCommandIsUsedExactlyOnce)
+TEST(DispatchShards, InjectedChildKillIsRetriedOnce)
 {
-    FakeBackend backend(2, {0}, 1);
+    // CI's crash injection: the second shard child this process spawns
+    // is SIGKILLed. Each child outlives the kill's window, so the kill
+    // always lands on a live process.
+    fault::FaultPlan plan;
+    plan.pins.push_back(
+        {"dispatch.child.kill", 1, fault::Kind::Eio, false, 0});
+    fault::ScopedPlanForTesting scoped(plan);
+
+    LocalBackend backend(2);
+    std::vector<ShardJob> jobs;
+    for (unsigned k = 0; k < 3; ++k)
+        jobs.push_back({k, "sleep 0.5"});
     RetryPolicy policy;
     policy.maxAttempts = 3;
-
-    std::vector<ShardJob> jobs = fakeJobs(1);
-    jobs[0].firstAttemptCommand = "poisoned " + jobs[0].command;
+    policy.backoffBaseMs = 1;
 
     const std::vector<ShardRun> runs =
         dispatchShards(backend, jobs, policy);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_TRUE(runs[0].ok);
-
-    const auto calls = backend.calls();
-    ASSERT_EQ(calls.size(), 2u);
-    EXPECT_EQ(calls[0].command, "poisoned run 0");
-    EXPECT_EQ(calls[1].command, "run 0");
+    ASSERT_EQ(runs.size(), 3u);
+    unsigned retried = 0;
+    for (const ShardRun &run : runs) {
+        EXPECT_TRUE(run.ok) << "shard " << run.shard;
+        EXPECT_EQ(run.lastExit, 0);
+        if (run.attempts == 2)
+            ++retried;
+        else
+            EXPECT_EQ(run.attempts, 1u) << "shard " << run.shard;
+    }
+    EXPECT_EQ(retried, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -565,52 +577,24 @@ TEST(LocalBackend, ReportsExitCodesAndEnforcesTimeouts)
     EXPECT_TRUE(slow.timedOut);
 }
 
-TEST(SshBackend, WrapsCommandsWithBatchModeAndQuoting)
+TEST(ShellQuote, PathsWithSpacesAndQuotesSurviveTheShell)
 {
-    EXPECT_EQ(sshWrapCommand("host1", "", "echo hi"),
-              "ssh -o BatchMode=yes 'host1' 'echo hi'");
-    // The remote directory and any embedded quote survive quoting.
-    EXPECT_EQ(sshWrapCommand("u@h", "/sweeps/run dir", "echo 'x'"),
-              "ssh -o BatchMode=yes 'u@h' "
-              "'cd '\\''/sweeps/run dir'\\'' && echo '\\''x'\\'''");
-    // A timeout is enforced remotely too: killing only the local ssh
-    // client would leave the sweep running as an orphan.
-    EXPECT_EQ(sshWrapCommand("host1", "", "echo hi", 60),
-              "ssh -o BatchMode=yes 'host1' 'timeout 60 echo hi'");
-}
-
-TEST(SshBackend, QueueDirPathsWithSpacesAndQuotesSurviveWrapping)
-{
-    // Starting a remote worker daemon against a queue directory that
-    // holds spaces and single quotes: the worker command is itself
-    // built with shellQuote, then the whole thing is quoted once more
-    // for the remote shell. Pin both layers.
+    // A worker command against a queue directory that holds spaces and
+    // a single quote, quoted once more as one word: both layers must
+    // decode back to the original argument.
     const std::string qdir = "/sweeps/queue dir/it's";
     const std::string worker_cmd =
         "./confluence_worker --queue " + shellQuote(qdir);
     EXPECT_EQ(worker_cmd,
               "./confluence_worker --queue "
               "'/sweeps/queue dir/it'\\''s'");
-    EXPECT_EQ(sshWrapCommand("u@h", "", worker_cmd),
-              "ssh -o BatchMode=yes 'u@h' "
-              "'./confluence_worker --queue "
-              "'\\''/sweeps/queue dir/it'\\''\\'\\'''\\''s'\\'''");
-
-    // And the remote shell must decode that back to the original
-    // argument. ssh hands its command string to the remote login
-    // shell, so run the wrapped command's remote half through a local
-    // sh the same way and observe the argv it produces.
-    const std::string probe = sshWrapCommand("ignored", "", worker_cmd);
-    const std::string remote =
-        probe.substr(std::string("ssh -o BatchMode=yes 'ignored' ")
-                         .size());
-    // remote is one sh-quoted word; eval re-parses it exactly as the
-    // remote shell would, and $3 must be the original queue dir.
+    // eval re-parses the quoted command exactly as /bin/sh -c would,
+    // and $3 must be the original queue dir.
     const RunStatus status = runLocalCommand(
-        "eval set -- " + remote + "; test \"$3\" = " + shellQuote(qdir),
+        "eval set -- " + shellQuote(worker_cmd) + "; test \"$3\" = " +
+            shellQuote(qdir),
         10);
-    EXPECT_TRUE(status.ok())
-        << "remote shell would not see the original queue dir";
+    EXPECT_TRUE(status.ok()) << "sh would not see the original queue dir";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "death_test_style.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
 

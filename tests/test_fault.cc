@@ -21,6 +21,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "death_test_style.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
 #include "fault/fault.hh"
@@ -323,9 +324,8 @@ TEST(FaultCheckpoint, PinnedDeathExitsWithThePlanExitCode)
             checkpoint("test.die");
         },
         ::testing::ExitedWithCode(23), "");
-    // The legacy CONFLUENCE_SWEEP_FAULT=abort alias is this exact pin
-    // with no arg: the plan's default die-exit 4 — confluence_sweep's
-    // documented injected-fault exit code — comes out.
+    // A pin with no arg dies with the plan's default die-exit 4 —
+    // confluence_sweep's documented injected-fault exit code.
     EXPECT_EXIT(
         {
             installPlan(pinPlan("sweep.result.publish", 0, Kind::Die));

@@ -469,47 +469,6 @@ TEST(WorkQueue, QuotaBoundsLiveTasksAndReleasesOnCompletion)
     EXPECT_EQ(queue.liveCount("capped"), 3u);
 }
 
-TEST(WorkQueue, LegacySingleTenantDirectoriesStillDrain)
-{
-    // A queue directory written by the single-tenant code: old task
-    // file name (no priority key, no tenant field) and old record
-    // bytes. It must claim as tenant "default" at priority 0, ordered
-    // by seq against newly enqueued tasks.
-    const std::string dir = freshDir("legacy");
-    {
-        WorkQueue layout(dir); // creates the directory skeleton
-    }
-    {
-        std::ofstream task(dir + "/pending/000000000000-old-task.task");
-        task << "{\"id\":\"old-task\",\"seq\":0,\"command\":\"true\","
-                "\"result\":\"\"}\n";
-        std::ofstream log(dir + "/tasks.jsonl", std::ios::app);
-        log << "{\"op\":\"enqueue\",\"task\":{\"id\":\"old-task\","
-               "\"seq\":0,\"command\":\"true\",\"result\":\"\"}}\n";
-    }
-
-    WorkQueue queue(dir);
-    EXPECT_EQ(queue.pendingCount(), 1u);
-    // New work sequences after the legacy record...
-    const sweepio::TaskRecord fresh = queue.enqueue(makeTask("new-task"));
-    EXPECT_GE(fresh.seq, 1u);
-
-    // ...so the legacy task claims first at the shared priority 0.
-    auto first = queue.claim("w", 60);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->task.id, "old-task");
-    EXPECT_EQ(first->task.tenant, "default");
-    EXPECT_EQ(first->task.priority, 0);
-    queue.complete(*first, 0);
-    EXPECT_EQ(queue.doneRecord("old-task")->tenant, "default");
-
-    auto second = queue.claim("w", 60);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->task.id, "new-task");
-    queue.complete(*second, 0);
-    EXPECT_EQ(queue.pendingCount(), 0u);
-}
-
 TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
 {
     // One tenant floods 24 tasks at the same priority as two small
@@ -803,15 +762,13 @@ TEST(QueueBackend, DispatchesRetriesAndReportsExitCodesThroughTheQueue)
 
     const std::string marker = dir + "/ran-once";
     std::vector<dispatch::ShardJob> jobs;
-    jobs.push_back({0, "true", ""});
-    jobs.push_back({1, "exit 7", ""});
+    jobs.push_back({0, "true"});
+    jobs.push_back({1, "exit 7"});
     // Fails the first attempt, succeeds the second — the dispatcher's
     // retry flows through a *fresh* queue task.
-    jobs.push_back({2,
-                    "test -e " + dispatch::shellQuote(marker) +
-                        " || { touch " + dispatch::shellQuote(marker) +
-                        "; exit 9; }",
-                    ""});
+    jobs.push_back({2, "test -e " + dispatch::shellQuote(marker) +
+                           " || { touch " + dispatch::shellQuote(marker) +
+                           "; exit 9; }"});
 
     dispatch::RetryPolicy policy;
     policy.maxAttempts = 2;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "death_test_style.hh"
 #include "dispatch/result_cache.hh"
 #include "search/driver.hh"
 #include "search/journal.hh"

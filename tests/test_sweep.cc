@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "death_test_style.hh"
 #include "sim/metrics.hh"
 #include "sim/sweep.hh"
 

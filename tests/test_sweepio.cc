@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "death_test_style.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
 #include "sim/metrics.hh"
@@ -331,37 +332,6 @@ TEST(SweepioQueueCodec, MultiTenantFieldsRoundTrip)
     EXPECT_EQ(stats_back.hits, 123u);
     EXPECT_EQ(stats_back.misses, 456u);
     EXPECT_EQ(stats_back.atMs, 1700000000000ull);
-}
-
-TEST(SweepioQueueCodec, LegacySingleTenantLinesDecodeWithDefaults)
-{
-    // Byte-for-byte what the single-tenant code wrote: no tenant, no
-    // priority, no since_ms. Old queue directories must keep loading.
-    const TaskRecord task = decodeTask(
-        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
-        "\"result\":\"\"}");
-    EXPECT_EQ(task.id, "cafe-r0-a0");
-    EXPECT_EQ(task.seq, 7u);
-    EXPECT_EQ(task.tenant, "default");
-    EXPECT_EQ(task.priority, 0);
-
-    const DoneRecord done = decodeDone(
-        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137}");
-    EXPECT_EQ(done.exitCode, 137u);
-    EXPECT_EQ(done.tenant, "default");
-
-    const LeaseRecord lease = decodeLease(
-        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\","
-        "\"deadline_ms\":99}");
-    EXPECT_EQ(lease.deadlineMs, 99u);
-    EXPECT_EQ(lease.sinceMs, 0u);
-
-    // An old-style log line multiplexing an old-style task record.
-    const QueueLogRecord log = decodeQueueLog(
-        "{\"op\":\"enqueue\",\"task\":{\"id\":\"cafe-r0-a0\","
-        "\"seq\":7,\"command\":\"true\",\"result\":\"\"}}");
-    EXPECT_EQ(log.task.tenant, "default");
-    EXPECT_EQ(log.task.priority, 0);
 }
 
 TEST(SweepioQueueCodec, QueueStatusRoundTrips)

@@ -475,17 +475,7 @@ ScheduleRunner::drainQueue(std::string *why)
     }
     // Leftover pending tasks (enqueued by a coordinator attempt that
     // died, or re-pended just now) must all be cancellable.
-    for (const auto &entry :
-         fs::directory_iterator(dir_ + "/queue/pending")) {
-        std::string name = entry.path().filename().string();
-        if (name.size() < 6 || name.substr(name.size() - 5) != ".task")
-            continue;
-        name.resize(name.size() - 5);
-        const std::size_t dash = name.find('-');
-        if (dash == std::string::npos)
-            continue;
-        queue.cancelTask(name.substr(dash + 1));
-    }
+    queue.cancelPending();
     if (queue.pendingCount() != 0) {
         *why = "queue wedged: " + std::to_string(queue.pendingCount()) +
                " pending task(s) resisted cancellation";
@@ -828,8 +818,6 @@ main(int argc, char **argv)
     // The driver itself must run fault-free: children get their plans
     // via explicit env prefixes, never by inheritance.
     ::unsetenv("CONFLUENCE_FAULT_PLAN");
-    ::unsetenv("CONFLUENCE_SWEEP_FAULT");
-    ::unsetenv("CONFLUENCE_DISPATCH_FAULT");
 
     fs::create_directories(opts.workDir);
     opts.specPath = fs::absolute(opts.specPath).string();

@@ -4,9 +4,9 @@
  *
  * Takes a sweep spec (the same JSONL confluence_sweep emits), partitions
  * it into shards, and drives one `confluence_sweep --points` process per
- * shard through a worker backend — a local subprocess pool, or a fleet
- * of ssh hosts — with per-shard timeout, bounded retry, and worker
- * exclusion. Completed outcomes land in a content-addressed result
+ * shard through a worker backend — a local subprocess pool, or the
+ * persistent work queue — with per-shard timeout and bounded retry.
+ * Completed outcomes land in a content-addressed result
  * cache keyed on (point, seed base, code version), so re-dispatching a
  * sweep only evaluates points whose key changed; the merged output is
  * byte-identical to the single-process `confluence_sweep --points` run
@@ -15,8 +15,8 @@
  * Modes (one per invocation):
  *
  *   confluence_dispatch --points spec.jsonl --out merged.jsonl
- *       [--backend local|ssh|queue] [--workers N] [--hosts h1,h2,..]
- *       [--remote-dir DIR] [--queue-dir DIR] [--queue-name NAME]
+ *       [--backend local|queue] [--workers N]
+ *       [--queue-dir DIR] [--queue-name NAME]
  *       [--tenant ID] [--priority N] [--tenant-weight W]
  *       [--tenant-quota Q] [--shards M]
  *       [--timeout SEC] [--retries K] [--backoff-ms MS]
@@ -70,14 +70,10 @@
  *   CONFLUENCE_FAULT_PLAN  the unified fault-injection framework
  *       (fault/fault.hh): a seeded, site-indexed schedule of injected
  *       failures, honored by every instrumented site in this process.
- *   CONFLUENCE_DISPATCH_FAULT  legacy aliases, translated onto the
- *       framework at startup:
- *       shard:K       poison shard K's first attempt (the child dies
- *                     before writing its result; the retry is clean);
- *       kill-after:K  (queue backend only) becomes a fault-plan pin
- *                     killing this coordinator the moment the Kth task
- *                     completion is observed — the crash the
- *                     queue-sweep CI job restarts from.
+ *       CI's two crash injections are pins: dispatch.child.kill@1:eio
+ *       SIGKILLs the second shard child (its retry is clean), and
+ *       queue.backend.completion@0:kill SIGKILLs this coordinator at
+ *       the first observed queue task completion.
  *   CONFLUENCE_QUEUE_DIR  default --queue-dir for the queue backend.
  *   CONFLUENCE_QUARANTINE_AFTER  queue quarantine strike budget.
  *   CONFLUENCE_CACHE_DIR / CONFLUENCE_CODE_VERSION  default cache
@@ -86,7 +82,7 @@
  *
  * Exit codes: 0 success, 1 fatal error (bad configuration, shard
  * exhausted its retries), 2 usage, 5 regression threshold exceeded;
- * 137 (SIGKILL) when the kill-after fault fires. A shard whose queue
+ * 137 (SIGKILL) when an injected kill fires. A shard whose queue
  * task is quarantined as poison surfaces exit 6 and is not retried.
  */
 
@@ -103,7 +99,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "dispatch/backend.hh"
-#include "fault/fault.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
@@ -126,8 +121,7 @@ usage(const char *argv0)
         stderr,
         "usage:\n"
         "  %s --points spec.jsonl --out merged.jsonl\n"
-        "     [--backend local|ssh|queue] [--workers N]\n"
-        "     [--hosts h1,h2,..] [--remote-dir DIR] [--queue-dir DIR]\n"
+        "     [--backend local|queue] [--workers N] [--queue-dir DIR]\n"
         "     [--queue-name NAME] [--tenant ID] [--priority N]\n"
         "     [--tenant-weight W] [--tenant-quota Q]\n"
         "     [--shards M] [--timeout SEC] [--retries K]\n"
@@ -332,7 +326,6 @@ main(int argc, char **argv)
     std::string points_path, out_path;
     std::string backend_name = "local";
     unsigned workers = 2;
-    std::string hosts_list, remote_dir;
     std::string queue_dir = queue::WorkQueue::defaultDir();
     std::string queue_name, tenant;
     std::int64_t priority = 0;
@@ -368,10 +361,6 @@ main(int argc, char **argv)
             backend_name = value();
         else if (arg == "--workers")
             workers = parseUnsignedFlag(arg, value());
-        else if (arg == "--hosts")
-            hosts_list = value();
-        else if (arg == "--remote-dir")
-            remote_dir = value();
         else if (arg == "--queue-dir")
             queue_dir = value();
         else if (arg == "--queue-name")
@@ -448,26 +437,12 @@ main(int argc, char **argv)
     if (points_path.empty() || out_path.empty())
         usage(argv[0]);
 
-    std::string fault;
-    if (const char *fault_env = std::getenv("CONFLUENCE_DISPATCH_FAULT"))
-        if (*fault_env != '\0')
-            fault = fault_env;
-    const std::string kill_after_prefix = "kill-after:";
-    const bool kill_after_fault =
-        fault.compare(0, kill_after_prefix.size(), kill_after_prefix) ==
-        0;
-
     std::unique_ptr<queue::WorkQueue> wq;
     std::unique_ptr<dispatch::WorkerBackend> backend;
     if (backend_name == "local") {
         if (workers == 0)
             cfl_fatal("--workers must be >= 1");
         backend = std::make_unique<dispatch::LocalBackend>(workers);
-    } else if (backend_name == "ssh") {
-        if (hosts_list.empty())
-            cfl_fatal("--backend ssh needs --hosts h1,h2,..");
-        backend = std::make_unique<dispatch::SshBackend>(
-            splitList(hosts_list), remote_dir);
     } else if (backend_name == "queue") {
         if (workers == 0)
             cfl_fatal("--workers must be >= 1");
@@ -496,30 +471,11 @@ main(int argc, char **argv)
         qopts.slots = workers;
         qopts.tenant = tenant;
         qopts.priority = priority;
-        if (kill_after_fault) {
-            // Legacy alias onto the unified framework: kill-after:K
-            // becomes a pin firing Kill at the (K-1)-th hit (i.e. the
-            // Kth observation) of the completion site. Merging into
-            // any CONFLUENCE_FAULT_PLAN already active keeps the two
-            // hooks composable.
-            const unsigned k = parseUnsignedFlag(
-                "kill-after fault",
-                fault.substr(kill_after_prefix.size()));
-            if (k == 0)
-                cfl_fatal("kill-after:K needs K >= 1");
-            fault::FaultPlan plan =
-                fault::activePlan().value_or(fault::FaultPlan{});
-            plan.pins.push_back({"queue.backend.completion", k - 1,
-                                 fault::Kind::Kill, false, 0});
-            fault::installPlan(plan);
-        }
         backend = std::make_unique<queue::QueueBackend>(*wq, qopts);
     } else {
-        cfl_fatal("unknown backend \"%s\" (local|ssh|queue)",
+        cfl_fatal("unknown backend \"%s\" (local|queue)",
                   backend_name.c_str());
     }
-    if (kill_after_fault && backend_name != "queue")
-        cfl_fatal("the kill-after fault needs --backend queue");
 
     dispatch::DispatchOptions opts;
     opts.sweepBin = sweep_bin;
@@ -538,8 +494,6 @@ main(int argc, char **argv)
     // makes a coordinator kill lossless); everywhere else the
     // coordinator stores fresh outcomes itself.
     opts.cacheWriteBack = backend_name != "queue";
-    if (!fault.empty() && !kill_after_fault)
-        opts.fault = fault;
 
     std::unique_ptr<dispatch::ResultCache> cache;
     if (!no_cache)

@@ -42,8 +42,8 @@
  *   4  injected fault: --points died at the "sweep.result.publish"
  *      fault site (after evaluating, before writing its result),
  *      simulating a worker killed mid-run. Configure via
- *      CONFLUENCE_FAULT_PLAN (fault/fault.hh) or the legacy
- *      CONFLUENCE_SWEEP_FAULT=abort alias.
+ *      CONFLUENCE_FAULT_PLAN (fault/fault.hh), e.g.
+ *      "pin=sweep.result.publish@0:die".
  */
 
 #include <algorithm>
@@ -85,8 +85,7 @@ usage(const char *argv0)
         "  %s --summary result.jsonl\n"
         "exit codes: 0 ok, 1 fatal, 2 usage, 3 duplicate point "
         "(--points/--merge),\n"
-        "  4 injected fault (CONFLUENCE_FAULT_PLAN / "
-        "CONFLUENCE_SWEEP_FAULT=abort)\n",
+        "  4 injected fault (CONFLUENCE_FAULT_PLAN)\n",
         argv0, argv0, argv0, argv0);
     std::exit(kExitUsage);
 }
@@ -178,9 +177,8 @@ runPoints(const std::string &spec_path, const std::string &shard_spec,
 
     // Fault-injection site for dispatcher tests: a plan pinning a
     // death here dies *after* the sweep but *before* the result
-    // exists, like a worker killed mid-run. The legacy
-    // CONFLUENCE_SWEEP_FAULT=abort spelling maps onto exactly that pin
-    // (fault/fault.hh), preserving the documented exit code 4.
+    // exists, like a worker killed mid-run; a pin with no exit code
+    // dies with the documented exit code 4 (fault/fault.hh).
     fault::checkpoint("sweep.result.publish");
 
     sweepio::writeResult(out_path, result);
