@@ -452,17 +452,6 @@ harnessMain(const HarnessConfig &cfg)
                 sampled_max_ipc_err = std::max(
                     sampled_max_ipc_err,
                     std::abs(est.ipcMean() - exact_ipc) / exact_ipc);
-            if (std::getenv("CFL_SAMPLING_PROFILE") != nullptr)
-                std::fprintf(stderr,
-                             "  point (%s, %s): ipc %.4f exact %.4f "
-                             "(err %.2f%%)\n",
-                             frontendKindName(sa.point.kind).c_str(),
-                             workloadSlug(sa.point.workload).c_str(),
-                             est.ipcMean(), exact_ipc,
-                             exact_ipc > 0.0
-                                 ? std::abs(est.ipcMean() - exact_ipc) /
-                                       exact_ipc * 100.0
-                                 : 0.0);
         }
         const double geo_exact = reference.geomeanSpeedup(
             FrontendKind::Confluence, FrontendKind::Baseline);

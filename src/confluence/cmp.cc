@@ -1,9 +1,5 @@
 #include "confluence/cmp.hh"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
 #include "btb/ideal_btb.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -92,9 +88,6 @@ accumulateCore(CoreMetrics &into, const CoreMetrics &add)
     into.btbL2StallCycles += add.btbL2StallCycles;
     into.fetchMissStallCycles += add.fetchMissStallCycles;
 }
-
-double gTouchSec = 0.0, gFullSec = 0.0;
-Counter gTouchInsts = 0, gFullInsts = 0;
 
 } // namespace
 
@@ -328,8 +321,6 @@ Cmp::fastForwardAll(Counter delta)
 
     if (delta == 0)
         return;
-    static const bool kProf =
-        std::getenv("CFL_SAMPLING_PROFILE") != nullptr;
     for (auto &core : cores_) {
         Frontend &fe = core->frontend();
         Counter remaining = delta;
@@ -339,28 +330,12 @@ Cmp::fastForwardAll(Counter delta)
             remaining = skipped < remaining ? remaining - skipped : 0;
         }
         if (remaining > kPredictorWarmInsts) {
-            const auto t0 = std::chrono::steady_clock::now();
             const Counter touched =
                 fe.fastForwardTouch(remaining - kPredictorWarmInsts);
-            if (kProf) {
-                gTouchSec +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                gTouchInsts += touched;
-            }
             remaining = touched < remaining ? remaining - touched : 0;
         }
-        if (remaining > 0) {
-            const auto t0 = std::chrono::steady_clock::now();
+        if (remaining > 0)
             pickSkipper(core->btb())(fe, remaining);
-            if (kProf) {
-                gFullSec += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-                gFullInsts += remaining;
-            }
-        }
     }
 }
 
@@ -408,34 +383,14 @@ Cmp::runSampled(Counter warmup_insts, Counter measure_insts,
     CmpMetrics agg;
     agg.cores.resize(numCores());
 
-    const bool profile = std::getenv("CFL_SAMPLING_PROFILE") != nullptr;
-    double ff_sec = 0.0, det_sec = 0.0;
-    Counter ff_insts = 0, det_insts = 0;
-
     Counter pos = 0; // nominal stream position already covered
     for (std::uint64_t i = 0; i < n_intervals; ++i) {
         const Counter start = warmup_insts + phase + i * period;
-        const Counter warm_start = start - warm;
-        if (profile) {
-            const auto t0 = std::chrono::steady_clock::now();
-            fastForwardAll(warm_start - pos);
-            const auto t1 = std::chrono::steady_clock::now();
-            runDetailedDelta(warm);
-            for (auto &core : cores_)
-                core->beginMeasurement();
-            runDetailedDelta(unit);
-            const auto t2 = std::chrono::steady_clock::now();
-            ff_sec += std::chrono::duration<double>(t1 - t0).count();
-            det_sec += std::chrono::duration<double>(t2 - t1).count();
-            ff_insts += warm_start - pos;
-            det_insts += warm + unit;
-        } else {
-            fastForwardAll(warm_start - pos);
-            runDetailedDelta(warm);
-            for (auto &core : cores_)
-                core->beginMeasurement();
-            runDetailedDelta(unit);
-        }
+        fastForwardAll(start - warm - pos);
+        runDetailedDelta(warm);
+        for (auto &core : cores_)
+            core->beginMeasurement();
+        runDetailedDelta(unit);
         pos = start + unit;
 
         const CmpMetrics interval = collectMetrics();
@@ -455,16 +410,6 @@ Cmp::runSampled(Counter warmup_insts, Counter measure_insts,
         agg.sampling.btbMpki.add(interval.meanBtbMpki());
         agg.sampling.l1iMpki.add(interval.meanL1iMpki());
     }
-    if (profile)
-        std::fprintf(stderr,
-                     "sampling profile [%s]: ff %.1f Minsts/s (%.3fs), "
-                     "detailed %.1f Minsts/s (%.3fs) | cumulative "
-                     "touch %.1f M/s (%.3fs) full %.1f M/s (%.3fs)\n",
-                     cores_.front()->btb().name().c_str(),
-                     ff_insts / ff_sec / 1e6, ff_sec,
-                     det_insts / det_sec / 1e6, det_sec,
-                     gTouchInsts / gTouchSec / 1e6, gTouchSec,
-                     gFullInsts / gFullSec / 1e6, gFullSec);
     return agg;
 }
 

@@ -100,7 +100,7 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
     DynInst inst;
 
     while (pos - start < insts && pos < limit) {
-        const Addr start_pc = trace->pcAt(pos);
+        const Addr start_pc = trace->instPc(pos, h);
         unsigned ninsts = 0;
         // Regions split at taken branches and the detailed-mode length
         // cap; the touched block stream is identical either way. Every
@@ -118,17 +118,17 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
             }
             ninsts += static_cast<unsigned>(next_branch - pos) + 1;
             pos = next_branch + 1;
-            ++h;
-            if (!trace->takenAt(next_branch)) {
+            const std::uint64_t b = h++;
+            if (!trace->branchTaken(b)) {
                 // Not-taken ⇒ conditional: the direction predictor is
                 // the only per-branch state it updates, and only the
-                // pc column is needed (see warmBranch).
-                warmDirection(trace->pcAt(next_branch), false);
+                // pc is needed (see warmBranch).
+                warmDirection(trace->branchPc(b), false);
                 if (ninsts >= max_insts)
                     break;
                 continue;
             }
-            trace->read(next_branch, inst);
+            trace->readBranch(b, inst);
             warmBranch(inst);
             break;
         }
@@ -159,7 +159,7 @@ Counter
 Bpu::touchStreamGenerated(Counter insts, InstMemory &mem,
                           InstPrefetcher *pf, Cycle &now)
 {
-    // Mirror of the trace-column walk above, consuming the engine
+    // Mirror of the branch-record walk above, consuming the engine
     // live. Region boundaries (taken branches, the detailed-mode
     // length cap) and every warm call match instruction for
     // instruction, so a trace-cache bypass leaves bit-identical state.

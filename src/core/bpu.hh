@@ -138,7 +138,7 @@ class Bpu
      * that always follows. @p now advances ~1 inst/cycle like
      * fastForward. May overshoot by up to one region; returns
      * instructions consumed. Over a buffered prefix the walk jumps
-     * branch to branch through the trace columns; in generation mode
+     * branch to branch through the trace's records; in generation mode
      * it consumes the engine live with the identical region/warming
      * sequence, so trace-cache hits and bypasses stay bit-identical
      * (only the speed differs). Returns short when the buffered
@@ -162,7 +162,7 @@ class Bpu
 
   private:
     /** Generation-mode touchStream: the same region walk driven by
-     *  live engine consumption instead of the trace columns. */
+     *  live engine consumption instead of the trace's records. */
     Counter touchStreamGenerated(Counter insts, InstMemory &mem,
                                  InstPrefetcher *pf, Cycle &now);
     /**
@@ -349,7 +349,7 @@ Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
         ++branchHint_;
 
     BpuResult out;
-    out.region.startPc = trace.pcAt(start);
+    out.region.startPc = trace.instPc(start, branchHint_);
 
     std::uint64_t pos = start;
     unsigned insts = 0;
@@ -372,7 +372,7 @@ Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
 
         pos = branch_pos[branchHint_] + std::uint64_t{1};
         insts += static_cast<unsigned>(gap) + 1;
-        trace.read(branch_pos[branchHint_], inst);
+        trace.readBranch(branchHint_, inst);
         ++branchHint_;
         if (handleBranch<BtbT>(inst, now, out))
             break;

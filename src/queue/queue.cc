@@ -209,6 +209,20 @@ faultTryRename(const std::string &from, const std::string &to,
     return tryRename(from, to);
 }
 
+/** Modification time of @p path in wall-clock ms; nullopt if absent. */
+std::optional<std::uint64_t>
+mtimeMs(const std::string &path)
+{
+    std::error_code ec;
+    const fs::file_time_type mtime = fs::last_write_time(path, ec);
+    if (ec)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::file_clock::to_sys(mtime).time_since_epoch())
+            .count());
+}
+
 /** Slurp @p path; nullopt if it cannot be opened. */
 std::optional<std::string>
 readFirstLine(const std::string &path)
@@ -766,13 +780,19 @@ WorkQueue::claim(const std::string &owner, unsigned lease_sec)
 
         // A lease on a *pending* task is a claim in progress — or the
         // debris of a claimer that died between lease and rename.
-        // Live: skip. Expired or unreadable: steal it out of the way.
-        if (const std::optional<LeaseRecord> stale = readLease(id)) {
-            if (stale->deadlineMs > nowMs())
-                continue;
-            if (!stealLease(id))
-                continue;
-        }
+        // Live: skip. Expired: steal it out of the way. One that does
+        // not decode may have been created (O_EXCL) and not yet
+        // written, so it stays live until its file is a lease
+        // duration old.
+        std::optional<std::uint64_t> deadline_ms;
+        if (const std::optional<LeaseRecord> stale = readLease(id))
+            deadline_ms = stale->deadlineMs;
+        else if (const std::optional<std::uint64_t> mtime =
+                     mtimeMs(lease_path))
+            deadline_ms =
+                *mtime + static_cast<std::uint64_t>(lease_sec) * 1000;
+        if (deadline_ms && (*deadline_ms > nowMs() || !stealLease(id)))
+            continue;
 
         // Step 1 of the claim: the lease, taken exclusively. O_EXCL
         // guarantees two workers never both hold it.
@@ -798,9 +818,9 @@ WorkQueue::claim(const std::string &owner, unsigned lease_sec)
         const int close_err = ::close(fd);
         if (written != static_cast<ssize_t>(text.size()) ||
             close_err != 0) {
-            // A torn lease reads as expired, i.e. instantly stealable
-            // — abandoning this attempt (and the lease) is safe and
-            // lets another worker claim the task.
+            // Abandon this attempt and unlink the torn lease at once:
+            // left behind, it would hold the task for a lease
+            // duration before any worker steals it.
             cfl_warn("failed writing lease \"%s\": %s",
                      lease_path.c_str(), std::strerror(errno));
             ::unlink(lease_path.c_str());

@@ -37,6 +37,7 @@ ExecEngine::attachTrace(std::shared_ptr<const TraceBuffer> trace)
                "attachTrace after instructions were consumed");
     trace_ = std::move(trace);
     traceCursor_ = 0;
+    replaySynced_ = false;
 }
 
 EngineSnapshot
@@ -79,6 +80,7 @@ ExecEngine::skipReplay(std::uint64_t n)
                "skipReplay past the buffered prefix");
     traceCursor_ += n;
     instCount_ += n;
+    replaySynced_ = false;
 }
 
 void
@@ -98,6 +100,7 @@ ExecEngine::fastForward(std::uint64_t n)
             const std::uint64_t skip = std::min(n, left);
             traceCursor_ += skip;
             instCount_ += skip;
+            replaySynced_ = false;
             n -= skip;
             if (n == 0)
                 return;
@@ -149,8 +152,7 @@ ExecEngine::step()
 {
     if (trace_ != nullptr) {
         if (traceCursor_ < trace_->size()) {
-            trace_->read(traceCursor_++, cur_);
-            ++instCount_;
+            replayStep();
             return;
         }
         // Buffered prefix exhausted: continue generating from the
@@ -162,25 +164,72 @@ ExecEngine::step()
 }
 
 void
+ExecEngine::seekReplay()
+{
+    const TraceBuffer &trace = *trace_;
+    const std::uint32_t *pos = trace.branchPositions();
+    const std::uint64_t num_branches = trace.numBranches();
+    replayBranch_ =
+        std::lower_bound(pos, pos + num_branches, traceCursor_) - pos;
+    replayBranchPos_ =
+        replayBranch_ < num_branches ? pos[replayBranch_] : trace.size();
+    replayPc_ = trace.instPc(traceCursor_, replayBranch_);
+    replayRequestId_ = trace.requestsBefore(replayBranch_);
+    replaySynced_ = true;
+}
+
+void
+ExecEngine::replayStep()
+{
+    const TraceBuffer &trace = *trace_;
+    if (!replaySynced_)
+        seekReplay();
+    if (traceCursor_ == replayBranchPos_) {
+        trace.readBranch(replayBranch_, cur_);
+        replayPc_ = cur_.nextPc();
+        ++replayBranch_;
+        replayRequestId_ = trace.requestsBefore(replayBranch_);
+        replayBranchPos_ = replayBranch_ < trace.numBranches()
+                               ? trace.branchPositions()[replayBranch_]
+                               : trace.size();
+    } else {
+        cur_ = DynInst{};
+        cur_.pc = replayPc_;
+        cur_.requestId = replayRequestId_;
+        replayPc_ += kInstBytes;
+    }
+    ++traceCursor_;
+    ++instCount_;
+}
+
+void
 ExecEngine::generate()
 {
-    const InstWord word = program_.image.at(pc_);
-    const BranchKind kind = decodeKind(word);
+    // The program's branch table doubles as the decoder: an instruction
+    // without an entry is a non-branch, and a branch's kind is the one
+    // its word encodes.
+    cfl_assert(program_.image.contains(pc_) && isInstAligned(pc_),
+               "fetch outside image: %llx",
+               static_cast<unsigned long long>(pc_));
+    const BranchInfo *info = program_.branchAt(pc_);
 
     cur_ = DynInst{};
     cur_.pc = pc_;
-    cur_.kind = kind;
     cur_.requestId = static_cast<std::uint32_t>(requestCount_);
+    if (info == nullptr) {
+        pc_ += kInstBytes;
+        ++instCount_;
+        return;
+    }
+    const BranchKind kind = info->kind;
+    cur_.kind = kind;
 
     switch (kind) {
       case BranchKind::None:
-        cur_.taken = false;
-        break;
+        cfl_panic("branch-table entry of kind None at %llx",
+                  static_cast<unsigned long long>(pc_));
 
       case BranchKind::Cond: {
-        const BranchInfo *info = program_.branchAt(pc_);
-        cfl_assert(info != nullptr, "conditional without metadata at %llx",
-                   static_cast<unsigned long long>(pc_));
         if (info->isLoopBack) {
             // The backedge is taken until the per-invocation trip count is
             // reached, then falls through and resets.
@@ -203,14 +252,12 @@ ExecEngine::generate()
       }
 
       case BranchKind::Uncond: {
-        const BranchInfo *info = program_.branchAt(pc_);
         cur_.taken = true;
         cur_.target = info->target;
         break;
       }
 
       case BranchKind::Call: {
-        const BranchInfo *info = program_.branchAt(pc_);
         cur_.taken = true;
         cur_.target = info->target;
         stack_.push_back(pc_ + kInstBytes);
@@ -219,8 +266,6 @@ ExecEngine::generate()
 
       case BranchKind::IndCall:
       case BranchKind::IndJump: {
-        const BranchInfo *info = program_.branchAt(pc_);
-        cfl_assert(info != nullptr, "indirect without metadata");
         const auto &targets = program_.indirectSets[info->indirectSet];
         if (pc_ == program_.dispatchCallPc) {
             // Request boundary: draw the next request type (Zipf over

@@ -14,11 +14,13 @@
  *    instruction, exactly as before;
  *  - *replay*: attachTrace() hands the engine an immutable, pre-generated
  *    TraceBuffer for the same (program, params) pair; next()/peek() then
- *    stream instructions out of the buffer's flat arrays with no RNG,
- *    behavior-model, or image work at all. If a consumer runs past the
- *    buffered prefix, the engine restores the generator state snapshot
- *    the buffer carries and continues generating — so a replayed stream
- *    is bit-identical to a generated one at every length.
+ *    stream instructions out of the buffer's branch records, rebuilding
+ *    each non-branch instruction from the previous branch's next pc,
+ *    with no RNG, behavior-model, or image work at all. If a consumer
+ *    runs past the buffered prefix, the engine restores the generator
+ *    state snapshot the buffer carries and continues generating — so a
+ *    replayed stream is bit-identical to a generated one at every
+ *    length.
  */
 
 #ifndef CFL_TRACE_ENGINE_HH
@@ -104,7 +106,7 @@ class ExecEngine
     /**
      * Advance the replay cursor past @p n instructions without
      * materializing them. Callers must have consumed them some other
-     * way (e.g. straight from the buffer's columns) and must stay
+     * way (e.g. straight from the buffer's branch records) and must stay
      * within the buffered prefix with no peek outstanding — the skip
      * is then indistinguishable from n calls to next().
      */
@@ -149,6 +151,12 @@ class ExecEngine
     void step();
     void generate();
 
+    /** Rebuild the instruction at the replay cursor into cur_. */
+    void replayStep();
+
+    /** Re-derive the sequential replay state after a cursor jump. */
+    void seekReplay();
+
     /** Leave replay mode by adopting the trace's tail snapshot. */
     void restore(const EngineSnapshot &snap);
 
@@ -168,6 +176,16 @@ class ExecEngine
 
     std::shared_ptr<const TraceBuffer> trace_;
     std::uint64_t traceCursor_ = 0;
+
+    // Sequential replay: the next branch record, its position, and the
+    // pc and request id the next non-branch instruction has. A cursor
+    // jump (skipReplay, fastForward) clears replaySynced_, and the next
+    // replayed instruction re-derives them.
+    std::uint64_t replayBranch_ = 0;
+    std::uint64_t replayBranchPos_ = 0;
+    Addr replayPc_ = 0;
+    std::uint32_t replayRequestId_ = 0;
+    bool replaySynced_ = false;
 
     DynInst cur_;
     bool hasPeek_ = false;

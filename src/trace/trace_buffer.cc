@@ -7,41 +7,40 @@ namespace cfl
 
 TraceBuffer::TraceBuffer(const Program &program, const EngineParams &params,
                          std::uint64_t num_insts)
-    : numInsts_(num_insts), arenaBytes_(arenaBytesFor(num_insts))
+    : base_(program.image.base()),
+      startPc_(program.entry),
+      numInsts_(num_insts)
 {
     cfl_assert(num_insts > 0, "empty trace buffer");
     cfl_assert(num_insts <= ~std::uint32_t{0},
                "trace too long for the 32-bit branch index");
-    arena_ = std::make_unique<std::byte[]>(arenaBytes_);
-
-    // Carve the SoA columns out of the arena widest-first so every
-    // column lands on its natural alignment.
-    std::byte *base = arena_.get();
-    auto *pc = reinterpret_cast<Addr *>(base);
-    auto *target = reinterpret_cast<Addr *>(base + 8 * num_insts);
-    auto *request_id =
-        reinterpret_cast<std::uint32_t *>(base + 16 * num_insts);
-    auto *kind = reinterpret_cast<std::uint8_t *>(base + 20 * num_insts);
-    auto *taken = reinterpret_cast<std::uint8_t *>(base + 21 * num_insts);
 
     ExecEngine engine(program, params);
     for (std::uint64_t i = 0; i < num_insts; ++i) {
         const DynInst &inst = engine.next();
-        pc[i] = inst.pc;
-        target[i] = inst.target;
-        request_id[i] = inst.requestId;
-        kind[i] = static_cast<std::uint8_t>(inst.kind);
-        taken[i] = inst.taken ? 1 : 0;
-        if (inst.kind != BranchKind::None)
-            branchPos_.push_back(static_cast<std::uint32_t>(i));
+        if (inst.kind == BranchKind::None)
+            continue;
+        branchPos_.push_back(static_cast<std::uint32_t>(i));
+        records_.push_back(
+            {slotOf(inst.pc), slotOf(inst.target),
+             static_cast<std::uint32_t>(engine.requestCount()), inst.kind,
+             inst.taken});
     }
     tail_ = engine.snapshot();
+    // Growth slack would be charged as cached bytes; drop it.
+    branchPos_.shrink_to_fit();
+    records_.shrink_to_fit();
+}
 
-    pc_ = pc;
-    target_ = target;
-    requestId_ = request_id;
-    kind_ = kind;
-    taken_ = taken;
+std::uint32_t
+TraceBuffer::slotOf(Addr addr) const
+{
+    const Addr offset = addr - base_;
+    cfl_assert(offset % kInstBytes == 0 &&
+                   offset / kInstBytes <= ~std::uint32_t{0},
+               "trace address %llx is no image slot",
+               static_cast<unsigned long long>(addr));
+    return static_cast<std::uint32_t>(offset / kInstBytes);
 }
 
 } // namespace cfl

@@ -175,6 +175,8 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
     // trace once; entry mutexes are always taken before the global one.
     std::lock_guard<std::mutex> gen(entry->genMutex);
 
+    // Generation reserves the all-branch upper bound; the buffer's
+    // actual size is only known once it exists.
     const std::uint64_t bytes = TraceBuffer::arenaBytesFor(length);
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -216,8 +218,9 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
+    chargedBytes_ = chargedBytes_ - bytes + buf->bytes();
     entry->buf = buf;
-    entry->charged = bytes;
+    entry->charged = buf->bytes();
     ++misses_;
     return buf;
 }

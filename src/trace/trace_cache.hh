@@ -9,13 +9,16 @@
  * in one process, the common case for figure benches, calibration runs,
  * and the perf harness — replay instead of regenerating.
  *
- * Memory/speed trade-off: a buffer costs 22 bytes per instruction, so
- * full-length traces are large. The cache enforces a byte budget
+ * Memory/speed trade-off: a buffer stores only branches, about 20 bytes
+ * per branch (4–5 bytes per instruction in the five presets), so
+ * full-length traces are still large. The cache enforces a byte budget
  * (CONFLUENCE_TRACE_CACHE_MB, default 512; 0 disables caching): least-
  * recently-used idle buffers are dropped to make room, and when a new
  * trace cannot fit even after eviction, acquire() returns nullptr and
  * the caller simply keeps generating live — behaviour is bit-identical
- * either way, only the speed differs.
+ * either way, only the speed differs. A generation in flight holds
+ * TraceBuffer::arenaBytesFor(length), the all-branch upper bound; the
+ * finished buffer is charged its actual bytes().
  */
 
 #ifndef CFL_TRACE_TRACE_CACHE_HH
@@ -36,7 +39,7 @@ namespace cfl
 class TraceCache
 {
   public:
-    /** @param budget_bytes maximum cached arena bytes; 0 disables. */
+    /** @param budget_bytes maximum cached bytes; 0 disables. */
     explicit TraceCache(std::uint64_t budget_bytes);
 
     /**

@@ -54,7 +54,10 @@ void
 ProgramBuilder::recordBranch(Addr pc, BranchInfo info)
 {
     info.id = static_cast<std::uint32_t>(program_.branches.size());
-    program_.branches.emplace(pc, info);
+    program_.branches.push_back(info);
+    const std::size_t slot = (pc - program_.image.base()) / kInstBytes;
+    program_.branchSlots.resize(slot + 1, 0);
+    program_.branchSlots[slot] = info.id + 1;
 }
 
 void
@@ -187,6 +190,9 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     cfl_assert(!finished_, "ProgramBuilder::finish called twice");
     finished_ = true;
 
+    // Straight-line code after the last branch has no slot yet.
+    program_.branchSlots.resize(program_.image.numInsts(), 0);
+
     for (const Fixup &fx : fixups_) {
         cfl_assert(labelBound_[fx.label], "unbound label in fixup");
         const Addr target = labelAddrs_[fx.label];
@@ -195,9 +201,11 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
              static_cast<std::int64_t>(fx.branchPc)) /
             static_cast<std::int64_t>(kInstBytes);
         program_.image.patch(fx.branchPc, encodeDirect(fx.kind, disp));
-        auto it = program_.branches.find(fx.branchPc);
-        cfl_assert(it != program_.branches.end(), "fixup on unknown branch");
-        it->second.target = target;
+        const std::uint32_t slot =
+            program_.branchSlots[(fx.branchPc - program_.image.base()) /
+                                 kInstBytes];
+        cfl_assert(slot != 0, "fixup on unknown branch");
+        program_.branches[slot - 1].target = target;
     }
 
     program_.entry = entry;
@@ -206,11 +214,10 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     program_.numRequestTypes = num_request_types;
 
     // Validate: every direct target must land inside the image.
-    for (const auto &[pc, info] : program_.branches) {
+    for (const BranchInfo &info : program_.branches) {
         if (hasDirectTarget(info.kind)) {
             cfl_assert(program_.image.contains(info.target),
-                       "branch %llx targets outside image",
-                       static_cast<unsigned long long>(pc));
+                       "branch %u targets outside image", info.id);
         }
     }
     for (const auto &set : program_.indirectSets) {

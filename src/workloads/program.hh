@@ -7,6 +7,11 @@
  * (bias, loop trip counts, indirect target sets) and the request dispatch
  * structure (entry loop + request handler entry points).
  *
+ * The branch metadata is a dense table: `branches` is indexed by
+ * BranchInfo::id, and `branchSlots` holds one 32-bit entry per image
+ * instruction (id + 1, or 0 for a non-branch), so branchAt() is two
+ * indexed loads and synthesis allocates nothing per branch.
+ *
  * The front-end simulator never reads this metadata directly — it sees
  * only the dynamic instruction stream and the raw code image, exactly like
  * hardware.
@@ -17,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/code_image.hh"
@@ -53,8 +57,12 @@ struct Program
     std::string name;
     CodeImage image;
 
-    /** Branch-site oracle metadata keyed by branch PC. */
-    std::unordered_map<Addr, BranchInfo> branches;
+    /** Branch-site oracle metadata, indexed by BranchInfo::id. */
+    std::vector<BranchInfo> branches;
+
+    /** One entry per image instruction: the branch's id + 1, or 0 when
+     *  the instruction is not a branch. */
+    std::vector<std::uint32_t> branchSlots;
 
     /** Target sets for indirect branches. */
     std::vector<std::vector<Addr>> indirectSets;
@@ -76,10 +84,17 @@ struct Program
 
     Program() : image(0x10000) {}
 
+    /** Metadata of the branch at @p pc; nullptr for a non-branch, a pc
+     *  outside the image, or a misaligned pc. */
     const BranchInfo *branchAt(Addr pc) const
     {
-        const auto it = branches.find(pc);
-        return it == branches.end() ? nullptr : &it->second;
+        // Below the base the subtraction wraps past every slot.
+        const Addr offset = pc - image.base();
+        if (offset % kInstBytes != 0 ||
+            offset / kInstBytes >= branchSlots.size())
+            return nullptr;
+        const std::uint32_t slot = branchSlots[offset / kInstBytes];
+        return slot == 0 ? nullptr : &branches[slot - 1];
     }
 
     /** Static branch-per-block density over the whole image. */

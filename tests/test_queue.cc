@@ -257,6 +257,33 @@ TEST(WorkQueue, ExpiredLeaseIsReclaimedAndReclaimable)
     EXPECT_EQ(queue.doneRecord("slow-task")->owner, "healthy-worker");
 }
 
+TEST(WorkQueue, TornLeaseIsStolenOnceALeaseDurationOld)
+{
+    // A claimer that died between creating its lease (O_EXCL) and
+    // writing it leaves an empty lease file on a pending task.
+    const std::string dir = freshDir("torn_lease");
+    WorkQueue queue(dir);
+    queue.enqueue(makeTask("torn"));
+    const std::string lease = dir + "/leases/torn.lease";
+    std::ofstream(lease).close();
+    ASSERT_TRUE(fs::exists(lease));
+
+    // Fresh, it may be a live claim not yet written: skipped.
+    EXPECT_EQ(queue.claim("w", 10), std::nullopt);
+    EXPECT_EQ(queue.pendingCount(), 1u);
+    EXPECT_TRUE(fs::exists(lease));
+
+    // Older than the 10 s lease duration, it is debris: stolen.
+    fs::last_write_time(lease, fs::file_time_type::clock::now() -
+                                   std::chrono::seconds(11));
+    auto claim = queue.claim("w", 10);
+    ASSERT_TRUE(claim.has_value());
+    EXPECT_EQ(claim->task.id, "torn");
+    EXPECT_EQ(queue.pendingCount(), 0u);
+    queue.complete(*claim, 0);
+    EXPECT_EQ(queue.doneRecord("torn")->owner, "w");
+}
+
 TEST(WorkQueue, HeartbeatsKeepLongTaskAliveFarPastOriginalLease)
 {
     // Regression guard for the worker's wall-clock heartbeat loop: a

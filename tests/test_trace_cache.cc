@@ -1,7 +1,8 @@
 /**
- * @file Tests for shared immutable traces: TraceBuffer replay fidelity,
- * TraceCache sharing/thread-safety/budget, and bit-identity of cached
- * sweeps against the pre-cache golden pins.
+ * @file Tests for shared immutable traces: TraceBuffer replay fidelity
+ * (including cursor jumps onto rebuilt non-branch instructions),
+ * TraceCache sharing/thread-safety/budget and actual-size charging, and
+ * bit-identity of cached sweeps against the pre-cache golden pins.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +82,55 @@ TEST(TraceBuffer, PeekSemanticsMatchUnderReplay)
     }
 }
 
+TEST(TraceBuffer, SkipToNonBranchThenReplayMatchesLive)
+{
+    const WorkloadId wl = WorkloadId::OltpDb2;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0x99);
+    const std::uint64_t buffered = 200'000;
+    auto trace = std::make_shared<const TraceBuffer>(program, params,
+                                                     buffered);
+
+    // Two non-branch landing spots past the first request boundary:
+    // right after a taken branch (the pc resumes at its target) and
+    // in the middle of a straight run.
+    std::uint64_t after_taken = 0, mid_run = 0;
+    {
+        ExecEngine probe(program, params);
+        DynInst prev;
+        for (std::uint64_t i = 0; i < buffered / 2; ++i) {
+            const DynInst inst = probe.next();
+            if (inst.requestId > 0 && !inst.isBranch()) {
+                if (after_taken == 0 && prev.isBranch() && prev.taken)
+                    after_taken = i;
+                else if (after_taken != 0 && mid_run == 0 &&
+                         !prev.isBranch())
+                    mid_run = i;
+            }
+            prev = inst;
+        }
+    }
+    ASSERT_NE(after_taken, 0u);
+    ASSERT_NE(mid_run, 0u);
+
+    for (const std::uint64_t skip : {after_taken, mid_run}) {
+        for (const bool fast_forward : {false, true}) {
+            ExecEngine live(program, params);
+            ExecEngine replay(program, params);
+            replay.attachTrace(trace);
+            live.fastForward(skip);
+            if (fast_forward)
+                replay.fastForward(skip);
+            else
+                replay.skipReplay(skip);
+            ASSERT_TRUE(replay.replaying());
+            for (std::uint64_t i = skip; i < buffered + 1000; ++i)
+                expectSameInst(live.next(), replay.next(), i);
+            EXPECT_FALSE(replay.replaying());
+        }
+    }
+}
+
 TEST(TraceCache, SamePointSameBufferAcrossThreads)
 {
     TraceCache cache(256ull << 20);
@@ -118,11 +168,15 @@ TEST(TraceCache, DifferentSeedsDiffer)
     EXPECT_NE(a.get(), b.get());
 
     // The streams themselves must diverge (same program, different RNG).
+    const Program &program = workloadProgram(WorkloadId::WebFrontend);
+    ExecEngine ea(program, a->params());
+    ExecEngine eb(program, b->params());
+    ea.attachTrace(a);
+    eb.attachTrace(b);
     bool diverged = false;
-    DynInst ia, ib;
     for (std::uint64_t i = 0; i < a->size() && !diverged; ++i) {
-        a->read(i, ia);
-        b->read(i, ib);
+        const DynInst ia = ea.next();
+        const DynInst ib = eb.next();
         diverged = ia.pc != ib.pc || ia.taken != ib.taken ||
                    ia.target != ib.target;
     }
@@ -221,6 +275,41 @@ TEST(TraceCache, FailedUpgradeKeepsShorterBuffer)
     auto again = cache.acquire(WorkloadId::DssQry, 1, 10'000);
     EXPECT_EQ(again.get(), small.get())
         << "failed upgrade must not evict the shorter trace";
+}
+
+TEST(TraceCache, ChargesEachBufferItsActualBytes)
+{
+    const std::uint64_t granule_bound = TraceBuffer::arenaBytesFor(1 << 16);
+    TraceCache cache(4 * granule_bound);
+
+    auto a = cache.acquire(WorkloadId::DssQry, 1, 10'000);  // miss
+    auto b = cache.acquire(WorkloadId::DssQry, 2, 10'000);  // miss
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_LE(a->bytes(), granule_bound);
+    EXPECT_LE(b->bytes(), granule_bound);
+    // Branches only: far below the per-instruction bound.
+    EXPECT_LT(a->bytes(), granule_bound / 2);
+    EXPECT_EQ(cache.cachedBytes(), a->bytes() + b->bytes());
+
+    // Upgrade: the longer buffer replaces the shorter one's charge,
+    // even while the shorter one is still held outside the cache.
+    auto a2 = cache.acquire(WorkloadId::DssQry, 1, 100'000);
+    ASSERT_NE(a2, nullptr);
+    EXPECT_NE(a2.get(), a.get());
+    EXPECT_LE(a2->bytes(), TraceBuffer::arenaBytesFor(2 << 16));
+    EXPECT_EQ(cache.cachedBytes(), a2->bytes() + b->bytes());
+
+    // Eviction: with room for a reservation only once the idle b is
+    // gone, a third trace evicts b and is charged its own size.
+    b.reset();
+    cache.setBudgetBytes(cache.cachedBytes() + granule_bound - 1);
+    auto c = cache.acquire(WorkloadId::DssQry, 3, 10'000);
+    ASSERT_NE(c, nullptr);
+    EXPECT_LE(c->bytes(), granule_bound);
+    EXPECT_EQ(cache.cachedBytes(), a2->bytes() + c->bytes());
+    EXPECT_EQ(cache.misses(), 4u);
+    EXPECT_EQ(cache.bypasses(), 0u);
 }
 
 // ---------------------------------------------------------------------------

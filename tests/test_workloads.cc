@@ -118,6 +118,54 @@ TEST(Suite, AllWorkloadsGenerate)
     }
 }
 
+TEST(Suite, BranchTableMatchesTheImage)
+{
+    // The static counts are fixed by the generator's RNG consumption;
+    // a change to either moves every downstream golden.
+    struct Pin
+    {
+        WorkloadId id;
+        std::size_t branches;
+        std::size_t insts;
+    };
+    const Pin pins[] = {
+        {WorkloadId::OltpDb2, 29163, 135799},
+        {WorkloadId::OltpOracle, 68749, 418167},
+        {WorkloadId::DssQry, 21319, 89991},
+        {WorkloadId::MediaStreaming, 19678, 81639},
+        {WorkloadId::WebFrontend, 15244, 63079},
+    };
+    for (const Pin &pin : pins) {
+        const Program &p = workloadProgram(pin.id);
+        const std::string name = workloadName(pin.id);
+        EXPECT_EQ(p.numStaticBranches(), pin.branches) << name;
+        EXPECT_EQ(p.image.numInsts(), pin.insts) << name;
+
+        for (Addr pc = p.image.base(); pc < p.image.limit();
+             pc += kInstBytes) {
+            const InstWord word = p.image.at(pc);
+            const BranchKind kind = decodeKind(word);
+            const BranchInfo *info = p.branchAt(pc);
+            ASSERT_EQ(info != nullptr, kind != BranchKind::None)
+                << name << " pc " << std::hex << pc;
+            ASSERT_EQ(p.branchAt(pc + 2), nullptr)
+                << name << " misaligned pc " << std::hex << pc + 2;
+            if (info == nullptr)
+                continue;
+            ASSERT_EQ(info->kind, kind) << name << " pc " << std::hex << pc;
+            ASSERT_LT(info->id, p.branches.size());
+            ASSERT_EQ(&p.branches[info->id], info);
+            if (hasDirectTarget(kind)) {
+                ASSERT_EQ(info->target, directTarget(pc, word))
+                    << name << " pc " << std::hex << pc;
+            }
+        }
+        EXPECT_EQ(p.branchAt(p.image.base() - kInstBytes), nullptr) << name;
+        EXPECT_EQ(p.branchAt(0), nullptr) << name;
+        EXPECT_EQ(p.branchAt(p.image.limit()), nullptr) << name;
+    }
+}
+
 TEST(Suite, StaticDensityTracksTable2Ordering)
 {
     // Table 2: Web Frontend is densest, OLTP Oracle sparsest.
