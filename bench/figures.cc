@@ -10,7 +10,7 @@
 #include "dispatch/history.hh"
 #include "sim/metrics.hh"
 #include "sweepio/codec.hh"
-#include "sweepio/json.hh"
+#include "sweepio/search_codec.hh"
 
 namespace cfl::bench
 {
@@ -417,17 +417,6 @@ fig10Spec()
 // Pareto figure: the adaptive search's speedup-vs-storage frontier
 // ---------------------------------------------------------------------------
 
-/** One row of a confluence_search --pareto-out JSON dump. */
-struct ParetoRow
-{
-    std::string candidate;
-    std::string kind;
-    double storageKb = 0.0;
-    double areaMm2 = 0.0;
-    double score = 0.0;
-    bool onFront = false;
-};
-
 std::string
 readWholeFile(const std::string &path)
 {
@@ -439,61 +428,11 @@ readWholeFile(const std::string &path)
     return out.str();
 }
 
-/** Parse "true"/"false" after a named key (the one place the stores
- *  hold a bool). */
-bool
-namedBool(sweepio::MiniJsonParser &p, const char *name)
-{
-    p.namedKey(name);
-    if (p.accept('t')) {
-        p.expect('r');
-        p.expect('u');
-        p.expect('e');
-        return true;
-    }
-    p.expect('f');
-    p.expect('a');
-    p.expect('l');
-    p.expect('s');
-    p.expect('e');
-    return false;
-}
-
-std::vector<ParetoRow>
+std::vector<sweepio::ParetoRow>
 readParetoJson(const std::string &path)
 {
-    const std::string text = readWholeFile(path);
-    sweepio::MiniJsonParser p(text, "pareto dump");
-    std::vector<ParetoRow> rows;
-    p.expect('{');
-    p.namedKey("candidates");
-    p.expect('[');
-    if (!p.accept(']')) {
-        do {
-            p.expect('{');
-            ParetoRow row;
-            row.candidate = p.namedString("candidate");
-            p.expect(',');
-            row.kind = p.namedString("kind");
-            p.expect(',');
-            row.storageKb =
-                sweepio::doubleFromBits(p.namedNumber("storage_kb_bits"));
-            p.expect(',');
-            row.areaMm2 =
-                sweepio::doubleFromBits(p.namedNumber("area_mm2_bits"));
-            p.expect(',');
-            row.score =
-                sweepio::doubleFromBits(p.namedNumber("score_bits"));
-            p.expect(',');
-            row.onFront = namedBool(p, "on_front");
-            p.expect('}');
-            rows.push_back(std::move(row));
-        } while (p.accept(','));
-        p.expect(']');
-    }
-    p.expect('}');
-    p.end();
-    return rows;
+    return sweepio::decode<sweepio::ParetoDump>(readWholeFile(path))
+        .candidates;
 }
 
 FigureSpec
@@ -504,8 +443,8 @@ paretoSpec()
                   const std::string &input_path) {
         Report report(title, {"candidate", "kind", "storage (KB)",
                               "area (mm2)", "geomean speedup", "front"});
-        for (const ParetoRow &row : readParetoJson(input_path))
-            report.addRow({row.candidate, row.kind,
+        for (const sweepio::ParetoRow &row : readParetoJson(input_path))
+            report.addRow({row.candidate, frontendKindSlug(row.kind),
                            Report::num(row.storageKb, 2),
                            Report::num(row.areaMm2, 3),
                            Report::ratio(row.score),
@@ -513,10 +452,11 @@ paretoSpec()
         return report;
     };
     f.footer = [](const std::string &input_path) {
-        const std::vector<ParetoRow> rows = readParetoJson(input_path);
+        const std::vector<sweepio::ParetoRow> rows =
+            readParetoJson(input_path);
         std::size_t front = 0;
-        const ParetoRow *best = nullptr;
-        for (const ParetoRow &row : rows) {
+        const sweepio::ParetoRow *best = nullptr;
+        for (const sweepio::ParetoRow &row : rows) {
             front += row.onFront ? 1 : 0;
             if (best == nullptr || row.score > best->score)
                 best = &row;

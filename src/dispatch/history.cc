@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "fault/fault.hh"
-#include "sweepio/json.hh"
 
 namespace cfl::dispatch
 {
@@ -23,14 +18,13 @@ namespace cfl::dispatch
 namespace
 {
 
-using Scanner = sweepio::MiniJsonParser;
-
 std::atomic<std::uint64_t> g_historyStoreOpens{0};
 
 /**
- * The strings a history line embeds (tags, kind slugs) must stay
- * parseable by the escape-free scanner: one bad character would wedge
- * every future load of the store, so reject it at write time.
+ * Tags and kind slugs are labels that the history figure and the
+ * tool's stats lines print verbatim, so they must be plain text. Reject
+ * anything else at write time, where the caller can still fix the
+ * label, rather than storing a line no reader can print cleanly.
  */
 void
 checkStoreString(const char *what, const std::string &value)
@@ -39,67 +33,9 @@ checkStoreString(const char *what, const std::string &value)
         if (c == '"' || c == '\\' ||
             static_cast<unsigned char>(c) < 0x20)
             cfl_fatal("history %s \"%s\" contains '%c' (0x%02x), which "
-                      "the escape-free store cannot hold",
+                      "a history label cannot hold",
                       what, value.c_str(), c,
                       static_cast<unsigned char>(c));
-}
-
-std::string
-encodeEntry(const HistoryEntry &entry)
-{
-    std::string line = "{\"tag\":\"";
-    line += entry.tag;
-    line += "\",\"entries\":[";
-    bool first = true;
-    for (const auto &[kind, geomean] : entry.geomeans) {
-        if (!first)
-            line += ",";
-        first = false;
-        char human[32];
-        std::snprintf(human, sizeof(human), "%.17g", geomean);
-        line += "{\"kind\":\"";
-        line += kind;
-        line += "\",\"geomean_bits\":";
-        line += std::to_string(std::bit_cast<std::uint64_t>(geomean));
-        line += ",\"geomean\":\"";
-        line += human;
-        line += "\"}";
-    }
-    line += "]}";
-    return line;
-}
-
-HistoryEntry
-decodeEntry(const std::string &line, bool throw_on_error = false)
-{
-    Scanner s(line, "history line", throw_on_error);
-    HistoryEntry entry;
-    s.expect('{');
-    s.namedKey("tag");
-    entry.tag = s.string();
-    s.expect(',');
-    s.namedKey("entries");
-    s.expect('[');
-    if (!s.accept(']')) {
-        do {
-            s.expect('{');
-            s.namedKey("kind");
-            const std::string kind = s.string();
-            s.expect(',');
-            s.namedKey("geomean_bits");
-            const std::uint64_t bits = s.number();
-            s.expect(',');
-            s.namedKey("geomean");
-            (void)s.string(); // human-readable rendering; bits win
-            s.expect('}');
-            entry.geomeans.emplace_back(kind,
-                                        std::bit_cast<double>(bits));
-        } while (s.accept(','));
-        s.expect(']');
-    }
-    s.expect('}');
-    s.end();
-    return entry;
 }
 
 } // namespace
@@ -108,24 +44,12 @@ RegressionHistory::RegressionHistory(std::string path)
     : path_(std::move(path))
 {
     g_historyStoreOpens.fetch_add(1, std::memory_order_relaxed);
-    std::ifstream in(path_);
-    if (!in)
-        return; // no history yet
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        // A torn line (a process killed mid-append) loses that one
-        // entry, not the whole history.
-        try {
-            entries_.push_back(decodeEntry(line, true));
-        } catch (const std::runtime_error &e) {
-            cfl_warn("skipping unparseable line %zu of history \"%s\": "
-                     "%s", lineno, path_.c_str(), e.what());
-        }
-    }
+    // A torn line (a process killed mid-append) loses that one entry,
+    // not the whole history.
+    sweepio::loadRecords<HistoryEntry>(
+        path_, "history", [&](HistoryEntry &&entry, const std::string &) {
+            entries_.push_back(std::move(entry));
+        });
 }
 
 HistoryEntry
@@ -165,8 +89,8 @@ void
 RegressionHistory::append(const HistoryEntry &entry)
 {
     checkStoreString("tag", entry.tag);
-    for (const auto &[kind, geomean] : entry.geomeans)
-        checkStoreString("kind", kind);
+    for (const sweepio::KindGeomean &g : entry.geomeans)
+        checkStoreString("kind", g.kind);
 
     // The entry always lands in memory — compare()/deltas() stay
     // consistent for this run — and persistence degrades like the
@@ -201,7 +125,7 @@ RegressionHistory::append(const HistoryEntry &entry)
             return;
         }
     }
-    const std::string line = encodeEntry(entry) + "\n";
+    const std::string line = sweepio::encode(entry) + "\n";
     // A short write leaves a torn trailing line; loads already skip
     // those with a warning, so degrading can never wedge the store.
     if (fault::faultWrite(appendFd_, line.data(), line.size(),

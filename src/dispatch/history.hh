@@ -5,10 +5,9 @@
  * CI appends one entry per commit: the commit tag plus the geomean
  * speedup of every non-baseline front end over Baseline, taken from a
  * merged SweepResult. Geomeans are doubles, so each is stored as its
- * exact IEEE-754 bit pattern (an unsigned integer — the only scalar
- * the sweepio-style codecs traffic in) next to a human-readable
- * rendering; a value therefore round-trips bit-identically and a
- * delta of exactly zero means exactly equal results.
+ * exact IEEE-754 bit pattern next to a human-readable rendering; a
+ * value therefore round-trips bit-identically and a delta of exactly
+ * zero means exactly equal results.
  *
  * The store is JSONL, one entry per line:
  *
@@ -24,22 +23,16 @@
 #define CFL_DISPATCH_HISTORY_HH
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/sweep.hh"
+#include "sweepio/codec.hh"
 
 namespace cfl::dispatch
 {
 
-/** One commit's worth of headline metrics. */
-struct HistoryEntry
-{
-    std::string tag; ///< commit SHA or any run label
-    /** (front-end slug, geomean IPC speedup over Baseline), in the
-     *  result's submission order. */
-    std::vector<std::pair<std::string, double>> geomeans;
-};
+/** One commit's worth of headline metrics (sweepio/codec.hh). */
+using sweepio::HistoryEntry;
 
 /** One kind's newest-vs-previous comparison. */
 struct RegressionDelta
@@ -67,9 +60,8 @@ class RegressionHistory
                                   const std::string &tag);
 
     /** Append @p entry to memory and to the store file. fatal()s if the
-     *  tag or a kind slug holds a character the escape-free store could
-     *  never reparse ('"', '\\', control bytes) — one bad byte would
-     *  wedge every future load. A store-file *write* failure instead
+     *  tag or a kind slug is not a plain label ('"', '\\' or control
+     *  bytes); see checkStoreString. A store-file *write* failure instead
      *  degrades (warn + in-memory only; see degraded()): the cost is
      *  the next run's comparison baseline, never this run. */
     void append(const HistoryEntry &entry);

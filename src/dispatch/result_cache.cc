@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -37,26 +36,15 @@ ResultCache::ResultCache(std::string store_path, std::string code_version)
     : path_(std::move(store_path)), codeVersion_(std::move(code_version))
 {
     g_cacheStoreOpens.fetch_add(1, std::memory_order_relaxed);
-    std::ifstream in(path_);
-    if (!in)
-        return; // empty cache: first run or a fresh machine
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        sweepio::CacheEntry entry;
-        // A torn line (a process killed mid-append) must degrade to a
-        // cache miss, not wedge every future load of the store.
-        if (!sweepio::tryDecodeCacheEntry(line, &entry)) {
-            cfl_warn("skipping unparseable line %zu of cache store "
-                     "\"%s\" (torn append?)", lineno, path_.c_str());
-            continue;
-        }
-        // Last line wins, so appended re-evaluations supersede.
-        entries_[entry.key] = std::move(entry.outcome);
-    }
+    // A torn line (a process killed mid-append) must degrade to a cache
+    // miss, not wedge every future load of the store. A missing store
+    // is an empty cache: a first run or a fresh machine.
+    sweepio::loadRecords<sweepio::CacheEntry>(
+        path_, "cache store",
+        [&](sweepio::CacheEntry &&entry, const std::string &) {
+            // Last line wins, so appended re-evaluations supersede.
+            entries_[entry.key] = std::move(entry.outcome);
+        });
 }
 
 std::string
@@ -103,7 +91,7 @@ ResultCache::insert(const SweepOutcome &outcome)
             sweepio::encodeOutcome(outcome))
         return; // already stored byte-identically; don't grow the file
     entries_[k] = outcome;
-    pending_.push_back(sweepio::encodeCacheEntry({k, outcome}));
+    pending_.push_back(sweepio::encode(sweepio::CacheEntry{k, outcome}));
 }
 
 ResultCache::~ResultCache()

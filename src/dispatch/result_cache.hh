@@ -12,7 +12,7 @@
  * a code-version bump).
  *
  * The store is one JSONL file of {"key":...,"outcome":...} lines
- * (sweepio::encodeCacheEntry): appendable, mergeable by concatenation,
+ * (sweepio::CacheEntry): appendable, mergeable by concatenation,
  * and human-greppable. On load, duplicate keys resolve to the last
  * line, so appending a re-evaluation supersedes older entries. The
  * class itself is not thread-safe; the dispatcher does all cache

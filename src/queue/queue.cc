@@ -406,7 +406,7 @@ WorkQueue::appendLine(const std::string &path, const std::string &line,
 void
 WorkQueue::appendLog(const QueueLogRecord &record)
 {
-    const std::string line = sweepio::encodeQueueLog(record) + "\n";
+    const std::string line = sweepio::encode(record) + "\n";
     std::lock_guard<std::mutex> lock(mutex_);
     // One descriptor per run, opened lazily; every record goes down in
     // a single O_APPEND write() so concurrent appenders (coordinator +
@@ -442,26 +442,14 @@ WorkQueue::appendLog(const QueueLogRecord &record)
 std::vector<QueueLogRecord>
 WorkQueue::readLog() const
 {
+    // A torn line (a process killed mid-append) loses that one record,
+    // never the queue; a fresh queue has no log yet.
     std::vector<QueueLogRecord> records;
-    std::ifstream in(logPath());
-    if (!in)
-        return records; // fresh queue: no log yet
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        QueueLogRecord record;
-        // A torn line (a process killed mid-append) loses that one
-        // record, never the queue.
-        if (!sweepio::tryDecodeQueueLog(line, &record)) {
-            cfl_warn("skipping unparseable line %zu of queue log "
-                     "\"%s\" (torn append?)", lineno, logPath().c_str());
-            continue;
-        }
-        records.push_back(std::move(record));
-    }
+    sweepio::loadRecords<QueueLogRecord>(
+        logPath(), "queue log",
+        [&](QueueLogRecord &&record, const std::string &) {
+            records.push_back(std::move(record));
+        });
     return records;
 }
 
@@ -469,23 +457,11 @@ std::map<std::string, TenantRecord>
 WorkQueue::readTenants() const
 {
     std::map<std::string, TenantRecord> tenants;
-    std::ifstream in(tenantsPath());
-    if (!in)
-        return tenants;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        TenantRecord record;
-        if (!sweepio::tryDecodeTenant(line, &record)) {
-            cfl_warn("skipping unparseable line %zu of \"%s\" (torn "
-                     "append?)", lineno, tenantsPath().c_str());
-            continue;
-        }
-        tenants[record.tenant] = std::move(record); // last record wins
-    }
+    sweepio::loadRecords<TenantRecord>(
+        tenantsPath(), "tenant table",
+        [&](TenantRecord &&record, const std::string &) {
+            tenants[record.tenant] = std::move(record); // last wins
+        });
     return tenants;
 }
 
@@ -505,7 +481,7 @@ WorkQueue::setTenant(const std::string &tenant, std::uint64_t weight,
     record.quota = quota;
     // Config that fails to persist is worse than a crash: a scheduler
     // silently running with defaults would look like a fairness bug.
-    if (!appendLine(tenantsPath(), sweepio::encodeTenant(record),
+    if (!appendLine(tenantsPath(), sweepio::encode(record),
                     "queue.tenant.write"))
         cfl_fatal("failed recording tenant \"%s\" in \"%s\"",
                   tenant.c_str(), tenantsPath().c_str());
@@ -583,7 +559,7 @@ WorkQueue::enqueueNormalized(TaskRecord task)
     // to retry it softly, and a restarted coordinator re-enqueues
     // under a fresh run nonce without colliding with this debris.
     const std::string tmp = uniqueTmpPath("enqueue-" + task.id);
-    writeFileOrDie(tmp, sweepio::encodeTask(task) + "\n",
+    writeFileOrDie(tmp, sweepio::encode(task) + "\n",
                    "queue.task.write");
     if (!faultTryRename(tmp, dir_ + "/pending/" + taskFileName(task),
                         "queue.task.rename"))
@@ -666,7 +642,7 @@ WorkQueue::readLease(const std::string &id) const
     if (!line)
         return std::nullopt;
     LeaseRecord lease;
-    if (!sweepio::tryDecodeLease(*line, &lease))
+    if (!sweepio::tryDecode(*line, &lease))
         return std::nullopt; // unreadable == expired: reclaimable
     return lease;
 }
@@ -812,7 +788,7 @@ WorkQueue::claim(const std::string &owner, unsigned lease_sec)
         lease.deadlineMs =
             lease.sinceMs +
             static_cast<std::uint64_t>(lease_sec) * 1000;
-        const std::string text = sweepio::encodeLease(lease) + "\n";
+        const std::string text = sweepio::encode(lease) + "\n";
         const ssize_t written = fault::faultWrite(
             fd, text.data(), text.size(), "queue.lease.write");
         const int close_err = ::close(fd);
@@ -841,7 +817,7 @@ WorkQueue::claim(const std::string &owner, unsigned lease_sec)
         const std::optional<std::string> line =
             readFirstLine(dir_ + "/claimed/" + name);
         TaskRecord task;
-        if (!line || !sweepio::tryDecodeTask(*line, &task))
+        if (!line || !sweepio::tryDecode(*line, &task))
             cfl_fatal("claimed task file \"%s\" is unreadable",
                       name.c_str());
         TaskClaim out;
@@ -879,7 +855,7 @@ WorkQueue::heartbeat(TaskClaim &claim, unsigned lease_sec)
     // task — the caller abandons it either way, so no work is lost or
     // doubled.
     const std::string tmp = uniqueTmpPath("lease-" + claim.task.id);
-    if (!tryWriteFile(tmp, sweepio::encodeLease(fresh) + "\n",
+    if (!tryWriteFile(tmp, sweepio::encode(fresh) + "\n",
                       "queue.lease.renew.write")) {
         ::unlink(tmp.c_str());
         return false;
@@ -912,7 +888,7 @@ WorkQueue::complete(const TaskClaim &claim, int exit_code)
         // claimed and the lease left to expire, reclaim re-pends it
         // and another worker re-runs the (deterministic) command. The
         // only cost of a failed publish is repeated work.
-        if (!tryWriteFile(tmp, sweepio::encodeDone(done) + "\n",
+        if (!tryWriteFile(tmp, sweepio::encode(done) + "\n",
                           "queue.done.write")) {
             cfl_warn("cannot record completion of task \"%s\"; "
                      "leaving it claimed for lease-expiry retry",
@@ -953,7 +929,7 @@ WorkQueue::doneRecord(const std::string &id) const
     if (!line)
         return std::nullopt;
     DoneRecord done;
-    if (!sweepio::tryDecodeDone(*line, &done))
+    if (!sweepio::tryDecode(*line, &done))
         return std::nullopt; // done files are rename-published; treat
                              // the impossible as "not done yet"
     return done;
@@ -1102,7 +1078,7 @@ WorkQueue::status() const
     std::string line;
     while (in && std::getline(in, line)) {
         sweepio::QueueCacheStats stats;
-        if (sweepio::tryDecodeQueueCacheStats(line, &stats))
+        if (sweepio::tryDecode(line, &stats))
             st.cache = stats;
     }
     return st;
@@ -1117,7 +1093,7 @@ WorkQueue::recordCacheStats(std::uint64_t hits, std::uint64_t misses)
     stats.atMs = nowMs();
     // Best-effort: the stats feed status dashboards, not scheduling.
     (void)appendLine(statsPath(),
-                     sweepio::encodeQueueCacheStats(stats),
+                     sweepio::encode(stats),
                      "queue.stats.write");
 }
 

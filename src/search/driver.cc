@@ -47,7 +47,7 @@ CachedEvaluator::evaluate(const std::vector<SweepPoint> &points)
 
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SweepPoint &p = points[i];
-        const std::string enc = sweepio::encodePoint(p);
+        const std::string enc = sweepio::encode(p);
         const auto [it, inserted] = firstOf.emplace(enc, i);
         if (!inserted) {
             aliases.emplace_back(i, it->second);

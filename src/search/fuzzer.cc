@@ -150,8 +150,8 @@ runFuzzer(StrategyContext &ctx)
         // trial id rather than fatal()ing: the caller turns this into
         // a distinct exit code and a replay recipe.
         std::string violation;
-        const std::string enc = sweepio::encodePoint(point);
-        if (sweepio::encodePoint(sweepio::decodePoint(enc)) != enc)
+        const std::string enc = sweepio::encode(point);
+        if (sweepio::encode(sweepio::decode<SweepPoint>(enc)) != enc)
             violation = "point does not round-trip the sweepio codec: " +
                         enc;
         for (std::size_t i = 0; i < 2 && violation.empty(); ++i) {

@@ -45,7 +45,7 @@ SearchJournal::conflict(const std::string &why) const
 void
 SearchJournal::emit(const sweepio::SearchRecord &record)
 {
-    const std::string line = sweepio::encodeSearchRecord(record);
+    const std::string line = sweepio::encode(record);
     if (cursor_ < loadedLines_.size()) {
         if (line != loadedLines_[cursor_])
             conflict("record " + std::to_string(cursor_) +

@@ -5,7 +5,7 @@
 
 #include "common/logging.hh"
 #include "sim/presets.hh"
-#include "sweepio/codec.hh"
+#include "sweepio/search_codec.hh"
 
 namespace cfl::search
 {
@@ -103,26 +103,14 @@ std::string
 paretoJson(const std::vector<ScoredCandidate> &scored,
            const std::vector<std::size_t> &front)
 {
-    std::vector<bool> onFront(scored.size(), false);
+    sweepio::ParetoDump dump;
+    for (const ScoredCandidate &s : scored)
+        dump.candidates.push_back({s.candidate.slug(), s.candidate.kind,
+                                   s.cost.kiloBytes, s.cost.mm2, s.score,
+                                   false});
     for (const std::size_t i : front)
-        onFront[i] = true;
-    std::ostringstream out;
-    out << "{\"candidates\":[";
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-        const ScoredCandidate &s = scored[i];
-        if (i > 0)
-            out << ",";
-        out << "{\"candidate\":\"" << s.candidate.slug()
-            << "\",\"kind\":\"" << frontendKindSlug(s.candidate.kind)
-            << "\",\"storage_kb_bits\":"
-            << sweepio::doubleBits(s.cost.kiloBytes)
-            << ",\"area_mm2_bits\":" << sweepio::doubleBits(s.cost.mm2)
-            << ",\"score_bits\":" << sweepio::doubleBits(s.score)
-            << ",\"on_front\":" << (onFront[i] ? "true" : "false")
-            << "}";
-    }
-    out << "]}\n";
-    return out.str();
+        dump.candidates[i].onFront = true;
+    return sweepio::encode(dump) + "\n";
 }
 
 } // namespace cfl::search

@@ -58,7 +58,8 @@ std::size_t bestScored(const std::vector<ScoredCandidate> &scored);
 std::string paretoCsv(const std::vector<ScoredCandidate> &scored,
                       const std::vector<std::size_t> &front);
 
-/** The same table as JSON (bit-exact doubles travel as *_bits). */
+/** The same table as a sweepio::ParetoDump line plus a newline
+ *  (bit-exact doubles travel as *_bits). */
 std::string paretoJson(const std::vector<ScoredCandidate> &scored,
                        const std::vector<std::size_t> &front);
 

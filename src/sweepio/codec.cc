@@ -1,328 +1,16 @@
 #include "sweepio/codec.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/logging.hh"
-#include "sweepio/json.hh"
 
 namespace cfl::sweepio
 {
 
-std::uint64_t
-doubleBits(double value)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-double
-doubleFromBits(std::uint64_t bits)
-{
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-}
-
 namespace
 {
-
-// ---------------------------------------------------------------------------
-// Encoding. Field order is fixed so equal values encode to equal bytes
-// (shard files concatenate into the same text a whole-sweep dump emits).
-// ---------------------------------------------------------------------------
-
-void
-appendScale(std::ostringstream &out, const RunScale &scale)
-{
-    out << "{\"timing_warmup\":" << scale.timingWarmupInsts
-        << ",\"timing_measure\":" << scale.timingMeasureInsts
-        << ",\"timing_cores\":" << scale.timingCores
-        << ",\"functional_warmup\":" << scale.functionalWarmupInsts
-        << ",\"functional_measure\":" << scale.functionalMeasureInsts
-        << "}";
-}
-
-void
-appendPoint(std::ostringstream &out, const SweepPoint &point)
-{
-    out << "{\"kind\":\"" << frontendKindSlug(point.kind)
-        << "\",\"workload\":\"" << workloadSlug(point.workload)
-        << "\",\"scale\":";
-    appendScale(out, point.scale);
-    // Emitted only when sampling is on: exact points (and their
-    // digests, cache keys, and golden files) encode byte-identically
-    // to the pre-sampling format.
-    if (point.sampling.enabled()) {
-        out << ",\"sampling\":{\"interval\":" << point.sampling.intervalInsts
-            << ",\"detailed_warmup\":"
-            << point.sampling.detailedWarmupInsts
-            << ",\"period\":" << point.sampling.periodInsts
-            << ",\"rng_stream\":" << point.sampling.rngStream << "}";
-    }
-    // Same optional-block pattern: identity overlays (every point that
-    // existed before the design-space search) keep their byte encoding,
-    // digests, and cache keys.
-    if (point.overlay.enabled()) {
-        const DesignOverlay &o = point.overlay;
-        out << ",\"overlay\":{\"btb_entries\":" << o.btbEntries
-            << ",\"btb_ways\":" << o.btbWays
-            << ",\"l2_entries\":" << o.l2Entries
-            << ",\"air_bundles\":" << o.airBundles
-            << ",\"air_branch_entries\":" << o.airBranchEntries
-            << ",\"air_overflow_entries\":" << o.airOverflowEntries
-            << ",\"shift_history\":" << o.shiftHistoryEntries
-            << ",\"shift_stream_depth\":" << o.shiftStreamDepth << "}";
-    }
-    out << "}";
-}
-
-void
-appendEstimate(std::ostringstream &out, const MetricEstimate &est)
-{
-    out << "{\"n\":" << est.count << ",\"mean\":" << doubleBits(est.mean)
-        << ",\"m2\":" << doubleBits(est.m2) << "}";
-}
-
-void
-appendEstimates(std::ostringstream &out, const SampleEstimates &s)
-{
-    out << "{\"cpi\":";
-    appendEstimate(out, s.cpi);
-    out << ",\"btb_mpki\":";
-    appendEstimate(out, s.btbMpki);
-    out << ",\"l1i_mpki\":";
-    appendEstimate(out, s.l1iMpki);
-    out << "}";
-}
-
-void
-appendCore(std::ostringstream &out, const CoreMetrics &core)
-{
-    out << "{\"retired\":" << core.retired
-        << ",\"cycles\":" << core.cycles
-        << ",\"btb_taken_lookups\":" << core.btbTakenLookups
-        << ",\"btb_taken_misses\":" << core.btbTakenMisses
-        << ",\"misfetches\":" << core.misfetches
-        << ",\"cond_mispredicts\":" << core.condMispredicts
-        << ",\"l1i_demand_fetches\":" << core.l1iDemandFetches
-        << ",\"l1i_demand_misses\":" << core.l1iDemandMisses
-        << ",\"l1i_in_flight_hits\":" << core.l1iInFlightHits
-        << ",\"btb_l2_stall_cycles\":" << core.btbL2StallCycles
-        << ",\"fetch_miss_stall_cycles\":" << core.fetchMissStallCycles
-        << "}";
-}
-
-// ---------------------------------------------------------------------------
-// Decoding, via the shared line-store parser (sweepio/json.hh).
-// ---------------------------------------------------------------------------
-
-class Parser : public MiniJsonParser
-{
-  public:
-    explicit Parser(const std::string &text, bool throw_on_error = false)
-        : MiniJsonParser(text, "sweep JSON", throw_on_error)
-    {
-    }
-};
-
-RunScale
-parseScale(Parser &p)
-{
-    RunScale scale;
-    p.expect('{');
-    scale.timingWarmupInsts = p.namedNumber("timing_warmup");
-    p.expect(',');
-    scale.timingMeasureInsts = p.namedNumber("timing_measure");
-    p.expect(',');
-    scale.timingCores =
-        static_cast<unsigned>(p.namedNumber("timing_cores"));
-    p.expect(',');
-    scale.functionalWarmupInsts = p.namedNumber("functional_warmup");
-    p.expect(',');
-    scale.functionalMeasureInsts = p.namedNumber("functional_measure");
-    p.expect('}');
-    return scale;
-}
-
-// Slug resolution routed through the parser's error channel rather
-// than the fatal()ing factory converters: a tolerant loader (e.g. the
-// result cache reading a store shared with a newer binary that knows
-// more kinds) must be able to skip such an entry, not die on it.
-
-FrontendKind
-parseKindSlug(Parser &p)
-{
-    const std::string slug = p.namedString("kind");
-    for (const FrontendKind kind : allFrontendKinds())
-        if (frontendKindSlug(kind) == slug)
-            return kind;
-    p.error("unknown front-end kind \"" + slug + "\"");
-}
-
-WorkloadId
-parseWorkloadSlug(Parser &p)
-{
-    const std::string slug = p.namedString("workload");
-    for (const WorkloadId wl : allWorkloads())
-        if (workloadSlug(wl) == slug)
-            return wl;
-    p.error("unknown workload \"" + slug + "\"");
-}
-
-SweepPoint
-parsePoint(Parser &p)
-{
-    SweepPoint point;
-    p.expect('{');
-    point.kind = parseKindSlug(p);
-    p.expect(',');
-    point.workload = parseWorkloadSlug(p);
-    p.expect(',');
-    p.namedKey("scale");
-    point.scale = parseScale(p);
-    // Optional trailing blocks, in fixed emission order: sampling,
-    // then overlay. Either may be absent independently.
-    bool sawSampling = false;
-    bool sawOverlay = false;
-    while (p.accept(',')) {
-        const std::string block = p.key();
-        if (block == "sampling" && !sawSampling && !sawOverlay) {
-            sawSampling = true;
-            p.expect('{');
-            point.sampling.intervalInsts = p.namedNumber("interval");
-            p.expect(',');
-            point.sampling.detailedWarmupInsts =
-                p.namedNumber("detailed_warmup");
-            p.expect(',');
-            point.sampling.periodInsts = p.namedNumber("period");
-            p.expect(',');
-            point.sampling.rngStream = p.namedNumber("rng_stream");
-            p.expect('}');
-        } else if (block == "overlay" && !sawOverlay) {
-            sawOverlay = true;
-            DesignOverlay &o = point.overlay;
-            p.expect('{');
-            o.btbEntries = p.namedNumber("btb_entries");
-            p.expect(',');
-            o.btbWays = p.namedNumber("btb_ways");
-            p.expect(',');
-            o.l2Entries = p.namedNumber("l2_entries");
-            p.expect(',');
-            o.airBundles = p.namedNumber("air_bundles");
-            p.expect(',');
-            o.airBranchEntries = p.namedNumber("air_branch_entries");
-            p.expect(',');
-            o.airOverflowEntries = p.namedNumber("air_overflow_entries");
-            p.expect(',');
-            o.shiftHistoryEntries = p.namedNumber("shift_history");
-            p.expect(',');
-            o.shiftStreamDepth = p.namedNumber("shift_stream_depth");
-            p.expect('}');
-        } else {
-            p.error("unexpected point block \"" + block + "\"");
-        }
-    }
-    p.expect('}');
-    return point;
-}
-
-MetricEstimate
-parseEstimate(Parser &p)
-{
-    MetricEstimate est;
-    p.expect('{');
-    est.count = p.namedNumber("n");
-    p.expect(',');
-    p.namedKey("mean");
-    est.mean = doubleFromBits(p.number());
-    p.expect(',');
-    p.namedKey("m2");
-    est.m2 = doubleFromBits(p.number());
-    p.expect('}');
-    return est;
-}
-
-SampleEstimates
-parseEstimates(Parser &p)
-{
-    SampleEstimates s;
-    p.expect('{');
-    p.namedKey("cpi");
-    s.cpi = parseEstimate(p);
-    p.expect(',');
-    p.namedKey("btb_mpki");
-    s.btbMpki = parseEstimate(p);
-    p.expect(',');
-    p.namedKey("l1i_mpki");
-    s.l1iMpki = parseEstimate(p);
-    p.expect('}');
-    return s;
-}
-
-CoreMetrics
-parseCore(Parser &p)
-{
-    CoreMetrics core;
-    p.expect('{');
-    core.retired = p.namedNumber("retired");
-    p.expect(',');
-    core.cycles = p.namedNumber("cycles");
-    p.expect(',');
-    core.btbTakenLookups = p.namedNumber("btb_taken_lookups");
-    p.expect(',');
-    core.btbTakenMisses = p.namedNumber("btb_taken_misses");
-    p.expect(',');
-    core.misfetches = p.namedNumber("misfetches");
-    p.expect(',');
-    core.condMispredicts = p.namedNumber("cond_mispredicts");
-    p.expect(',');
-    core.l1iDemandFetches = p.namedNumber("l1i_demand_fetches");
-    p.expect(',');
-    core.l1iDemandMisses = p.namedNumber("l1i_demand_misses");
-    p.expect(',');
-    core.l1iInFlightHits = p.namedNumber("l1i_in_flight_hits");
-    p.expect(',');
-    core.btbL2StallCycles = p.namedNumber("btb_l2_stall_cycles");
-    p.expect(',');
-    core.fetchMissStallCycles = p.namedNumber("fetch_miss_stall_cycles");
-    p.expect('}');
-    return core;
-}
-
-SweepOutcome
-parseOutcome(Parser &p)
-{
-    SweepOutcome out;
-    p.expect('{');
-    p.namedKey("point");
-    out.point = parsePoint(p);
-    p.expect(',');
-    out.seed = p.namedNumber("seed");
-    p.expect(',');
-    p.namedKey("metrics");
-    p.expect('{');
-    p.namedKey("cores");
-    p.expect('[');
-    if (!p.accept(']')) {
-        do {
-            out.metrics.cores.push_back(parseCore(p));
-        } while (p.accept(','));
-        p.expect(']');
-    }
-    if (p.accept(',')) {
-        p.namedKey("sampling");
-        out.metrics.sampling = parseEstimates(p);
-    }
-    p.expect('}');
-    p.expect('}');
-    return out;
-}
 
 std::string
 slurp(const std::string &path)
@@ -346,120 +34,75 @@ spill(const std::string &path, const std::string &text)
         cfl_fatal("failed writing \"%s\"", path.c_str());
 }
 
-/** Apply @p fn to every non-blank line of @p text. */
-template <typename Fn>
-void
-forEachLine(const std::string &text, Fn &&fn)
+/** Strictly decode every non-blank line of @p text as a T. */
+template <typename T>
+std::vector<T>
+decodeLines(const std::string &text)
 {
+    std::vector<T> records;
+    // One record per line: size the vector from a newline count instead
+    // of growing it geometrically while parsing large shard files.
+    records.reserve(static_cast<std::size_t>(
+                        std::count(text.begin(), text.end(), '\n')) +
+                    1);
     std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        fn(line);
+        records.push_back(decode<T>(line));
     }
+    return records;
 }
 
-} // namespace
-
+template <typename T>
 std::string
-encodePoint(const SweepPoint &point)
-{
-    std::ostringstream out;
-    appendPoint(out, point);
-    return out.str();
-}
-
-SweepPoint
-decodePoint(const std::string &line)
-{
-    Parser p(line);
-    const SweepPoint point = parsePoint(p);
-    p.end();
-    return point;
-}
-
-std::string
-encodeOutcome(const SweepOutcome &outcome)
-{
-    std::ostringstream out;
-    out << "{\"point\":";
-    appendPoint(out, outcome.point);
-    out << ",\"seed\":" << outcome.seed << ",\"metrics\":{\"cores\":[";
-    for (std::size_t i = 0; i < outcome.metrics.cores.size(); ++i) {
-        if (i > 0)
-            out << ",";
-        appendCore(out, outcome.metrics.cores[i]);
-    }
-    out << "]";
-    // Optional, like the point's spec: exact outcomes keep their
-    // pre-sampling byte encoding.
-    if (outcome.metrics.sampling.valid()) {
-        out << ",\"sampling\":";
-        appendEstimates(out, outcome.metrics.sampling);
-    }
-    out << "}}";
-    return out.str();
-}
-
-SweepOutcome
-decodeOutcome(const std::string &line)
-{
-    Parser p(line);
-    const SweepOutcome outcome = parseOutcome(p);
-    p.end();
-    return outcome;
-}
-
-std::string
-encodeResult(const SweepResult &result)
+encodeLines(const std::vector<T> &records)
 {
     std::string text;
-    for (const SweepOutcome &o : result.points) {
-        text += encodeOutcome(o);
+    for (const T &record : records) {
+        text += encode(record);
         text += '\n';
     }
     return text;
 }
 
+} // namespace
+
+std::string
+encodeOutcome(const SweepOutcome &outcome)
+{
+    return encode(outcome);
+}
+
+SweepOutcome
+decodeOutcome(const std::string &line)
+{
+    return decode<SweepOutcome>(line);
+}
+
+std::string
+encodeResult(const SweepResult &result)
+{
+    return encodeLines(result.points);
+}
+
 SweepResult
 decodeResult(const std::string &text)
 {
-    SweepResult result;
-    // One outcome per line: size the vector from a newline count instead
-    // of growing it geometrically while parsing large shard files.
-    result.points.reserve(
-        static_cast<std::size_t>(
-            std::count(text.begin(), text.end(), '\n')) + 1);
-    forEachLine(text, [&](const std::string &line) {
-        result.points.push_back(decodeOutcome(line));
-    });
-    return result;
+    return {decodeLines<SweepOutcome>(text)};
 }
 
 void
 writePoints(const std::string &path, const std::vector<SweepPoint> &points)
 {
-    std::string text;
-    for (const SweepPoint &p : points) {
-        text += encodePoint(p);
-        text += '\n';
-    }
-    spill(path, text);
+    spill(path, encodeLines(points));
 }
 
 std::vector<SweepPoint>
 readPoints(const std::string &path)
 {
-    std::vector<SweepPoint> points;
-    const std::string text = slurp(path);
-    points.reserve(
-        static_cast<std::size_t>(
-            std::count(text.begin(), text.end(), '\n')) + 1);
-    forEachLine(text, [&](const std::string &line) {
-        points.push_back(decodePoint(line));
-    });
-    return points;
+    return decodeLines<SweepPoint>(slurp(path));
 }
 
 void
@@ -472,55 +115,6 @@ SweepResult
 readResult(const std::string &path)
 {
     return decodeResult(slurp(path));
-}
-
-std::string
-encodeCacheEntry(const CacheEntry &entry)
-{
-    std::string line = "{\"key\":\"";
-    line += entry.key;
-    line += "\",\"outcome\":";
-    line += encodeOutcome(entry.outcome);
-    line += "}";
-    return line;
-}
-
-namespace
-{
-
-CacheEntry
-parseCacheEntry(Parser &p)
-{
-    CacheEntry entry;
-    p.expect('{');
-    entry.key = p.namedString("key");
-    p.expect(',');
-    p.namedKey("outcome");
-    entry.outcome = parseOutcome(p);
-    p.expect('}');
-    p.end();
-    return entry;
-}
-
-} // namespace
-
-CacheEntry
-decodeCacheEntry(const std::string &line)
-{
-    Parser p(line);
-    return parseCacheEntry(p);
-}
-
-bool
-tryDecodeCacheEntry(const std::string &line, CacheEntry *out)
-{
-    Parser p(line, /*throw_on_error=*/true);
-    try {
-        *out = parseCacheEntry(p);
-        return true;
-    } catch (const std::runtime_error &) {
-        return false;
-    }
 }
 
 } // namespace cfl::sweepio

@@ -34,7 +34,7 @@ pointDigest(const SweepPoint &point, std::uint64_t seed_base,
     // '\n' separators keep the three components unambiguous: the point
     // encoding is single-line JSON and versions/seeds contain no
     // newlines, so no concatenation of different inputs collides.
-    std::string canonical = encodePoint(point);
+    std::string canonical = encode(point);
     canonical += '\n';
     canonical += std::to_string(seed_base);
     canonical += '\n';

@@ -34,7 +34,7 @@ std::string hexDigest(std::uint64_t value);
 
 /**
  * Content key of one sweep-point evaluation: hexDigest of the FNV-1a
- * hash over encodePoint(point), @p seed_base, and @p code_version.
+ * hash over encode(point), @p seed_base, and @p code_version.
  */
 std::string pointDigest(const SweepPoint &point, std::uint64_t seed_base,
                         const std::string &code_version);

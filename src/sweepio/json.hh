@@ -1,25 +1,22 @@
 /**
  * @file
- * Recursive-descent parser for the subset of JSON the sweepio/dispatch
- * stores emit: objects, arrays, strings (with only the two escapes
- * escapeJsonString() produces, \" and \\), and unsigned integers. One
- * implementation serves every line-oriented store — sweep specs/results
- * (sweepio/codec.cc), the regression history (dispatch/history.cc), and
- * the work-queue task/lease records (sweepio/queue_codec.cc) — so a
- * parsing fix propagates to all of them. Signed integers (a '-'
- * directly before the digits) exist for the few fields that need them
- * (task priority); everything else stays unsigned. Malformed input is
- * fatal():
- * these files are machine-written, so any syntax error means
- * corruption, not user error worth recovering from.
+ * Lexer for the subset of JSON the line-oriented stores emit: objects,
+ * arrays, strings (with only the two escapes escapeJsonString()
+ * produces, \" and \\), decimal integers, and the words true and
+ * false. The generic record codec (record.hh) drives it
+ * for every store, so a parsing fix reaches all of them at once.
+ * Malformed input is fatal(), or thrown for tolerant loaders: these
+ * files are machine-written, so a syntax error means corruption, not
+ * user error worth recovering from.
  */
 
 #ifndef CFL_SWEEPIO_JSON_HH
 #define CFL_SWEEPIO_JSON_HH
 
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -111,42 +108,24 @@ class MiniJsonParser
         return out;
     }
 
-    std::uint64_t number()
+    /** The decimal integer that comes next (a '-' only for signed
+     *  I), which must fit in I. */
+    template <std::integral I>
+    I number()
     {
         skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected an unsigned integer");
-        const std::string digits = text_.substr(start, pos_ - start);
-        try {
-            return std::stoull(digits);
-        } catch (const std::out_of_range &) {
-            fail("integer \"" + digits + "\" does not fit in 64 bits");
-        }
-    }
-
-    /** number() with an optional leading '-'. */
-    std::int64_t signedNumber()
-    {
-        skipSpace();
-        const bool negative = accept('-');
-        const std::uint64_t magnitude = number();
-        if (negative) {
-            if (magnitude > 1ull << 63)
-                fail("integer -" + std::to_string(magnitude) +
-                     " does not fit in a signed 64-bit field");
-            // Negate via the unsigned complement so -2^63 (whose
-            // magnitude has no int64 representation) stays defined.
-            return static_cast<std::int64_t>(~magnitude + 1);
-        }
-        if (magnitude > static_cast<std::uint64_t>(
-                            std::numeric_limits<std::int64_t>::max()))
-            fail("integer " + std::to_string(magnitude) +
-                 " does not fit in a signed 64-bit field");
-        return static_cast<std::int64_t>(magnitude);
+        I value = 0;
+        const char *first = text_.data() + pos_;
+        const auto [last, ec] =
+            std::from_chars(first, text_.data() + text_.size(), value);
+        if (last == first)
+            fail("expected an integer");
+        if (ec != std::errc())
+            fail("integer " + std::string(first, last) +
+                 " does not fit in a " + std::to_string(sizeof(I) * 8) +
+                 "-bit field");
+        pos_ += static_cast<std::size_t>(last - first);
+        return value;
     }
 
     /** Key of the next "key": pair. */
@@ -160,28 +139,31 @@ class MiniJsonParser
     /** "key" with the expected name, then ':'. */
     void namedKey(const char *name)
     {
+        // The common case, the expected key verbatim, compares in place.
+        skipSpace();
+        const std::size_t len = std::char_traits<char>::length(name);
+        if (pos_ + len + 2 <= text_.size() && text_[pos_] == '"' &&
+            text_.compare(pos_ + 1, len, name) == 0 &&
+            text_[pos_ + 1 + len] == '"') {
+            pos_ += len + 2;
+            expect(':');
+            return;
+        }
         const std::string k = key();
         if (k != name)
             fail("expected key \"" + std::string(name) + "\", got \"" +
                  k + "\"");
     }
 
-    std::uint64_t namedNumber(const char *name)
+    /** True (and consumes) if the bare word @p word comes next. */
+    bool acceptWord(const char *word)
     {
-        namedKey(name);
-        return number();
-    }
-
-    std::int64_t namedSignedNumber(const char *name)
-    {
-        namedKey(name);
-        return signedNumber();
-    }
-
-    std::string namedString(const char *name)
-    {
-        namedKey(name);
-        return string();
+        skipSpace();
+        const std::size_t len = std::char_traits<char>::length(word);
+        if (text_.compare(pos_, len, word) != 0)
+            return false;
+        pos_ += len;
+        return true;
     }
 
     void end()

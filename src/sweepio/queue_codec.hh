@@ -1,42 +1,20 @@
 /**
  * @file
- * Line-oriented JSON codecs for the persistent work queue (src/queue).
+ * Record schemas of the persistent work queue (src/queue).
  *
- * Several record shapes travel through the queue directory, all encoded
- * as single JSONL lines through the shared MiniJsonParser dialect
- * (json.hh) so a torn trailing line — a process killed mid-append —
- * degrades to a skip-with-warning in tolerant loaders instead of
- * wedging the store:
+ * Every record in a queue directory is one JSONL line through the
+ * generic record codec (record.hh), so a torn trailing line (a process
+ * killed mid-append) degrades to a skip-with-warning in tolerant
+ * loaders instead of wedging the store: task files (TaskRecord), lease
+ * files (LeaseRecord, wall-clock unix ms so expiry compares across
+ * hosts), done files (DoneRecord), the append-only tasks.jsonl audit
+ * log (QueueLogRecord), tenants.jsonl (TenantRecord, last record per
+ * tenant wins), stats.jsonl (QueueCacheStats), and the snapshot that
+ * `confluence_dispatch --queue-status` prints (QueueStatusRecord).
  *
- *   TaskRecord   — one unit of claimable work: a unique id, a FIFO
- *                  sequence number, the shell command a worker runs,
- *                  the submitting tenant, an integer priority, and
- *                  (optionally) the result file whose outcomes the
- *                  worker folds into the result cache afterwards;
- *   LeaseRecord  — who holds a claimed task, since when, and until
- *                  when (wall-clock unix milliseconds — lease expiry
- *                  must be comparable across hosts);
- *   DoneRecord   — how a task ended (exit status, completing owner,
- *                  tenant — the tenant feeds the fair-share claim
- *                  policy's served counts);
- *   TenantRecord — one tenant's scheduling config: weighted-round-
- *                  robin weight and submission quota (tenants.jsonl,
- *                  append-only, last record per tenant wins);
- *   QueueStatusRecord — a point-in-time snapshot of the whole queue
- *                  (depth per tenant/priority, active leases with
- *                  heartbeat age, terminal counts, cache hit stats),
- *                  what `confluence_dispatch --queue-status` emits.
- *
- * The queue's tasks.jsonl log multiplexes task/done records as
- * QueueLogRecord lines tagged with an op ("enqueue", "cancel",
- * "reclaim", "quarantine", "done"), giving every queue directory an
- * auditable, greppable history.
- *
- * Unlike the sweep codec, the strings here (shell commands, file
- * paths, owners) are user-influenced, so encoding escapes '"' and '\\'
- * via escapeJsonString() — the only escapes the parser accepts back.
- * Every decode has a tryDecode variant for loaders that must survive a
- * torn line.
+ * The strings here (shell commands, file paths, owners) are
+ * user-influenced; the string codec escapes '"' and '\\' via
+ * escapeJsonString(), the only escapes the lexer accepts back.
  */
 
 #ifndef CFL_SWEEPIO_QUEUE_CODEC_HH
@@ -44,7 +22,10 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "sweepio/record.hh"
 
 namespace cfl::sweepio
 {
@@ -75,8 +56,8 @@ struct LeaseRecord
      *  deadline may be reclaimed by anyone. */
     std::uint64_t deadlineMs = 0;
     /** When this lease (or its latest heartbeat renewal) was written,
-     *  wall-clock unix ms; 0 on records from older writers. Status
-     *  snapshots report now - sinceMs as the heartbeat age. */
+     *  wall-clock unix ms. Status snapshots report now - sinceMs as the
+     *  heartbeat age. */
     std::uint64_t sinceMs = 0;
 };
 
@@ -126,8 +107,7 @@ struct QueueLeaseStatus
     std::string id;
     std::string owner;
     std::string tenant;
-    /** ms since the lease was last written (claim or heartbeat); 0
-     *  when the lease predates heartbeat timestamps. */
+    /** ms since the lease was last written (claim or heartbeat). */
     std::uint64_t heartbeatAgeMs = 0;
     /** ms until the lease expires; 0 when already reclaim-eligible. */
     std::uint64_t remainingMs = 0;
@@ -157,35 +137,128 @@ struct QueueStatusRecord
     QueueCacheStats cache;
 };
 
-std::string encodeTask(const TaskRecord &task);
-TaskRecord decodeTask(const std::string &line);
-bool tryDecodeTask(const std::string &line, TaskRecord *out);
+template <>
+struct Schema<TaskRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"id", &TaskRecord::id},
+        Field{"seq", &TaskRecord::seq},
+        Field{"command", &TaskRecord::command},
+        Field{"result", &TaskRecord::result},
+        Field{"tenant", &TaskRecord::tenant},
+        Field{"priority", &TaskRecord::priority},
+    };
+};
 
-std::string encodeLease(const LeaseRecord &lease);
-LeaseRecord decodeLease(const std::string &line);
-bool tryDecodeLease(const std::string &line, LeaseRecord *out);
+template <>
+struct Schema<LeaseRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"id", &LeaseRecord::id},
+        Field{"owner", &LeaseRecord::owner},
+        Field{"deadline_ms", &LeaseRecord::deadlineMs},
+        Field{"since_ms", &LeaseRecord::sinceMs},
+    };
+};
 
-std::string encodeDone(const DoneRecord &done);
-DoneRecord decodeDone(const std::string &line);
-bool tryDecodeDone(const std::string &line, DoneRecord *out);
+template <>
+struct Schema<DoneRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"id", &DoneRecord::id},
+        Field{"owner", &DoneRecord::owner},
+        Field{"exit", &DoneRecord::exitCode},
+        Field{"tenant", &DoneRecord::tenant},
+    };
+};
 
-std::string encodeTenant(const TenantRecord &tenant);
-TenantRecord decodeTenant(const std::string &line);
-bool tryDecodeTenant(const std::string &line, TenantRecord *out);
+template <>
+struct Schema<TenantRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"tenant", &TenantRecord::tenant},
+        Field{"weight", &TenantRecord::weight},
+        Field{"quota", &TenantRecord::quota},
+    };
+};
 
-std::string encodeQueueCacheStats(const QueueCacheStats &stats);
-QueueCacheStats decodeQueueCacheStats(const std::string &line);
-bool tryDecodeQueueCacheStats(const std::string &line,
-                              QueueCacheStats *out);
+/** A done line names its task only inside the DoneRecord; decoding
+ *  mirrors that id into task.id, as for every other op. */
+template <>
+struct Schema<QueueLogRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto taskId =
+        Field{"id", [](auto &r) -> auto & { return r.task.id; }};
+    static constexpr auto fields = std::tuple{Tagged{
+        "op", &QueueLogRecord::op,
+        When{"enqueue", Field{"task", &QueueLogRecord::task}},
+        When{"done", Field{"done", &QueueLogRecord::done}},
+        When{"cancel", taskId}, When{"reclaim", taskId},
+        When{"quarantine", taskId}}};
 
-std::string encodeQueueStatus(const QueueStatusRecord &status);
-QueueStatusRecord decodeQueueStatus(const std::string &line);
-bool tryDecodeQueueStatus(const std::string &line,
-                          QueueStatusRecord *out);
+    static void decoded(QueueLogRecord &r)
+    {
+        if (r.op == "done")
+            r.task.id = r.done.id;
+    }
+};
 
-std::string encodeQueueLog(const QueueLogRecord &record);
-QueueLogRecord decodeQueueLog(const std::string &line);
-bool tryDecodeQueueLog(const std::string &line, QueueLogRecord *out);
+template <>
+struct Schema<QueueTenantDepth>
+{
+    static constexpr auto fields = std::tuple{
+        Field{"tenant", &QueueTenantDepth::tenant},
+        Field{"priority", &QueueTenantDepth::priority},
+        Field{"pending", &QueueTenantDepth::pending},
+    };
+};
+
+template <>
+struct Schema<QueueLeaseStatus>
+{
+    static constexpr auto fields = std::tuple{
+        Field{"id", &QueueLeaseStatus::id},
+        Field{"owner", &QueueLeaseStatus::owner},
+        Field{"tenant", &QueueLeaseStatus::tenant},
+        Field{"hb_age_ms", &QueueLeaseStatus::heartbeatAgeMs},
+        Field{"remaining_ms", &QueueLeaseStatus::remainingMs},
+    };
+};
+
+template <>
+struct Schema<QueueCacheStats>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"hits", &QueueCacheStats::hits},
+        Field{"misses", &QueueCacheStats::misses},
+        Field{"at_ms", &QueueCacheStats::atMs},
+    };
+};
+
+template <>
+struct Schema<QueueStatusRecord>
+{
+    static constexpr const char *context = "queue record";
+    static constexpr auto fields = std::tuple{
+        Field{"queue", &QueueStatusRecord::queue},
+        Field{"at_ms", &QueueStatusRecord::atMs},
+        Field{"stop", &QueueStatusRecord::stop},
+        Field{"pending", &QueueStatusRecord::pending},
+        Field{"claimed", &QueueStatusRecord::claimed},
+        Field{"done", &QueueStatusRecord::done},
+        Field{"cancelled", &QueueStatusRecord::cancelled},
+        Field{"quarantined", &QueueStatusRecord::quarantined},
+        Field{"depths", &QueueStatusRecord::depths},
+        Field{"leases", &QueueStatusRecord::leases},
+        Field{"cache", &QueueStatusRecord::cache},
+    };
+};
 
 } // namespace cfl::sweepio
 

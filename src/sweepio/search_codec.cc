@@ -1,173 +1,20 @@
 #include "sweepio/search_codec.hh"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
-#include "common/logging.hh"
-#include "sweepio/json.hh"
-
 namespace cfl::sweepio
 {
-
-namespace
-{
-
-class Parser : public MiniJsonParser
-{
-  public:
-    explicit Parser(const std::string &text, bool throw_on_error = false)
-        : MiniJsonParser(text, "search JSON", throw_on_error)
-    {
-    }
-};
-
-SearchRecord
-parseRecord(Parser &p)
-{
-    SearchRecord r;
-    p.expect('{');
-    r.type = p.namedString("type");
-    if (r.type == "header") {
-        p.expect(',');
-        r.strategy = p.namedString("strategy");
-        p.expect(',');
-        r.seed = p.namedNumber("seed");
-        p.expect(',');
-        r.space = p.namedString("space");
-        p.expect(',');
-        r.scaleName = p.namedString("scale");
-        p.expect(',');
-        r.budget = p.namedNumber("budget");
-        p.expect(',');
-        r.codeVersion = p.namedString("code_version");
-    } else if (r.type == "round") {
-        p.expect(',');
-        r.round = p.namedNumber("round");
-    } else if (r.type == "eval") {
-        p.expect(',');
-        r.round = p.namedNumber("round");
-        p.expect(',');
-        r.candidate = p.namedString("candidate");
-        p.expect(',');
-        r.pointKey = p.namedString("key");
-    } else if (r.type == "decision") {
-        p.expect(',');
-        r.round = p.namedNumber("round");
-        p.expect(',');
-        r.candidate = p.namedString("candidate");
-        p.expect(',');
-        r.action = p.namedString("action");
-        p.expect(',');
-        r.scoreBits = p.namedNumber("score_bits");
-        p.expect(',');
-        r.costKbBits = p.namedNumber("cost_kb_bits");
-        p.expect(',');
-        r.costMm2Bits = p.namedNumber("cost_mm2_bits");
-    } else if (r.type == "done") {
-        p.expect(',');
-        r.round = p.namedNumber("rounds");
-        p.expect(',');
-        r.candidate = p.namedString("candidate");
-        p.expect(',');
-        r.scoreBits = p.namedNumber("score_bits");
-        p.expect(',');
-        r.costKbBits = p.namedNumber("cost_kb_bits");
-        p.expect(',');
-        r.costMm2Bits = p.namedNumber("cost_mm2_bits");
-    } else {
-        p.error("unknown search record type \"" + r.type + "\"");
-    }
-    p.expect('}');
-    p.end();
-    return r;
-}
-
-} // namespace
-
-std::string
-encodeSearchRecord(const SearchRecord &record)
-{
-    std::ostringstream out;
-    out << "{\"type\":\"" << record.type << "\"";
-    if (record.type == "header") {
-        out << ",\"strategy\":\"" << escapeJsonString(record.strategy)
-            << "\",\"seed\":" << record.seed << ",\"space\":\""
-            << escapeJsonString(record.space) << "\",\"scale\":\""
-            << escapeJsonString(record.scaleName)
-            << "\",\"budget\":" << record.budget << ",\"code_version\":\""
-            << escapeJsonString(record.codeVersion) << "\"";
-    } else if (record.type == "round") {
-        out << ",\"round\":" << record.round;
-    } else if (record.type == "eval") {
-        out << ",\"round\":" << record.round << ",\"candidate\":\""
-            << escapeJsonString(record.candidate) << "\",\"key\":\""
-            << escapeJsonString(record.pointKey) << "\"";
-    } else if (record.type == "decision") {
-        out << ",\"round\":" << record.round << ",\"candidate\":\""
-            << escapeJsonString(record.candidate) << "\",\"action\":\""
-            << escapeJsonString(record.action)
-            << "\",\"score_bits\":" << record.scoreBits
-            << ",\"cost_kb_bits\":" << record.costKbBits
-            << ",\"cost_mm2_bits\":" << record.costMm2Bits;
-    } else if (record.type == "done") {
-        out << ",\"rounds\":" << record.round << ",\"candidate\":\""
-            << escapeJsonString(record.candidate)
-            << "\",\"score_bits\":" << record.scoreBits
-            << ",\"cost_kb_bits\":" << record.costKbBits
-            << ",\"cost_mm2_bits\":" << record.costMm2Bits;
-    } else {
-        cfl_fatal("cannot encode search record of unknown type \"%s\"",
-                  record.type.c_str());
-    }
-    out << "}";
-    return out.str();
-}
-
-SearchRecord
-decodeSearchRecord(const std::string &line)
-{
-    Parser p(line);
-    return parseRecord(p);
-}
-
-bool
-tryDecodeSearchRecord(const std::string &line, SearchRecord *out)
-{
-    Parser p(line, /*throw_on_error=*/true);
-    try {
-        *out = parseRecord(p);
-        return true;
-    } catch (const std::runtime_error &) {
-        return false;
-    }
-}
 
 std::vector<SearchRecord>
 readSearchJournal(const std::string &path,
                   std::vector<std::string> *raw_lines)
 {
     std::vector<SearchRecord> records;
-    std::ifstream in(path);
-    if (!in)
-        return records; // missing journal = fresh search
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        SearchRecord record;
-        if (!tryDecodeSearchRecord(line, &record)) {
-            cfl_warn("skipping undecodable search journal line %zu in "
-                     "\"%s\" (torn append?)",
-                     lineno, path.c_str());
-            continue;
-        }
-        records.push_back(std::move(record));
-        if (raw_lines != nullptr)
-            raw_lines->push_back(line);
-    }
+    loadRecords<SearchRecord>(
+        path, "search journal",
+        [&](SearchRecord &&record, const std::string &line) {
+            records.push_back(std::move(record));
+            if (raw_lines != nullptr)
+                raw_lines->push_back(line);
+        });
     return records;
 }
 

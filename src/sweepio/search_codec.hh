@@ -1,6 +1,7 @@
 /**
  * @file
- * JSONL dialect of the adaptive-search journal (search.jsonl).
+ * Record schemas of the adaptive-search journal (search.jsonl) and of
+ * the Pareto dump (confluence_search --pareto-out).
  *
  * A search run appends one SearchRecord per line, recording every
  * (round, candidate, decision) the driver takes. The journal is the
@@ -13,19 +14,11 @@
  * counters, timestamps): a record must encode identically whether its
  * evaluation was fresh or served from the result cache.
  *
- * Record types, with fixed field order per type:
- *
- *   {"type":"header","strategy":...,"seed":N,"space":"...",
- *    "scale":"...","budget":N,"code_version":"..."}
- *   {"type":"round","round":N}
- *   {"type":"eval","round":N,"candidate":"...","key":"<digest>"}
- *   {"type":"decision","round":N,"candidate":"...","action":"...",
- *    "score_bits":N,"cost_kb_bits":N,"cost_mm2_bits":N}
- *   {"type":"done","rounds":N,"candidate":"<best>","score_bits":N,
- *    "cost_kb_bits":N,"cost_mm2_bits":N}
+ * Each line's "type" selects its field list: header, round, eval,
+ * decision or done (Schema<SearchRecord> below).
  *
  * Doubles travel as IEEE-754 bit patterns (sweepio::doubleBits), so a
- * round trip — and therefore resume verification — is bit-identical.
+ * round trip (and therefore resume verification) is bit-identical.
  */
 
 #ifndef CFL_SWEEPIO_SEARCH_CODEC_HH
@@ -33,7 +26,11 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "sweepio/codec.hh"
+#include "sweepio/record.hh"
 
 namespace cfl::sweepio
 {
@@ -68,15 +65,72 @@ struct SearchRecord
     bool operator==(const SearchRecord &) const = default;
 };
 
-/** One journal line (no trailing newline). */
-std::string encodeSearchRecord(const SearchRecord &record);
+template <>
+struct Schema<SearchRecord>
+{
+    using R = SearchRecord;
+    static constexpr const char *context = "search JSON";
+    static constexpr auto fields = std::tuple{Tagged{
+        "type", &R::type,
+        When{"header", Field{"strategy", &R::strategy},
+             Field{"seed", &R::seed}, Field{"space", &R::space},
+             Field{"scale", &R::scaleName}, Field{"budget", &R::budget},
+             Field{"code_version", &R::codeVersion}},
+        When{"round", Field{"round", &R::round}},
+        When{"eval", Field{"round", &R::round},
+             Field{"candidate", &R::candidate},
+             Field{"key", &R::pointKey}},
+        When{"decision", Field{"round", &R::round},
+             Field{"candidate", &R::candidate},
+             Field{"action", &R::action},
+             Field{"score_bits", &R::scoreBits},
+             Field{"cost_kb_bits", &R::costKbBits},
+             Field{"cost_mm2_bits", &R::costMm2Bits}},
+        When{"done", Field{"rounds", &R::round},
+             Field{"candidate", &R::candidate},
+             Field{"score_bits", &R::scoreBits},
+             Field{"cost_kb_bits", &R::costKbBits},
+             Field{"cost_mm2_bits", &R::costMm2Bits}}}};
+};
 
-/** Parse one journal line; fatal() on malformed input. */
-SearchRecord decodeSearchRecord(const std::string &line);
+/** One candidate of the Pareto dump. */
+struct ParetoRow
+{
+    std::string candidate; ///< candidate slug
+    FrontendKind kind = FrontendKind::Baseline;
+    double storageKb = 0.0; ///< dedicated SRAM KB
+    double areaMm2 = 0.0;   ///< dedicated area mm²
+    double score = 0.0;     ///< geomean speedup over Baseline
+    bool onFront = false;
+};
 
-/** decodeSearchRecord that reports malformed input (false) instead of
- *  fatal()ing — for loaders skipping a torn trailing line. */
-bool tryDecodeSearchRecord(const std::string &line, SearchRecord *out);
+/** The whole dump: one object holding every scored candidate. */
+struct ParetoDump
+{
+    std::vector<ParetoRow> candidates;
+};
+
+template <>
+struct Schema<ParetoRow>
+{
+    static constexpr auto fields = std::tuple{
+        Field{"candidate", &ParetoRow::candidate},
+        Field{"kind", &ParetoRow::kind},
+        Field{"storage_kb_bits", &ParetoRow::storageKb},
+        Field{"area_mm2_bits", &ParetoRow::areaMm2},
+        Field{"score_bits", &ParetoRow::score},
+        TrueFalse{"on_front", &ParetoRow::onFront},
+    };
+};
+
+template <>
+struct Schema<ParetoDump>
+{
+    static constexpr const char *context = "pareto dump";
+    static constexpr auto fields = std::tuple{
+        Field{"candidates", &ParetoDump::candidates},
+    };
+};
 
 /**
  * Load a journal file. A missing file is an empty journal. Undecodable

@@ -251,8 +251,8 @@ TEST(ResultCache, SkipsTornAndForeignStoreLinesInsteadOfDying)
     // appended by a newer binary with a kind this build doesn't know,
     // and a line torn by a process killed mid-append.
     {
-        std::string foreign = sweepio::encodeCacheEntry(
-            {std::string(16, '0'), good});
+        std::string foreign = sweepio::encode(
+            sweepio::CacheEntry{std::string(16, '0'), good});
         const std::size_t slug = foreign.find("\"confluence\"");
         ASSERT_NE(slug, std::string::npos);
         foreign.replace(slug, 12, "\"warp_drive\"");
@@ -635,10 +635,10 @@ TEST(RegressionHistory, AppendsAndComparesExactGeomeans)
     // bit patterns), so equal results give a delta of exactly zero.
     RegressionHistory back(path);
     ASSERT_EQ(back.entries().size(), 2u);
-    EXPECT_EQ(back.entries()[0].geomeans[0].second,
-              first.geomeans[0].second);
-    EXPECT_EQ(back.entries()[1].geomeans[0].second,
-              second.geomeans[0].second);
+    EXPECT_EQ(back.entries()[0].geomeans[0].geomean,
+              first.geomeans[0].geomean);
+    EXPECT_EQ(back.entries()[1].geomeans[0].geomean,
+              second.geomeans[0].geomean);
     std::remove(path.c_str());
 }
 

@@ -449,7 +449,7 @@ TEST(FaultQueue, TornLogAppendNeverWedgesTheQueue)
     std::vector<std::string> ids;
     while (std::getline(in, line)) {
         sweepio::QueueLogRecord record;
-        if (sweepio::tryDecodeQueueLog(line, &record) &&
+        if (sweepio::tryDecode(line, &record) &&
             record.op == "enqueue")
             ids.push_back(record.task.id);
     }
@@ -523,7 +523,7 @@ TEST(FaultQueue, RepeatedlyReclaimedTaskIsQuarantined)
     bool have_record = false;
     while (std::getline(in, line)) {
         sweepio::QueueLogRecord record;
-        if (sweepio::tryDecodeQueueLog(line, &record) &&
+        if (sweepio::tryDecode(line, &record) &&
             record.op == "quarantine" && record.task.id == "poison")
             have_record = true;
     }

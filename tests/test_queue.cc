@@ -620,9 +620,8 @@ TEST(WorkQueue, StatusSnapshotReportsDepthsLeasesAndCounts)
 
     // The snapshot round-trips through its wire format unchanged.
     const sweepio::QueueStatusRecord wire =
-        sweepio::decodeQueueStatus(sweepio::encodeQueueStatus(st));
-    EXPECT_EQ(sweepio::encodeQueueStatus(wire),
-              sweepio::encodeQueueStatus(st));
+        sweepio::decode<sweepio::QueueStatusRecord>(sweepio::encode(st));
+    EXPECT_EQ(sweepio::encode(wire), sweepio::encode(st));
 }
 
 TEST(WorkQueue, NamedQueuesAreIndependent)

@@ -268,8 +268,9 @@ TEST(SamplingCodec, SampledOutcomeRoundTripsBitExactly)
     EXPECT_TRUE(back.metrics.sampling == o.metrics.sampling);
     EXPECT_EQ(sweepio::encodeOutcome(back), line);
 
-    const std::string point_line = sweepio::encodePoint(o.point);
-    EXPECT_TRUE(sweepio::decodePoint(point_line).sampling == o.point.sampling);
+    const std::string point_line = sweepio::encode(o.point);
+    EXPECT_TRUE(sweepio::decode<SweepPoint>(point_line).sampling ==
+                o.point.sampling);
 }
 
 // Exact points and outcomes encode byte-identically to the
@@ -284,7 +285,7 @@ TEST(SamplingCodec, ExactEncodingCarriesNoSamplingFields)
     o.metrics.cores[0].retired = 1'000;
     o.metrics.cores[0].cycles = 1'500;
 
-    EXPECT_EQ(sweepio::encodePoint(o.point).find("sampling"), std::string::npos);
+    EXPECT_EQ(sweepio::encode(o.point).find("sampling"), std::string::npos);
     EXPECT_EQ(sweepio::encodeOutcome(o).find("sampling"), std::string::npos);
 
     const SweepOutcome back = sweepio::decodeOutcome(sweepio::encodeOutcome(o));

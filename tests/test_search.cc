@@ -294,11 +294,11 @@ TEST(SearchFuzzer, TrialPointsAreSeedReplayableAndRoundTrip)
             search::fuzzerTrialPoint(space, scale, 42, trial);
         const SweepPoint again =
             search::fuzzerTrialPoint(space, scale, 42, trial);
-        const std::string enc = sweepio::encodePoint(once);
+        const std::string enc = sweepio::encode(once);
         // Same (space, scale, seed, trial) => identical encoding.
-        EXPECT_EQ(sweepio::encodePoint(again), enc) << trial;
+        EXPECT_EQ(sweepio::encode(again), enc) << trial;
         // Every fuzzer point survives the codec bit-exactly.
-        EXPECT_EQ(sweepio::encodePoint(sweepio::decodePoint(enc)), enc)
+        EXPECT_EQ(sweepio::encode(sweepio::decode<SweepPoint>(enc)), enc)
             << trial;
         // And belongs to the candidate the replay API reports.
         const search::Candidate cand =
@@ -317,9 +317,9 @@ TEST(SearchFuzzer, DistinctSeedsDrawDistinctTrialSequences)
     scale.timingCores = 1;
     bool diverged = false;
     for (std::uint64_t trial = 0; trial < 16 && !diverged; ++trial)
-        diverged = sweepio::encodePoint(search::fuzzerTrialPoint(
+        diverged = sweepio::encode(search::fuzzerTrialPoint(
                        space, scale, 1, trial)) !=
-                   sweepio::encodePoint(search::fuzzerTrialPoint(
+                   sweepio::encode(search::fuzzerTrialPoint(
                        space, scale, 2, trial));
     EXPECT_TRUE(diverged);
 }

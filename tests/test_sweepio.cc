@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 #include "death_test_style.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
+#include "search/pareto.hh"
 #include "sim/metrics.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/digest.hh"
@@ -128,7 +130,7 @@ TEST(SweepioCodec, PointRoundTripsEveryCoordinate)
     for (const FrontendKind kind : allFrontendKinds()) {
         for (const WorkloadId wl : allWorkloads()) {
             const SweepPoint point{kind, wl, scale};
-            const SweepPoint back = decodePoint(encodePoint(point));
+            const SweepPoint back = decode<SweepPoint>(encode(point));
             expectPointEq(point, back);
         }
     }
@@ -147,12 +149,12 @@ TEST(SweepioCodec, DesignOverlayRoundTripsEveryField)
     point.overlay.shiftHistoryEntries = 7;
     point.overlay.shiftStreamDepth = 8;
 
-    const SweepPoint back = decodePoint(encodePoint(point));
+    const SweepPoint back = decode<SweepPoint>(encode(point));
     expectPointEq(point, back);
     EXPECT_EQ(back.overlay, point.overlay);
     EXPECT_TRUE(back.overlay.enabled());
     // Stable bytes: re-encoding reproduces the line.
-    EXPECT_EQ(encodePoint(back), encodePoint(point));
+    EXPECT_EQ(encode(back), encode(point));
 }
 
 TEST(SweepioCodec, IdentityOverlayKeepsPreOverlayEncoding)
@@ -164,15 +166,15 @@ TEST(SweepioCodec, IdentityOverlayKeepsPreOverlayEncoding)
     const SweepPoint point{FrontendKind::Baseline, WorkloadId::DssQry,
                            quickScale()};
     EXPECT_FALSE(point.overlay.enabled());
-    const std::string enc = encodePoint(point);
+    const std::string enc = encode(point);
     EXPECT_EQ(enc.find("overlay"), std::string::npos);
-    EXPECT_FALSE(decodePoint(enc).overlay.enabled());
+    EXPECT_FALSE(decode<SweepPoint>(enc).overlay.enabled());
 
     // And a partially-set overlay (any nonzero field) is not identity.
     SweepPoint overlaid = point;
     overlaid.overlay.l2Entries = 8192;
     EXPECT_TRUE(overlaid.overlay.enabled());
-    EXPECT_NE(encodePoint(overlaid).find("overlay"), std::string::npos);
+    EXPECT_NE(encode(overlaid).find("overlay"), std::string::npos);
 }
 
 TEST(SweepioCodec, SlugsRoundTrip)
@@ -229,13 +231,48 @@ TEST(SweepioCodec, SpecFileRoundTrips)
 
 TEST(SweepioCodec, MalformedLineIsFatal)
 {
-    EXPECT_EXIT(decodePoint("{\"kind\":\"baseline\""),
+    EXPECT_EXIT(decode<SweepPoint>("{\"kind\":\"baseline\""),
                 ::testing::ExitedWithCode(1), "malformed sweep JSON");
-    EXPECT_EXIT(decodePoint("{\"kind\":\"no_such_design\",\"workload\":"
+    EXPECT_EXIT(decode<SweepPoint>("{\"kind\":\"no_such_design\",\"workload\":"
                             "\"dss_qry\",\"scale\":{}}"),
                 ::testing::ExitedWithCode(1), "unknown front-end kind");
     EXPECT_EXIT(readPoints("/nonexistent/sweep/spec.jsonl"),
                 ::testing::ExitedWithCode(1), "cannot open");
+}
+
+TEST(SweepioCodec, NarrowedFieldsAreRangeCheckedOnDecode)
+{
+    // timing_cores is an unsigned member: 2^32 + 2 must not wrap to 2
+    // (which would re-encode, and digest, as a different point).
+    const std::string cores =
+        R"({"kind":"baseline","workload":"dss_qry",)"
+        R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+        R"("timing_cores":4294967298,"functional_warmup":3000000,)"
+        R"("functional_measure":5000000}})";
+    // stop is a bool: 2 is not a flag, and must not re-encode as 1.
+    const std::string stop =
+        R"({"queue":"","at_ms":0,"stop":2,"pending":0,"claimed":0,)"
+        R"("done":0,"cancelled":0,"quarantined":0,"depths":[],)"
+        R"("leases":[],"cache":{"hits":0,"misses":0,"at_ms":0}})";
+
+    SweepPoint point;
+    EXPECT_FALSE(tryDecode(cores, &point));
+    QueueStatusRecord status;
+    EXPECT_FALSE(tryDecode(stop, &status));
+    EXPECT_EXIT(decode<SweepPoint>(cores), ::testing::ExitedWithCode(1),
+                "malformed sweep JSON");
+    EXPECT_EXIT(decode<QueueStatusRecord>(stop),
+                ::testing::ExitedWithCode(1), "malformed queue record");
+
+    // The widest in-range values still decode.
+    std::string widest = cores;
+    widest.replace(widest.find("4294967298"), 10, "4294967295");
+    ASSERT_TRUE(tryDecode(widest, &point));
+    EXPECT_EQ(point.scale.timingCores, 4294967295u);
+    std::string stopped = stop;
+    stopped.replace(stopped.find("\"stop\":2"), 8, "\"stop\":1");
+    ASSERT_TRUE(tryDecode(stopped, &status));
+    EXPECT_TRUE(status.stop);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,20 +289,20 @@ TEST(SweepioQueueCodec, RecordsRoundTripIncludingEscapedStrings)
     task.command = "'/bin/x' --points '/spec dir/it'\\''s.jsonl' "
                    "--out 'o\"u\\t.jsonl'";
     task.result = "o\"u\\t.jsonl";
-    TaskRecord task_back = decodeTask(encodeTask(task));
+    TaskRecord task_back = decode<TaskRecord>(encode(task));
     EXPECT_EQ(task_back.id, task.id);
     EXPECT_EQ(task_back.seq, task.seq);
     EXPECT_EQ(task_back.command, task.command);
     EXPECT_EQ(task_back.result, task.result);
 
     LeaseRecord lease{"task-1", "host\\9:123", 1234567890123ull};
-    LeaseRecord lease_back = decodeLease(encodeLease(lease));
+    LeaseRecord lease_back = decode<LeaseRecord>(encode(lease));
     EXPECT_EQ(lease_back.id, lease.id);
     EXPECT_EQ(lease_back.owner, lease.owner);
     EXPECT_EQ(lease_back.deadlineMs, lease.deadlineMs);
 
     DoneRecord done{"task-1", "worker\"2", 137};
-    DoneRecord done_back = decodeDone(encodeDone(done));
+    DoneRecord done_back = decode<DoneRecord>(encode(done));
     EXPECT_EQ(done_back.id, done.id);
     EXPECT_EQ(done_back.owner, done.owner);
     EXPECT_EQ(done_back.exitCode, done.exitCode);
@@ -275,7 +312,7 @@ TEST(SweepioQueueCodec, RecordsRoundTripIncludingEscapedStrings)
         record.op = op;
         record.task = task;
         record.done = done;
-        QueueLogRecord back = decodeQueueLog(encodeQueueLog(record));
+        QueueLogRecord back = decode<QueueLogRecord>(encode(record));
         EXPECT_EQ(back.op, record.op);
         if (back.op == "done") {
             // A done line carries the DoneRecord; task.id mirrors it.
@@ -306,29 +343,29 @@ TEST(SweepioQueueCodec, MultiTenantFieldsRoundTrip)
         task.command = "true";
         task.tenant = "team_a.prod";
         task.priority = priority;
-        const TaskRecord back = decodeTask(encodeTask(task));
+        const TaskRecord back = decode<TaskRecord>(encode(task));
         EXPECT_EQ(back.tenant, task.tenant);
         EXPECT_EQ(back.priority, priority);
     }
 
     DoneRecord done{"feedface-r0-a1", "w:9", 0, "team_a.prod"};
-    const DoneRecord done_back = decodeDone(encodeDone(done));
+    const DoneRecord done_back = decode<DoneRecord>(encode(done));
     EXPECT_EQ(done_back.tenant, "team_a.prod");
 
     LeaseRecord lease{"feedface-r0-a1", "w:9", 170000000123ull,
                       170000000001ull};
-    const LeaseRecord lease_back = decodeLease(encodeLease(lease));
+    const LeaseRecord lease_back = decode<LeaseRecord>(encode(lease));
     EXPECT_EQ(lease_back.sinceMs, 170000000001ull);
 
     TenantRecord tenant{"team_a.prod", 7, 64};
-    const TenantRecord tenant_back = decodeTenant(encodeTenant(tenant));
+    const TenantRecord tenant_back = decode<TenantRecord>(encode(tenant));
     EXPECT_EQ(tenant_back.tenant, tenant.tenant);
     EXPECT_EQ(tenant_back.weight, 7u);
     EXPECT_EQ(tenant_back.quota, 64u);
 
     QueueCacheStats stats{123, 456, 1700000000000ull};
     const QueueCacheStats stats_back =
-        decodeQueueCacheStats(encodeQueueCacheStats(stats));
+        decode<QueueCacheStats>(encode(stats));
     EXPECT_EQ(stats_back.hits, 123u);
     EXPECT_EQ(stats_back.misses, 456u);
     EXPECT_EQ(stats_back.atMs, 1700000000000ull);
@@ -341,7 +378,7 @@ TEST(SweepioQueueCodec, QueueStatusRoundTrips)
     empty.queue = "";
     empty.atMs = 1700000000000ull;
     const QueueStatusRecord empty_back =
-        decodeQueueStatus(encodeQueueStatus(empty));
+        decode<QueueStatusRecord>(encode(empty));
     EXPECT_EQ(empty_back.queue, "");
     EXPECT_TRUE(empty_back.depths.empty());
     EXPECT_TRUE(empty_back.leases.empty());
@@ -362,7 +399,7 @@ TEST(SweepioQueueCodec, QueueStatusRoundTrips)
     st.leases.push_back({"cafe-r0-a1", "w:2", "team_b", 0, 0});
     st.cache = {12, 34, 1700000000100ull};
     const QueueStatusRecord back =
-        decodeQueueStatus(encodeQueueStatus(st));
+        decode<QueueStatusRecord>(encode(st));
     EXPECT_EQ(back.queue, st.queue);
     EXPECT_EQ(back.atMs, st.atMs);
     EXPECT_EQ(back.stop, true);
@@ -383,7 +420,7 @@ TEST(SweepioQueueCodec, QueueStatusRoundTrips)
     EXPECT_EQ(back.cache.misses, 34u);
     // Stable encoding: re-encoding the decoded record reproduces the
     // bytes, so snapshot artifacts diff cleanly.
-    EXPECT_EQ(encodeQueueStatus(back), encodeQueueStatus(st));
+    EXPECT_EQ(encode(back), encode(st));
 }
 
 // ---------------------------------------------------------------------------
@@ -441,33 +478,33 @@ sampleSearchRecords()
 TEST(SweepioSearchCodec, EveryRecordTypeRoundTripsBitIdentically)
 {
     for (const SearchRecord &record : sampleSearchRecords()) {
-        const std::string line = encodeSearchRecord(record);
-        const SearchRecord back = decodeSearchRecord(line);
+        const std::string line = encode(record);
+        const SearchRecord back = decode<SearchRecord>(line);
         EXPECT_EQ(back, record) << line;
         // Stable bytes: resume's byte-verification depends on this.
-        EXPECT_EQ(encodeSearchRecord(back), line);
+        EXPECT_EQ(encode(back), line);
     }
 }
 
 TEST(SweepioSearchCodec, MalformedRecordsAreRejected)
 {
     SearchRecord out;
-    EXPECT_FALSE(tryDecodeSearchRecord("", &out));
-    EXPECT_FALSE(tryDecodeSearchRecord("{}", &out));
+    EXPECT_FALSE(tryDecode("", &out));
+    EXPECT_FALSE(tryDecode("{}", &out));
     EXPECT_FALSE(
-        tryDecodeSearchRecord("{\"type\":\"no_such_type\"}", &out));
+        tryDecode("{\"type\":\"no_such_type\"}", &out));
     // A valid record with trailing garbage is corruption, not a record.
     const std::string good =
-        encodeSearchRecord(sampleSearchRecords()[1]);
-    EXPECT_FALSE(tryDecodeSearchRecord(good + "x", &out));
-    EXPECT_TRUE(tryDecodeSearchRecord(good, &out));
+        encode(sampleSearchRecords()[1]);
+    EXPECT_FALSE(tryDecode(good + "x", &out));
+    EXPECT_TRUE(tryDecode(good, &out));
 }
 
 TEST(SweepioSearchCodec, JournalLoaderSkipsTornTailAtEveryOffset)
 {
     const std::vector<SearchRecord> records = sampleSearchRecords();
-    const std::string good = encodeSearchRecord(records[0]);
-    const std::string tail = encodeSearchRecord(records[3]);
+    const std::string good = encode(records[0]);
+    const std::string tail = encode(records[3]);
     const std::string path = tmpPath("search_journal.jsonl");
 
     // Missing file = empty journal (a first run with --resume).
@@ -504,123 +541,388 @@ TEST(SweepioSearchCodec, JournalLoaderSkipsTornTailAtEveryOffset)
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz-style truncation sweep: every strict prefix of every store line
-// must be rejected gracefully, never crash, never parse.
+// Golden bytes: one pinned line per record shape. Existing caches,
+// journals and histories, and every digest and cache key, depend on
+// these exact bytes, so any drift fails here, not in a downstream cmp.
 // ---------------------------------------------------------------------------
 
 namespace
 {
 
-/** Representative lines of every store dialect MiniJsonParser reads. */
-std::vector<std::string>
-storeLines()
+/** One record of every shape the stores write. */
+struct GoldenRecords
 {
-    SweepOutcome outcome;
-    outcome.point = {FrontendKind::Confluence, WorkloadId::DssQry,
-                     quickScale()};
-    outcome.seed = 0x1234567890abcdefull;
-    CoreMetrics core;
-    core.retired = 123456;
-    core.cycles = 654321;
-    outcome.metrics.cores.push_back(core);
-
+    SweepPoint plain, sampled, overlaid, both;
+    SweepOutcome exact, sampledOutcome;
+    CacheEntry entry;
     TaskRecord task;
-    task.id = "deadbeef-r0-a0";
-    task.seq = 7;
-    task.command = "'/b in/sweep' --points 'it'\\''s.jsonl' --out "
-                   "'o\"ut\\.jsonl'";
-    task.result = "o\"ut\\.jsonl";
-    task.tenant = "team_a";
-    task.priority = -42; // the sign must survive truncation fuzzing too
+    LeaseRecord lease;
+    DoneRecord done;
+    TenantRecord tenant;
+    QueueCacheStats stats;
+    QueueStatusRecord emptyStatus, fullStatus;
+    std::vector<QueueLogRecord> logs;
+    std::vector<SearchRecord> search;
+    HistoryEntry history;
+    std::vector<search::ScoredCandidate> scored;
+    std::vector<std::size_t> front;
+};
 
-    QueueStatusRecord status;
-    status.queue = "nightly";
-    status.atMs = 1700000000123ull;
-    status.pending = 2;
-    status.depths.push_back({"team_a", -42, 2});
-    status.leases.push_back({"deadbeef-r0-a0", "host:42", "team_a",
-                             1500, 58500});
-    status.cache = {12, 34, 1700000000100ull};
+GoldenRecords
+goldenRecords()
+{
+    GoldenRecords s;
+    RunScale scale = quickScale();
+    scale.timingCores = 2;
+    scale.functionalMeasureInsts = 5'000'001;
+    s.plain = {FrontendKind::Baseline, WorkloadId::DssQry, scale};
 
-    std::vector<std::string> lines = {
-        encodeCacheEntry({std::string(16, 'a'), outcome}),
-        encodeOutcome(outcome),
-        encodePoint(outcome.point),
-        encodeTask(task),
-        encodeLease({"deadbeef-r0-a0", "host:42", 99999999ull,
-                     99990000ull}),
-        encodeDone({"deadbeef-r0-a0", "host:42", 4, "team_a"}),
-        encodeQueueLog({"enqueue", task, {}}),
-        encodeTenant({"team_a", 3, 16}),
-        encodeQueueCacheStats({12, 34, 1700000000100ull}),
-        encodeQueueStatus(status),
-        // A history line in the documented dispatch/history.hh format.
-        "{\"tag\":\"commit-a\",\"entries\":[{\"kind\":\"confluence\","
-        "\"geomean_bits\":4607863817060079104,"
-        "\"geomean\":\"1.2175843611061371\"}]}",
+    s.sampled = {FrontendKind::Confluence, WorkloadId::OltpDb2, scale};
+    s.sampled.sampling = {10'000, 2'000, 100'000, 3};
+
+    s.overlaid = {FrontendKind::TwoLevelShift, WorkloadId::WebFrontend,
+                  scale};
+    s.overlaid.overlay = {1024, 4, 16384, 512, 3, 32, 32768, 6};
+
+    s.both = s.sampled;
+    s.both.overlay = s.overlaid.overlay;
+
+    s.exact.point = s.plain;
+    s.exact.seed = 0xdeadbeefcafe1234ull;
+    CoreMetrics core{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+    s.exact.metrics.cores.push_back(core);
+    core.retired = ~0ull;
+    s.exact.metrics.cores.push_back(core);
+
+    s.sampledOutcome.point = s.sampled;
+    s.sampledOutcome.seed = 77;
+    s.sampledOutcome.metrics.cores.push_back(core);
+    SampleEstimates &est = s.sampledOutcome.metrics.sampling;
+    est.cpi = {10, 1.25, 0.5};
+    est.btbMpki = {10, 3.75, 0.125};
+    est.l1iMpki = {10, -0.0, 1e-300};
+
+    SweepOutcome zero_core; // a cache entry with no core counters
+    zero_core.point = s.plain;
+    zero_core.seed = 5;
+    s.entry = {"0123456789abcdef", zero_core};
+
+    s.task.id = "0123456789abcdef-r11223344-a2";
+    s.task.seq = 42;
+    s.task.command = "'/bin/x' --points '/spec dir/it'\\''s.jsonl' "
+                     "--out 'o\"u\\t.jsonl'";
+    s.task.result = "o\"u\\t.jsonl";
+    s.task.tenant = "team_a.prod";
+    s.task.priority = -42;
+
+    s.lease = {s.task.id, "host:42", 1700000060000ull, 1700000000000ull};
+    s.done = {s.task.id, "worker\"2", 137, "team_a.prod"};
+    s.tenant = {"team_a.prod", 3, 16};
+    s.stats = {12, 34, 1700000000100ull};
+
+    s.emptyStatus.atMs = 1700000000000ull;
+
+    QueueStatusRecord &st = s.fullStatus;
+    st.queue = "nightly-batch";
+    st.atMs = 1700000000123ull;
+    st.stop = true;
+    st.pending = 5;
+    st.claimed = 2;
+    st.done = 100;
+    st.cancelled = 3;
+    st.quarantined = 1;
+    st.depths = {{"team_a", 10, 4}, {"team_b", -5, 1}};
+    st.leases = {{"cafe-r0-a0", "w\"1", "team_a", 1500, 58500},
+                 {"cafe-r0-a1", "w:2", "team_b", 0, 0}};
+    st.cache = s.stats;
+
+    for (const char *op :
+         {"enqueue", "cancel", "reclaim", "quarantine", "done"}) {
+        QueueLogRecord log;
+        log.op = op;
+        log.task.id = s.task.id;
+        if (log.op == "enqueue")
+            log.task = s.task;
+        if (log.op == "done")
+            log.done = s.done;
+        s.logs.push_back(log);
+    }
+
+    s.search = sampleSearchRecords();
+
+    s.history.tag = "commit-a";
+    s.history.geomeans = {{"confluence", 1.2175843611061371},
+                          {"fdp", 0.1}};
+
+    search::ScoredCandidate a;
+    a.candidate.kind = FrontendKind::Confluence;
+    a.score = 1.2175843611061371;
+    a.cost = {10.2, 0.08};
+    search::ScoredCandidate b;
+    b.candidate.kind = FrontendKind::Fdp;
+    b.candidate.overlay.btbEntries = 512;
+    b.score = 1.0625;
+    b.cost = {9.901, 0.0801};
+    s.scored = {a, b};
+    s.front = {1};
+    return s;
+}
+
+struct GoldenLine
+{
+    std::string shape;
+    std::string expected;  ///< the pinned bytes
+    std::string encoded;   ///< the record, encoded now
+    std::string reencoded; ///< the pinned bytes, decoded and re-encoded
+    /** tryDecode() as the line's own record type. */
+    bool (*parses)(const std::string &line);
+};
+
+template <typename T>
+bool
+parsesAs(const std::string &line)
+{
+    T record;
+    return tryDecode(line, &record);
+}
+
+template <typename T>
+GoldenLine
+golden(std::string shape, const T &record, std::string expected)
+{
+    GoldenLine g{std::move(shape), std::move(expected), encode(record), "",
+                 &parsesAs<T>};
+    g.reencoded = encode(decode<T>(g.expected));
+    return g;
+}
+
+/** paretoJson() writes the dump as a one-line file; the golden line is
+ *  that line without its newline. */
+GoldenLine
+goldenPareto(const std::vector<search::ScoredCandidate> &scored,
+             const std::vector<std::size_t> &front, std::string expected)
+{
+    const std::string file = search::paretoJson(scored, front);
+    EXPECT_TRUE(file.ends_with('\n'));
+    GoldenLine g{"pareto dump", std::move(expected),
+                 file.substr(0, file.find('\n')), "",
+                 &parsesAs<ParetoDump>};
+    g.reencoded = encode(decode<ParetoDump>(g.expected));
+    return g;
+}
+
+std::vector<GoldenLine>
+goldenLines()
+{
+    const GoldenRecords r = goldenRecords();
+    std::vector<GoldenLine> lines = {
+        golden("point", r.plain,
+             R"({"kind":"baseline","workload":"dss_qry",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001}})"),
+        golden("sampled point", r.sampled,
+             R"({"kind":"confluence","workload":"oltp_db2",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001},"sampling":{"interval":10000,)"
+             R"("detailed_warmup":2000,"period":100000,"rng_stream":3}})"),
+        golden("overlaid point", r.overlaid,
+             R"({"kind":"two_level_shift","workload":"web_frontend",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001},"overlay":{"btb_entries":1024,)"
+             R"("btb_ways":4,"l2_entries":16384,"air_bundles":512,)"
+             R"("air_branch_entries":3,"air_overflow_entries":32,)"
+             R"("shift_history":32768,"shift_stream_depth":6}})"),
+        golden("sampled overlaid point", r.both,
+             R"({"kind":"confluence","workload":"oltp_db2",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001},"sampling":{"interval":10000,)"
+             R"("detailed_warmup":2000,"period":100000,"rng_stream":3},)"
+             R"("overlay":{"btb_entries":1024,"btb_ways":4,)"
+             R"("l2_entries":16384,"air_bundles":512,"air_branch_entries":3,)"
+             R"("air_overflow_entries":32,"shift_history":32768,)"
+             R"("shift_stream_depth":6}})"),
+        golden("exact outcome", r.exact,
+             R"({"point":{"kind":"baseline","workload":"dss_qry",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001}},"seed":16045690984503054900,)"
+             R"("metrics":{"cores":[{"retired":1,"cycles":2,)"
+             R"("btb_taken_lookups":3,"btb_taken_misses":4,"misfetches":5,)"
+             R"("cond_mispredicts":6,"l1i_demand_fetches":7,)"
+             R"("l1i_demand_misses":8,"l1i_in_flight_hits":9,)"
+             R"("btb_l2_stall_cycles":10,"fetch_miss_stall_cycles":11},)"
+             R"({"retired":18446744073709551615,"cycles":2,)"
+             R"("btb_taken_lookups":3,"btb_taken_misses":4,"misfetches":5,)"
+             R"("cond_mispredicts":6,"l1i_demand_fetches":7,)"
+             R"("l1i_demand_misses":8,"l1i_in_flight_hits":9,)"
+             R"("btb_l2_stall_cycles":10,"fetch_miss_stall_cycles":11}]}})"),
+        golden("sampled outcome", r.sampledOutcome,
+             R"({"point":{"kind":"confluence","workload":"oltp_db2",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001},"sampling":{"interval":10000,)"
+             R"("detailed_warmup":2000,"period":100000,"rng_stream":3}},)"
+             R"("seed":77,"metrics":{"cores":[{"retired":1844674407370955161)"
+             R"(5,"cycles":2,"btb_taken_lookups":3,"btb_taken_misses":4,)"
+             R"("misfetches":5,"cond_mispredicts":6,"l1i_demand_fetches":7,)"
+             R"("l1i_demand_misses":8,"l1i_in_flight_hits":9,)"
+             R"("btb_l2_stall_cycles":10,"fetch_miss_stall_cycles":11}],)"
+             R"("sampling":{"cpi":{"n":10,"mean":4608308318706860032,)"
+             R"("m2":4602678819172646912},"btb_mpki":{"n":10,)"
+             R"("mean":4615626668101337088,"m2":4593671619917905920},)"
+             R"("l1i_mpki":{"n":10,"mean":9223372036854775808,)"
+             R"("m2":118622047889322841}}}})"),
+        golden("cache entry", r.entry,
+             R"({"key":"0123456789abcdef",)"
+             R"("outcome":{"point":{"kind":"baseline","workload":"dss_qry",)"
+             R"("scale":{"timing_warmup":800000,"timing_measure":400000,)"
+             R"("timing_cores":2,"functional_warmup":3000000,)"
+             R"("functional_measure":5000001}},"seed":5,)"
+             R"("metrics":{"cores":[]}}})"),
+        golden("task", r.task,
+             R"({"id":"0123456789abcdef-r11223344-a2","seq":42,)"
+             R"("command":"'/bin/x' --points '/spec dir/it'\\''s.jsonl' --ou)"
+             R"(t 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl",)"
+             R"("tenant":"team_a.prod","priority":-42})"),
+        golden("lease", r.lease,
+             R"({"id":"0123456789abcdef-r11223344-a2","owner":"host:42",)"
+             R"("deadline_ms":1700000060000,"since_ms":1700000000000})"),
+        golden("done", r.done,
+             R"({"id":"0123456789abcdef-r11223344-a2","owner":"worker\"2",)"
+             R"("exit":137,"tenant":"team_a.prod"})"),
+        golden("tenant", r.tenant,
+             R"({"tenant":"team_a.prod","weight":3,"quota":16})"),
+        golden("cache stats", r.stats,
+             R"({"hits":12,"misses":34,"at_ms":1700000000100})"),
+        golden("empty status", r.emptyStatus,
+             R"({"queue":"","at_ms":1700000000000,"stop":0,"pending":0,)"
+             R"("claimed":0,"done":0,"cancelled":0,"quarantined":0,)"
+             R"("depths":[],"leases":[],"cache":{"hits":0,"misses":0,)"
+             R"("at_ms":0}})"),
+        golden("status", r.fullStatus,
+             R"({"queue":"nightly-batch","at_ms":1700000000123,"stop":1,)"
+             R"("pending":5,"claimed":2,"done":100,"cancelled":3,)"
+             R"("quarantined":1,"depths":[{"tenant":"team_a","priority":10,)"
+             R"("pending":4},{"tenant":"team_b","priority":-5,"pending":1}],)"
+             R"("leases":[{"id":"cafe-r0-a0","owner":"w\"1",)"
+             R"("tenant":"team_a","hb_age_ms":1500,"remaining_ms":58500},)"
+             R"({"id":"cafe-r0-a1","owner":"w:2","tenant":"team_b",)"
+             R"("hb_age_ms":0,"remaining_ms":0}],"cache":{"hits":12,)"
+             R"("misses":34,"at_ms":1700000000100}})"),
+        golden("log enqueue", r.logs[0],
+             R"({"op":"enqueue","task":{"id":"0123456789abcdef-r11223344-a2")"
+             R"(,"seq":42,"command":"'/bin/x' --points '/spec dir/it'\\''s.j)"
+             R"(sonl' --out 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl",)"
+             R"("tenant":"team_a.prod","priority":-42}})"),
+        golden("log cancel", r.logs[1],
+             R"({"op":"cancel","id":"0123456789abcdef-r11223344-a2"})"),
+        golden("log reclaim", r.logs[2],
+             R"({"op":"reclaim","id":"0123456789abcdef-r11223344-a2"})"),
+        golden("log quarantine", r.logs[3],
+             R"({"op":"quarantine","id":"0123456789abcdef-r11223344-a2"})"),
+        golden("log done", r.logs[4],
+             R"({"op":"done","done":{"id":"0123456789abcdef-r11223344-a2",)"
+             R"("owner":"worker\"2","exit":137,"tenant":"team_a.prod"}})"),
+        golden("search header", r.search[0],
+             R"({"type":"header","strategy":"halving","seed":7,)"
+             R"("space":"kinds=fdp,confluence;btb_entries=512,1024",)"
+             R"("scale":"quick","budget":40,"code_version":"v\"1\\a"})"),
+        golden("search round", r.search[1],
+             R"({"type":"round","round":3})"),
+        golden("search eval", r.search[2],
+             R"({"type":"eval","round":3,"candidate":"fdp+btb_entries=512",)"
+             R"("key":"ffffffffffffffff"})"),
+        golden("search decision", r.search[3],
+             R"({"type":"decision","round":3,)"
+             R"("candidate":"fdp+btb_entries=512","action":"keep",)"
+             R"("score_bits":4607463893776728064,)"
+             R"("cost_kb_bits":4621763385543582810,)"
+             R"("cost_mm2_bits":4590436233945602956})"),
+        golden("search done", r.search[4],
+             R"({"type":"done","rounds":5,"candidate":"confluence",)"
+             R"("score_bits":4608162331647616654,)"
+             R"("cost_kb_bits":4621931707579655782,)"
+             R"("cost_mm2_bits":4590429028186199163})"),
+        golden("history", r.history,
+             R"({"tag":"commit-a","entries":[{"kind":"confluence",)"
+             R"("geomean_bits":4608162331647616654,)"
+             R"("geomean":"1.217584361106137"},{"kind":"fdp",)"
+             R"("geomean_bits":4591870180066957722,)"
+             R"("geomean":"0.10000000000000001"}]})"),
     };
-    // Every search.jsonl record type, plus an overlaid point (the
-    // encoding the search's cache keys hang off).
-    for (const SearchRecord &record : sampleSearchRecords())
-        lines.push_back(encodeSearchRecord(record));
-    SweepPoint overlaid = outcome.point;
-    overlaid.overlay.airBundles = 256;
-    overlaid.overlay.shiftHistoryEntries = 16384;
-    lines.push_back(encodePoint(overlaid));
+    lines.push_back(goldenPareto(
+        r.scored, r.front,
+             R"({"candidates":[{"candidate":"confluence",)"
+             R"("kind":"confluence","storage_kb_bits":4621931707579655782,)"
+             R"("area_mm2_bits":4590429028186199163,)"
+             R"("score_bits":4608162331647616654,"on_front":false},)"
+             R"({"candidate":"fdp+btb_entries=512","kind":"fdp",)"
+             R"("storage_kb_bits":4621763385543582810,)"
+             R"("area_mm2_bits":4590436233945602956,)"
+             R"("score_bits":4607463893776728064,"on_front":true}]})"));
     return lines;
 }
 
 } // namespace
 
+TEST(SweepioGolden, EveryRecordShapeEncodesToItsPinnedBytes)
+{
+    for (const GoldenLine &line : goldenLines()) {
+        EXPECT_EQ(line.encoded, line.expected) << line.shape;
+        EXPECT_EQ(line.reencoded, line.expected) << line.shape;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fuzz-style truncation sweep: every strict prefix of every golden line
+// must be rejected gracefully by every record type: never crash, never
+// parse.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Every top-level record type, one per store line format. */
+template <typename... Ts>
+struct RecordTypes
+{
+    template <typename Fn>
+    static void forEach(Fn &&fn)
+    {
+        (fn(std::type_identity<Ts>{}), ...);
+    }
+};
+
+using StoreRecordTypes =
+    RecordTypes<SweepPoint, SweepOutcome, CacheEntry, TaskRecord,
+                LeaseRecord, DoneRecord, TenantRecord, QueueCacheStats,
+                QueueStatusRecord, QueueLogRecord, SearchRecord,
+                HistoryEntry, ParetoDump>;
+
+} // namespace
+
 TEST(SweepioFuzz, EveryTruncationOffsetIsRejectedWithoutCrashing)
 {
-    for (const std::string &line : storeLines()) {
-        for (std::size_t cut = 0; cut < line.size(); ++cut) {
-            const std::string torn = line.substr(0, cut);
+    for (const GoldenLine &line : goldenLines()) {
+        // The untruncated line parses, in throw mode, as its own type.
+        EXPECT_TRUE(line.parses(line.expected)) << line.shape;
+        for (std::size_t cut = 0; cut < line.expected.size(); ++cut) {
+            const std::string torn = line.expected.substr(0, cut);
             // Throw-mode parsing of a strict prefix must fail cleanly:
             // no crash, no accidental acceptance (every line ends with
             // structure a prefix cannot close).
-            CacheEntry entry;
-            EXPECT_FALSE(tryDecodeCacheEntry(torn, &entry))
-                << "cache entry accepted a torn line at offset " << cut;
-            TaskRecord task;
-            EXPECT_FALSE(tryDecodeTask(torn, &task))
-                << "task accepted a torn line at offset " << cut;
-            LeaseRecord lease;
-            EXPECT_FALSE(tryDecodeLease(torn, &lease))
-                << "lease accepted a torn line at offset " << cut;
-            DoneRecord done;
-            EXPECT_FALSE(tryDecodeDone(torn, &done))
-                << "done accepted a torn line at offset " << cut;
-            QueueLogRecord log;
-            EXPECT_FALSE(tryDecodeQueueLog(torn, &log))
-                << "queue log accepted a torn line at offset " << cut;
-            TenantRecord tenant;
-            EXPECT_FALSE(tryDecodeTenant(torn, &tenant))
-                << "tenant accepted a torn line at offset " << cut;
-            QueueCacheStats stats;
-            EXPECT_FALSE(tryDecodeQueueCacheStats(torn, &stats))
-                << "cache stats accepted a torn line at offset " << cut;
-            QueueStatusRecord status;
-            EXPECT_FALSE(tryDecodeQueueStatus(torn, &status))
-                << "queue status accepted a torn line at offset " << cut;
-            SearchRecord search;
-            EXPECT_FALSE(tryDecodeSearchRecord(torn, &search))
-                << "search record accepted a torn line at offset " << cut;
+            StoreRecordTypes::forEach([&]<typename T>(std::type_identity<T>) {
+                T record;
+                EXPECT_FALSE(tryDecode(torn, &record))
+                    << Schema<T>::context << " record accepted " << line.shape
+                    << " torn at offset " << cut;
+            });
         }
     }
-    // The untruncated lines do parse in their own dialects.
-    CacheEntry entry;
-    EXPECT_TRUE(tryDecodeCacheEntry(storeLines()[0], &entry));
-    TaskRecord task;
-    EXPECT_TRUE(tryDecodeTask(storeLines()[3], &task));
-    TenantRecord tenant;
-    EXPECT_TRUE(tryDecodeTenant(storeLines()[7], &tenant));
-    QueueStatusRecord status;
-    EXPECT_TRUE(tryDecodeQueueStatus(storeLines()[9], &status));
-    SearchRecord search; // 11..15 are the search.jsonl record types
-    EXPECT_TRUE(tryDecodeSearchRecord(storeLines()[11], &search));
-    EXPECT_EQ(search.type, "header");
 }
 
 TEST(SweepioFuzz, StoreLoadersSkipTruncatedLinesWithAWarning)
@@ -636,8 +938,8 @@ TEST(SweepioFuzz, StoreLoadersSkipTruncatedLinesWithAWarning)
     core.retired = 10;
     core.cycles = 20;
     outcome.metrics.cores.push_back(core);
-    const std::string good = encodeCacheEntry(
-        {pointDigest(outcome.point, outcome.seed, "v1"), outcome});
+    const std::string good = encode(
+        CacheEntry{pointDigest(outcome.point, outcome.seed, "v1"), outcome});
 
     const std::string store = tmpPath("fuzz_store.jsonl");
     for (std::size_t cut = 0; cut < good.size(); ++cut) {

@@ -125,7 +125,7 @@ serveRef(const std::string &ref_path, const std::string &spec_path,
     const SweepResult ref = sweepio::readResult(ref_path);
     std::map<std::string, const SweepOutcome *> by_point;
     for (const SweepOutcome &o : ref.points)
-        by_point[sweepio::encodePoint(o.point)] = &o;
+        by_point[sweepio::encode(o.point)] = &o;
 
     std::vector<SweepPoint> points = sweepio::readPoints(spec_path);
     if (!shard_spec.empty())
@@ -135,10 +135,10 @@ serveRef(const std::string &ref_path, const std::string &spec_path,
     SweepResult result;
     result.points.reserve(points.size());
     for (const SweepPoint &p : points) {
-        const auto it = by_point.find(sweepio::encodePoint(p));
+        const auto it = by_point.find(sweepio::encode(p));
         if (it == by_point.end())
             cfl_fatal("point %s is not in the reference result %s",
-                      sweepio::encodePoint(p).c_str(), ref_path.c_str());
+                      sweepio::encode(p).c_str(), ref_path.c_str());
         result.points.push_back(*it->second);
     }
 
@@ -643,7 +643,7 @@ runSchedule(const ChaosOptions &opts, std::uint64_t sched_seed,
         queue::WorkQueue queue(dir + "/queue");
         std::ofstream status(opts.statusOut, std::ios::app);
         if (status)
-            status << sweepio::encodeQueueStatus(queue.status())
+            status << sweepio::encode(queue.status())
                    << "\n";
         else
             cfl_warn("cannot append queue status to \"%s\"",

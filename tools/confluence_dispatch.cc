@@ -269,7 +269,7 @@ queueStatusMode(const std::string &queue_dir,
     unsigned printed = 0;
     while (true) {
         const sweepio::QueueStatusRecord st = wq.status();
-        std::printf("%s\n", sweepio::encodeQueueStatus(st).c_str());
+        std::printf("%s\n", sweepio::encode(st).c_str());
         std::fflush(stdout);
         printStatusHuman(st, wq.dir());
         ++printed;

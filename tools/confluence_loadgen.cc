@@ -417,7 +417,7 @@ main(int argc, char **argv)
     if (!status_out.empty()) {
         std::ofstream out(status_out, std::ios::app);
         if (out)
-            out << sweepio::encodeQueueStatus(queue.status()) << "\n";
+            out << sweepio::encode(queue.status()) << "\n";
         else
             cfl_warn("cannot write status snapshot to \"%s\"",
                      status_out.c_str());

@@ -194,11 +194,11 @@ main(int argc, char **argv)
         return kExitViolation;
     }
 
-    std::printf("best %s score %.17g cost_kb %.17g cost_mm2 %.17g "
-                "front %zu\n",
+    // Only the best point, so strategies that agree on it print equal
+    // lines whatever candidates they scored; the front follows.
+    std::printf("best %s score %.17g cost_kb %.17g cost_mm2 %.17g\n",
                 report.best.c_str(), report.bestScore,
-                report.bestCost.kiloBytes, report.bestCost.mm2,
-                report.front.size());
+                report.bestCost.kiloBytes, report.bestCost.mm2);
     for (const std::size_t i : report.front)
         std::printf("front %s score %.17g cost_kb %.17g\n",
                     report.scored[i].candidate.slug().c_str(),

@@ -142,11 +142,11 @@ runPoints(const std::string &spec_path, const std::string &shard_spec,
     // share (kind, workload) and differ only in their design overlay.
     std::set<std::string> unique;
     for (const SweepPoint &p : points) {
-        if (!unique.insert(sweepio::encodePoint(p)).second) {
+        if (!unique.insert(sweepio::encode(p)).second) {
             std::fprintf(stderr,
                          "error: duplicate point %s in %s — two "
                          "specs concatenated?\n",
-                         sweepio::encodePoint(p).c_str(),
+                         sweepio::encode(p).c_str(),
                          spec_path.c_str());
             return kExitDuplicatePoint;
         }
@@ -209,7 +209,7 @@ mergeResults(const std::vector<std::string> &inputs,
         const std::string &path = inputs[i];
         SweepResult &shard = shards[i];
         for (const SweepOutcome &o : shard.points) {
-            if (!seen.insert(sweepio::encodePoint(o.point)).second) {
+            if (!seen.insert(sweepio::encode(o.point)).second) {
                 // Distinct, documented exit code: a duplicate point
                 // means the shard *set* is corrupt (a shard merged
                 // twice), which no amount of retrying on another
@@ -218,7 +218,7 @@ mergeResults(const std::vector<std::string> &inputs,
                 std::fprintf(stderr,
                              "error: duplicate point %s in %s — "
                              "was a shard merged twice?\n",
-                             sweepio::encodePoint(o.point).c_str(),
+                             sweepio::encode(o.point).c_str(),
                              path.c_str());
                 return kExitDuplicatePoint;
             }
