@@ -78,29 +78,24 @@ Counter
 Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
                  Cycle &now)
 {
-    const TraceBuffer *trace = engine_.replayBuffer();
-    if (trace == nullptr)
+    if (!engine_.replaying())
         return touchStreamGenerated(insts, mem, pf, now);
-    if (engine_.peekPending())
+    TraceCursor *cursor = engine_.replayCursor();
+    if (cursor == nullptr)
         return 0;
 
-    const std::uint64_t limit = trace->size();
-    const std::uint32_t *bpos = trace->branchPositions();
-    const std::uint64_t nbr = trace->numBranches();
+    const std::uint64_t limit = cursor->size();
     const unsigned max_insts = params_.maxRegionInsts;
-
-    const std::uint64_t start = engine_.replayCursor();
-    std::uint64_t pos = start;
-    std::uint64_t h =
-        std::lower_bound(bpos, bpos + nbr, pos) - bpos;
+    const std::uint64_t start = cursor->position();
     // Consecutive regions usually stay inside one block; a repeated
     // probe of the block just touched is a hit that re-marks an
     // already-MRU line, so eliding it leaves cache state identical.
     Addr last_block = ~Addr{0};
     DynInst inst;
 
-    while (pos - start < insts && pos < limit) {
-        const Addr start_pc = trace->instPc(pos, h);
+    while (cursor->position() - start < insts &&
+           cursor->position() < limit) {
+        const Addr start_pc = cursor->pc();
         unsigned ninsts = 0;
         // Regions split at taken branches and the detailed-mode length
         // cap; the touched block stream is identical either way. Every
@@ -108,27 +103,27 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
         // (warmBranch); taken branches additionally feed the BTB's
         // large-backing-level hook (see Btb::warmTakenBranch).
         while (true) {
-            const std::uint64_t next_branch = h < nbr ? bpos[h] : limit;
-            const std::uint64_t cap_end = pos + (max_insts - ninsts);
-            if (next_branch >= cap_end || next_branch >= limit) {
-                const std::uint64_t end = std::min(cap_end, limit);
-                ninsts += static_cast<unsigned>(end - pos);
-                pos = end;
+            const std::uint64_t pos = cursor->position();
+            const std::uint64_t gap = cursor->toBranch();
+            const std::uint64_t room =
+                std::min<std::uint64_t>(max_insts - ninsts, limit - pos);
+            if (gap >= room) {
+                ninsts += static_cast<unsigned>(room);
+                cursor->advance(room);
                 break;
             }
-            ninsts += static_cast<unsigned>(next_branch - pos) + 1;
-            pos = next_branch + 1;
-            const std::uint64_t b = h++;
-            if (!trace->branchTaken(b)) {
+            ninsts += static_cast<unsigned>(gap) + 1;
+            cursor->advance(gap);
+            cursor->takeBranch(inst);
+            if (!inst.taken) {
                 // Not-taken ⇒ conditional: the direction predictor is
-                // the only per-branch state it updates, and only the
-                // pc is needed (see warmBranch).
-                warmDirection(trace->branchPc(b), false);
+                // the only per-branch state it updates (see
+                // warmBranch).
+                warmDirection(inst.pc, false);
                 if (ninsts >= max_insts)
                     break;
                 continue;
             }
-            trace->readBranch(b, inst);
             warmBranch(inst);
             break;
         }
@@ -149,9 +144,8 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
         now += std::max<Counter>(ninsts, 1);
     }
 
-    const Counter consumed = pos - start;
+    const Counter consumed = cursor->position() - start;
     instsStat_->inc(consumed);
-    engine_.skipReplay(consumed);
     return consumed;
 }
 
@@ -159,7 +153,7 @@ Counter
 Bpu::touchStreamGenerated(Counter insts, InstMemory &mem,
                           InstPrefetcher *pf, Cycle &now)
 {
-    // Mirror of the branch-record walk above, consuming the engine
+    // Mirror of the trace-cursor walk above, consuming the engine
     // live. Region boundaries (taken branches, the detailed-mode
     // length cap) and every warm call match instruction for
     // instruction, so a trace-cache bypass leaves bit-identical state.
@@ -244,8 +238,7 @@ Bpu::warmBranch(const DynInst &inst)
 Counter
 Bpu::skipStream(Counter insts, Cycle &now)
 {
-    const TraceBuffer *trace = engine_.replayBuffer();
-    if (trace == nullptr) {
+    if (!engine_.replaying()) {
         // Generation mode: generate and discard. Bit-identical to the
         // replay-cursor skip — the subsequent stream is the same.
         engine_.fastForward(insts);
@@ -253,12 +246,13 @@ Bpu::skipStream(Counter insts, Cycle &now)
         now += insts;
         return insts;
     }
-    if (engine_.peekPending())
+    TraceCursor *cursor = engine_.replayCursor();
+    if (cursor == nullptr)
         return 0;
-    const Counter available = trace->size() - engine_.replayCursor();
-    const Counter consumed = std::min(insts, available);
+    const Counter consumed =
+        std::min<Counter>(insts, cursor->size() - cursor->position());
+    cursor->seek(cursor->position() + consumed);
     instsStat_->inc(consumed);
-    engine_.skipReplay(consumed);
     now += consumed;
     return consumed;
 }

@@ -39,7 +39,6 @@
 #include "mem/hierarchy.hh"
 #include "prefetch/prefetcher.hh"
 #include "trace/engine.hh"
-#include "trace/trace_buffer.hh"
 
 namespace cfl
 {
@@ -110,9 +109,9 @@ class Bpu
     /**
      * predictNextRegion with the BTB's concrete type known at compile
      * time: the per-branch lookup devirtualizes, and when the engine is
-     * replaying a buffered trace the walk jumps branch-to-branch over
-     * the buffer's predecoded branch index instead of materializing
-     * every non-branch instruction. Bit-identical to the virtual path.
+     * replaying a buffered trace the walk steps the engine's
+     * TraceCursor branch to branch instead of materializing every
+     * non-branch instruction. Bit-identical to the virtual path.
      */
     template <typename BtbT>
     BpuResult predictNextRegionT(Cycle now);
@@ -126,7 +125,7 @@ class Bpu
     /**
      * Touch-only functional advance of ~@p insts instructions over a
      * replayed trace (sampled fast-forward, far from any measured
-     * interval): regions are derived from the predecode index's taken
+     * interval): regions are derived from the stream's taken
      * branches and their blocks touched in @p mem, with @p pf seeing
      * each block transition through onWarmAccess — so long-lived
      * state (L1-I/LLC content, recorded prefetch metadata) sees every
@@ -137,8 +136,8 @@ class Bpu
      * short-lived and relearned by the full-fidelity warming window
      * that always follows. @p now advances ~1 inst/cycle like
      * fastForward. May overshoot by up to one region; returns
-     * instructions consumed. Over a buffered prefix the walk jumps
-     * branch to branch through the trace's records; in generation mode
+     * instructions consumed. Over a buffered prefix the walk steps the
+     * engine's TraceCursor branch to branch; in generation mode
      * it consumes the engine live with the identical region/warming
      * sequence, so trace-cache hits and bypasses stay bit-identical
      * (only the speed differs). Returns short when the buffered
@@ -149,34 +148,35 @@ class Bpu
 
     /**
      * Pure stream skip of up to @p insts instructions over a replayed
-     * trace: the replay cursor advances with no state touched at all —
-     * not even cache content. Used by sampled fast-forward for stream
-     * distance beyond the touch window, where even content warming is
-     * unnecessary (everything the skipped stretch would install is
-     * re-installed by the touch window that always follows). @p now
-     * advances ~1 inst/cycle. In generation mode the engine generates
-     * and discards instead — slower, bit-identical. Returns
-     * instructions skipped (short only at a buffered prefix's end).
+     * trace: the replay cursor seeks through the trace's checkpoints
+     * with no state touched at all — not even cache content. Used by
+     * sampled fast-forward for stream distance beyond the touch
+     * window, where even content warming is unnecessary (everything
+     * the skipped stretch would install is re-installed by the touch
+     * window that always follows). @p now advances ~1 inst/cycle. In
+     * generation mode the engine generates and discards instead —
+     * slower, bit-identical. Returns instructions skipped (short only
+     * at a buffered prefix's end).
      */
     Counter skipStream(Counter insts, Cycle &now);
 
   private:
     /** Generation-mode touchStream: the same region walk driven by
-     *  live engine consumption instead of the trace's records. */
+     *  live engine consumption instead of the trace cursor. */
     Counter touchStreamGenerated(Counter insts, InstMemory &mem,
                                  InstPrefetcher *pf, Cycle &now);
     /**
      * Predict/train on one branch instruction; returns true when the
      * branch ends the region (taken, misfetch, or mispredict). Shared
-     * by the scalar walk and the branch-index walk so the two paths
+     * by the scalar walk and the trace-cursor walk so the two paths
      * cannot drift.
      */
     template <typename BtbT>
     bool handleBranch(const DynInst &inst, Cycle now, BpuResult &out);
 
-    /** Branch-index region walk over a buffered trace prefix. */
+    /** Branch-to-branch region walk over a buffered trace prefix. */
     template <typename BtbT>
-    BpuResult predictRegionFromTrace(const TraceBuffer &trace, Cycle now);
+    BpuResult predictRegionFromTrace(TraceCursor &cursor, Cycle now);
 
     /** Resolution-time side effects of a branch the BPU did not predict
      *  (misfetch): trains predictors, fixes RAS/ITC, learns the BTB. */
@@ -214,12 +214,6 @@ class Bpu
     ExecEngine &engine_;
     InstMemory *mem_;
     StatSet stats_{"bpu"};
-
-    // Branch-index walk state: which trace the hint indexes into, and
-    // the first entry of branchPositions() not yet consumed. The hint
-    // only moves forward (the stream is consumed monotonically).
-    const TraceBuffer *fastTrace_ = nullptr;
-    std::uint64_t branchHint_ = 0;
 
     // Per-instruction counters resolved once (StatSet nodes are stable).
     Stat *instsStat_;
@@ -325,55 +319,31 @@ Bpu::handleBranch(const DynInst &inst, Cycle now, BpuResult &out)
 
 template <typename BtbT>
 inline BpuResult
-Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
+Bpu::predictRegionFromTrace(TraceCursor &cursor, Cycle now)
 {
-    if (fastTrace_ != &trace) {
-        // (Re)bind the hint to this trace: first branch at or after
-        // the replay cursor.
-        fastTrace_ = &trace;
-        const std::uint32_t *pos = trace.branchPositions();
-        branchHint_ =
-            std::lower_bound(pos, pos + trace.numBranches(),
-                             engine_.replayCursor()) -
-            pos;
-    }
-
-    const std::uint64_t start = engine_.replayCursor();
-    const std::uint64_t num_branches = trace.numBranches();
-    const std::uint32_t *branch_pos = trace.branchPositions();
     const unsigned max_insts = params_.maxRegionInsts;
-
-    // A scalar-path detour (peeked stream) only moves the cursor
-    // forward, so advancing past consumed branches resynchronizes.
-    while (branchHint_ < num_branches && branch_pos[branchHint_] < start)
-        ++branchHint_;
-
     BpuResult out;
-    out.region.startPc = trace.instPc(start, branchHint_);
+    out.region.startPc = cursor.pc();
 
-    std::uint64_t pos = start;
     unsigned insts = 0;
     DynInst inst;
     while (true) {
         // Non-branch instructions before the next branch contribute
         // nothing but the instruction count and the region-length cap,
         // so the walk consumes them as one arithmetic step.
-        const std::uint64_t gap =
-            branchHint_ < num_branches ? branch_pos[branchHint_] - pos
-                                       : std::uint64_t{max_insts};
+        const std::uint64_t gap = cursor.toBranch();
         if (insts + gap >= max_insts) {
             // Cap reached on a non-branch; any branch stays unconsumed
             // for the next region.
-            pos += max_insts - insts;
+            cursor.advance(max_insts - insts);
             insts = max_insts;
             regionCapEndsStat_->inc();
             break;
         }
 
-        pos = branch_pos[branchHint_] + std::uint64_t{1};
+        cursor.advance(gap);
         insts += static_cast<unsigned>(gap) + 1;
-        trace.readBranch(branchHint_, inst);
-        ++branchHint_;
+        cursor.takeBranch(inst);
         if (handleBranch<BtbT>(inst, now, out))
             break;
         if (insts >= max_insts) {
@@ -384,7 +354,6 @@ Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
 
     out.region.numInsts = insts;
     instsStat_->inc(insts);
-    engine_.skipReplay(pos - start);
     return out;
 }
 
@@ -393,12 +362,12 @@ inline BpuResult
 Bpu::predictNextRegionT(Cycle now)
 {
     // Fast path: plain replay with the whole worst-case region inside
-    // the buffered prefix (so the branch-index walk can never run off
-    // the buffer or interleave with live generation).
-    const TraceBuffer *trace = engine_.replayBuffer();
-    if (trace != nullptr && !engine_.peekPending() &&
-        engine_.replayCursor() + params_.maxRegionInsts <= trace->size())
-        return predictRegionFromTrace<BtbT>(*trace, now);
+    // the buffered prefix (so the branch-to-branch walk can never run
+    // off the buffer or interleave with live generation).
+    TraceCursor *cursor = engine_.replayCursor();
+    if (cursor != nullptr &&
+        cursor->position() + params_.maxRegionInsts <= cursor->size())
+        return predictRegionFromTrace<BtbT>(*cursor, now);
 
     // Scalar walk: generation mode, a peeked stream, or the trace tail.
     BpuResult out;

@@ -28,6 +28,9 @@ class CodeImage
     /** Append one instruction word; returns its address. */
     Addr append(InstWord word);
 
+    /** Make room for @p insts instructions without reallocating. */
+    void reserve(std::size_t insts) { words_.reserve(insts); }
+
     /** Pad with ALU instructions until the next 64B block boundary. */
     void padToBlockBoundary();
 

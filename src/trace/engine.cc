@@ -11,15 +11,16 @@ namespace cfl
 
 ExecEngine::ExecEngine(const Program &program, const EngineParams &params)
     : program_(program),
-      behavior_(params.branchNoise),
-      rng_(params.seed),
-      zipfSkew_(params.zipfSkew),
       params_(params),
-      pc_(program.entry)
+      oracle_{program, BranchBehavior(params.branchNoise), Rng(params.seed),
+              params.zipfSkew, FlatMap<std::uint32_t>(), 0}
 {
-    cfl_assert(program_.image.contains(pc_), "program entry outside image");
+    cfl_assert(program_.image.contains(program.entry),
+               "program entry outside image");
     cfl_assert(!program_.handlers.empty(), "program has no request handlers");
-    stack_.reserve(64);
+    flow_.pc = program.entry;
+    flow_.nextBranch = program.firstBranchAt(program.entry);
+    flow_.stack.reserve(64);
 }
 
 ExecEngine::ExecEngine(const Program &program, const WorkloadParams &wparams,
@@ -35,9 +36,10 @@ ExecEngine::attachTrace(std::shared_ptr<const TraceBuffer> trace)
     cfl_assert(trace != nullptr, "attachTrace(nullptr)");
     cfl_assert(instCount_ == 0 && !hasPeek_,
                "attachTrace after instructions were consumed");
+    cfl_assert(&trace->program() == &program_,
+               "trace generated from another program");
     trace_ = std::move(trace);
-    traceCursor_ = 0;
-    replaySynced_ = false;
+    cursor_.attach(*trace_);
 }
 
 EngineSnapshot
@@ -46,12 +48,12 @@ ExecEngine::snapshot() const
     cfl_assert(trace_ == nullptr, "snapshot of a replaying engine");
     EngineSnapshot s;
     s.params = params_;
-    s.rng = rng_;
-    s.pc = pc_;
-    s.stack = stack_;
-    s.loopCounters = loopCounters_;
-    s.requestType = requestType_;
-    s.requestCount = requestCount_;
+    s.rng = oracle_.rng;
+    s.pc = flow_.pc;
+    s.stack = flow_.stack;
+    s.loopCounters = oracle_.loopCounters;
+    s.requestType = oracle_.requestType;
+    s.requestCount = flow_.requestCount;
     s.instCount = instCount_;
     return s;
 }
@@ -59,16 +61,10 @@ ExecEngine::snapshot() const
 void
 ExecEngine::restore(const EngineSnapshot &snap)
 {
-    rng_ = snap.rng;
-    pc_ = snap.pc;
-    stack_ = snap.stack;
-    loopCounters_ = snap.loopCounters;
-    requestType_ = snap.requestType;
-    requestCount_ = snap.requestCount;
-    cfl_assert(instCount_ == snap.instCount,
+    cfl_assert(cursor_.position() == snap.instCount &&
+                   cursor_.pc() == snap.pc,
                "trace tail snapshot out of sync with replay cursor");
-    trace_.reset();
-    traceCursor_ = 0;
+    restoreSnapshot(snap);
 }
 
 void
@@ -76,12 +72,23 @@ ExecEngine::skipReplay(std::uint64_t n)
 {
     cfl_assert(trace_ != nullptr && !hasPeek_,
                "skipReplay outside plain replay");
-    cfl_assert(traceCursor_ + n <= trace_->size(),
+    cfl_assert(cursor_.position() + n <= cursor_.size(),
                "skipReplay past the buffered prefix");
-    traceCursor_ += n;
-    instCount_ += n;
-    replaySynced_ = false;
+    cursor_.seek(cursor_.position() + n);
 }
+
+namespace
+{
+
+/** A generateTo sink that keeps nothing. */
+struct Discard
+{
+    void branch(std::uint64_t, const FlowState &) {}
+    void cond(bool) {}
+    void choice(std::size_t) {}
+};
+
+} // namespace
 
 void
 ExecEngine::fastForward(std::uint64_t n)
@@ -94,37 +101,33 @@ ExecEngine::fastForward(std::uint64_t n)
         hasPeek_ = false;
         --n;
     }
-    while (n > 0) {
-        if (trace_ != nullptr) {
-            const std::uint64_t left = trace_->size() - traceCursor_;
-            const std::uint64_t skip = std::min(n, left);
-            traceCursor_ += skip;
-            instCount_ += skip;
-            replaySynced_ = false;
-            n -= skip;
-            if (n == 0)
-                return;
-            // Prefix exhausted mid-skip: continue generating (and
-            // discarding) from the buffer's tail state.
-            restore(trace_->tailSnapshot());
-        }
-        generate();
-        --n;
+    if (trace_ != nullptr) {
+        const std::uint64_t skip =
+            std::min(n, cursor_.size() - cursor_.position());
+        cursor_.seek(cursor_.position() + skip);
+        n -= skip;
+        if (n == 0)
+            return;
+        // Prefix exhausted mid-skip: continue generating (and
+        // discarding) from the buffer's tail state.
+        restore(trace_->tailSnapshot());
     }
+    Discard discard;
+    generateTo(instCount_ + n, discard);
 }
 
 void
 ExecEngine::restoreSnapshot(const EngineSnapshot &snap)
 {
     trace_.reset();
-    traceCursor_ = 0;
     hasPeek_ = false;
-    rng_ = snap.rng;
-    pc_ = snap.pc;
-    stack_ = snap.stack;
-    loopCounters_ = snap.loopCounters;
-    requestType_ = snap.requestType;
-    requestCount_ = snap.requestCount;
+    oracle_.rng = snap.rng;
+    oracle_.loopCounters = snap.loopCounters;
+    oracle_.requestType = snap.requestType;
+    flow_.pc = snap.pc;
+    flow_.nextBranch = program_.firstBranchAt(snap.pc);
+    flow_.stack = snap.stack;
+    flow_.requestCount = snap.requestCount;
     instCount_ = snap.instCount;
 }
 
@@ -151,8 +154,8 @@ void
 ExecEngine::step()
 {
     if (trace_ != nullptr) {
-        if (traceCursor_ < trace_->size()) {
-            replayStep();
+        if (cursor_.position() < cursor_.size()) {
+            cursor_.next(cur_);
             return;
         }
         // Buffered prefix exhausted: continue generating from the
@@ -164,141 +167,46 @@ ExecEngine::step()
 }
 
 void
-ExecEngine::seekReplay()
-{
-    const TraceBuffer &trace = *trace_;
-    const std::uint32_t *pos = trace.branchPositions();
-    const std::uint64_t num_branches = trace.numBranches();
-    replayBranch_ =
-        std::lower_bound(pos, pos + num_branches, traceCursor_) - pos;
-    replayBranchPos_ =
-        replayBranch_ < num_branches ? pos[replayBranch_] : trace.size();
-    replayPc_ = trace.instPc(traceCursor_, replayBranch_);
-    replayRequestId_ = trace.requestsBefore(replayBranch_);
-    replaySynced_ = true;
-}
-
-void
-ExecEngine::replayStep()
-{
-    const TraceBuffer &trace = *trace_;
-    if (!replaySynced_)
-        seekReplay();
-    if (traceCursor_ == replayBranchPos_) {
-        trace.readBranch(replayBranch_, cur_);
-        replayPc_ = cur_.nextPc();
-        ++replayBranch_;
-        replayRequestId_ = trace.requestsBefore(replayBranch_);
-        replayBranchPos_ = replayBranch_ < trace.numBranches()
-                               ? trace.branchPositions()[replayBranch_]
-                               : trace.size();
-    } else {
-        cur_ = DynInst{};
-        cur_.pc = replayPc_;
-        cur_.requestId = replayRequestId_;
-        replayPc_ += kInstBytes;
-    }
-    ++traceCursor_;
-    ++instCount_;
-}
-
-void
 ExecEngine::generate()
 {
-    // The program's branch table doubles as the decoder: an instruction
-    // without an entry is a non-branch, and a branch's kind is the one
-    // its word encodes.
-    cfl_assert(program_.image.contains(pc_) && isInstAligned(pc_),
-               "fetch outside image: %llx",
-               static_cast<unsigned long long>(pc_));
-    const BranchInfo *info = program_.branchAt(pc_);
-
-    cur_ = DynInst{};
-    cur_.pc = pc_;
-    cur_.requestId = static_cast<std::uint32_t>(requestCount_);
-    if (info == nullptr) {
-        pc_ += kInstBytes;
-        ++instCount_;
-        return;
+    const BranchInfo &info = program_.branches[flow_.nextBranch];
+    if (flow_.pc == info.pc) {
+        stepBranch(program_, info, flow_, oracle_, cur_);
+    } else {
+        cur_ = DynInst{};
+        cur_.pc = flow_.pc;
+        cur_.requestId = static_cast<std::uint32_t>(flow_.requestCount);
+        flow_.pc += kInstBytes;
     }
-    const BranchKind kind = info->kind;
-    cur_.kind = kind;
-
-    switch (kind) {
-      case BranchKind::None:
-        cfl_panic("branch-table entry of kind None at %llx",
-                  static_cast<unsigned long long>(pc_));
-
-      case BranchKind::Cond: {
-        if (info->isLoopBack) {
-            // The backedge is taken until the per-invocation trip count is
-            // reached, then falls through and resets.
-            const std::uint32_t trip =
-                behavior_.loopTrip(pc_, *info, requestType_);
-            std::uint32_t &count = loopCounters_[pc_];
-            ++count;
-            if (count < trip) {
-                cur_.taken = true;
-            } else {
-                cur_.taken = false;
-                count = 0;
-            }
-        } else {
-            cur_.taken =
-                behavior_.conditionalOutcome(pc_, *info, requestType_, rng_);
-        }
-        cur_.target = info->target;
-        break;
-      }
-
-      case BranchKind::Uncond: {
-        cur_.taken = true;
-        cur_.target = info->target;
-        break;
-      }
-
-      case BranchKind::Call: {
-        cur_.taken = true;
-        cur_.target = info->target;
-        stack_.push_back(pc_ + kInstBytes);
-        break;
-      }
-
-      case BranchKind::IndCall:
-      case BranchKind::IndJump: {
-        const auto &targets = program_.indirectSets[info->indirectSet];
-        if (pc_ == program_.dispatchCallPc) {
-            // Request boundary: draw the next request type (Zipf over
-            // types), then dispatch to that type's handler.
-            ++requestCount_;
-            requestType_ = static_cast<std::uint32_t>(
-                rng_.nextZipf(program_.numRequestTypes, zipfSkew_));
-            const std::size_t idx =
-                hashMix(requestType_ * 0x9e3779b9ull) % targets.size();
-            cur_.target = targets[idx];
-        } else {
-            const std::size_t idx = behavior_.indirectChoice(
-                pc_, *info, requestType_, targets.size(), rng_);
-            cur_.target = targets[idx];
-        }
-        cur_.taken = true;
-        if (kind == BranchKind::IndCall)
-            stack_.push_back(pc_ + kInstBytes);
-        break;
-      }
-
-      case BranchKind::Return: {
-        cfl_assert(!stack_.empty(), "return with empty call stack at %llx",
-                   static_cast<unsigned long long>(pc_));
-        cur_.taken = true;
-        cur_.target = stack_.back();
-        stack_.pop_back();
-        break;
-      }
-    }
-
-    pc_ = cur_.nextPc();
     ++instCount_;
+}
+
+bool
+ExecEngine::Oracle::cond(const BranchInfo &info)
+{
+    if (!info.isLoopBack)
+        return behavior.conditionalOutcome(info.pc, info, requestType, rng);
+    // The backedge is taken until the per-invocation trip count is
+    // reached, then falls through and resets.
+    const std::uint32_t trip = behavior.loopTrip(info.pc, info, requestType);
+    std::uint32_t &count = loopCounters[info.pc];
+    if (++count < trip)
+        return true;
+    count = 0;
+    return false;
+}
+
+std::size_t
+ExecEngine::Oracle::choice(const BranchInfo &info, std::size_t num_targets)
+{
+    if (info.pc != program.dispatchCallPc)
+        return behavior.indirectChoice(info.pc, info, requestType,
+                                       num_targets, rng);
+    // Request boundary: draw the next request type (Zipf over types),
+    // then dispatch to that type's handler.
+    requestType = static_cast<std::uint32_t>(
+        rng.nextZipf(program.numRequestTypes, zipfSkew));
+    return hashMix(requestType * 0x9e3779b9ull) % num_targets;
 }
 
 } // namespace cfl

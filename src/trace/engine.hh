@@ -10,17 +10,21 @@
  * with the same (program, seed) produce identical streams.
  *
  * Engines run in one of two modes:
- *  - *generation* (default): execute the program instruction by
- *    instruction, exactly as before;
+ *  - *generation* (default): execute the program. Non-branch
+ *    instructions cost a compare against the next branch's pc; every
+ *    branch goes through stepBranch() with outcomes drawn from the
+ *    behavior model, which draws the RNG only at branches.
+ *    generateTo() runs the same steps branch to branch without
+ *    materializing the instructions between them, which is how a
+ *    TraceBuffer is recorded and how fastForward() discards;
  *  - *replay*: attachTrace() hands the engine an immutable, pre-generated
  *    TraceBuffer for the same (program, params) pair; next()/peek() then
- *    stream instructions out of the buffer's branch records, rebuilding
- *    each non-branch instruction from the previous branch's next pc,
- *    with no RNG, behavior-model, or image work at all. If a consumer
- *    runs past the buffered prefix, the engine restores the generator
- *    state snapshot the buffer carries and continues generating — so a
- *    replayed stream is bit-identical to a generated one at every
- *    length.
+ *    decode instructions from the buffer's outcomes through a
+ *    TraceCursor, with no RNG or behavior-model work at all. If a
+ *    consumer runs past the buffered prefix, the engine restores the
+ *    generator state snapshot the buffer carries and continues
+ *    generating — so a replayed stream is bit-identical to a generated
+ *    one at every length.
  */
 
 #ifndef CFL_TRACE_ENGINE_HH
@@ -31,9 +35,11 @@
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/inst.hh"
 #include "trace/behavior.hh"
+#include "trace/trace_cursor.hh"
 #include "workloads/generator.hh"
 #include "workloads/program.hh"
 
@@ -94,33 +100,46 @@ class ExecEngine
     /** True while instructions come from an attached trace. */
     bool replaying() const { return trace_ != nullptr; }
 
-    /** The attached trace, or nullptr when generating live. */
-    const TraceBuffer *replayBuffer() const { return trace_.get(); }
-
-    /** Index of the next instruction next() would replay. */
-    std::uint64_t replayCursor() const { return traceCursor_; }
-
-    /** True when peek() buffered an instruction next() hasn't taken. */
-    bool peekPending() const { return hasPeek_; }
+    /**
+     * The replay cursor, for consumers that walk the buffered stream
+     * branch to branch (the BPU's region walks): moving it consumes the
+     * stream, exactly as the same number of next() calls would. nullptr
+     * when generating live or while a peek()ed instruction is pending.
+     */
+    TraceCursor *
+    replayCursor()
+    {
+        return trace_ != nullptr && !hasPeek_ ? &cursor_ : nullptr;
+    }
 
     /**
      * Advance the replay cursor past @p n instructions without
-     * materializing them. Callers must have consumed them some other
-     * way (e.g. straight from the buffer's branch records) and must stay
-     * within the buffered prefix with no peek outstanding — the skip
-     * is then indistinguishable from n calls to next().
+     * materializing them. The engine must be replaying with no peek
+     * outstanding, and the skip must stay within the buffered prefix;
+     * it is then indistinguishable from n calls to next().
      */
     void skipReplay(std::uint64_t n);
 
     /**
      * Advance the stream past @p n instructions without handing them to
-     * a consumer. Within a replayed prefix the skip is pure cursor
-     * arithmetic; past the buffer tail (or in generation mode) the
-     * engine generates and discards. A pending peek()ed instruction
+     * a consumer. Within a replayed prefix the skip is a cursor seek;
+     * past the buffer tail (or in generation mode) the engine generates
+     * branch to branch and discards. A pending peek()ed instruction
      * counts as the first of the @p n. Bit-identical to n calls to
      * next(): the stream observed afterwards is the same either way.
      */
     void fastForward(std::uint64_t n);
+
+    /**
+     * Generation mode, no peek pending: run to instruction @p end (at
+     * least instCount()) branch to branch. @p sink sees, for every
+     * branch, sink.branch(pos, flow) with the state before it (pos is
+     * the index of the instruction after the previous branch), then
+     * sink.cond(taken) or sink.choice(index) for each outcome the
+     * behavior model draws.
+     */
+    template <typename Sink>
+    void generateTo(std::uint64_t end, Sink &sink);
 
     /** Capture the current generator state (generation mode only). */
     EngineSnapshot snapshot() const;
@@ -134,62 +153,105 @@ class ExecEngine
     void restoreSnapshot(const EngineSnapshot &snap);
 
     /** Number of requests dispatched so far. */
-    std::uint64_t requestCount() const { return requestCount_; }
+    std::uint64_t requestCount() const { return flow().requestCount; }
 
-    /** Request type currently being served. */
-    std::uint32_t currentRequestType() const { return requestType_; }
+    /** Request type currently being served (generation mode). */
+    std::uint32_t currentRequestType() const { return oracle_.requestType; }
 
     /** Total instructions executed. */
-    std::uint64_t instCount() const { return instCount_; }
+    std::uint64_t
+    instCount() const
+    {
+        return trace_ != nullptr ? cursor_.position() : instCount_;
+    }
 
     /** Current call-stack depth. */
-    std::size_t stackDepth() const { return stack_.size(); }
+    std::size_t stackDepth() const { return flow().stack.size(); }
 
     const Program &program() const { return program_; }
 
   private:
+    /** Draws every dynamic outcome from the behavior model. */
+    struct Oracle
+    {
+        const Program &program;
+        BranchBehavior behavior;
+        Rng rng;
+        double zipfSkew;
+        FlatMap<std::uint32_t> loopCounters;
+        std::uint32_t requestType = 0;
+
+        bool cond(const BranchInfo &info);
+        std::size_t choice(const BranchInfo &info, std::size_t num_targets);
+    };
+
+    const FlowState &
+    flow() const
+    {
+        return trace_ != nullptr ? cursor_.flow() : flow_;
+    }
+
     void step();
     void generate();
-
-    /** Rebuild the instruction at the replay cursor into cur_. */
-    void replayStep();
-
-    /** Re-derive the sequential replay state after a cursor jump. */
-    void seekReplay();
 
     /** Leave replay mode by adopting the trace's tail snapshot. */
     void restore(const EngineSnapshot &snap);
 
     const Program &program_;
-    BranchBehavior behavior_;
-    Rng rng_;
-    double zipfSkew_;
     EngineParams params_;
-
-    Addr pc_;
-    std::vector<Addr> stack_;
-    FlatMap<std::uint32_t> loopCounters_;
-
-    std::uint32_t requestType_ = 0;
-    std::uint64_t requestCount_ = 0;
+    Oracle oracle_;
+    FlowState flow_;
     std::uint64_t instCount_ = 0;
 
     std::shared_ptr<const TraceBuffer> trace_;
-    std::uint64_t traceCursor_ = 0;
-
-    // Sequential replay: the next branch record, its position, and the
-    // pc and request id the next non-branch instruction has. A cursor
-    // jump (skipReplay, fastForward) clears replaySynced_, and the next
-    // replayed instruction re-derives them.
-    std::uint64_t replayBranch_ = 0;
-    std::uint64_t replayBranchPos_ = 0;
-    Addr replayPc_ = 0;
-    std::uint32_t replayRequestId_ = 0;
-    bool replaySynced_ = false;
+    TraceCursor cursor_;
 
     DynInst cur_;
     bool hasPeek_ = false;
 };
+
+template <typename Sink>
+void
+ExecEngine::generateTo(std::uint64_t end, Sink &sink)
+{
+    cfl_assert(trace_ == nullptr && !hasPeek_ && end >= instCount_,
+               "generateTo outside plain generation");
+    struct Recorded
+    {
+        Oracle &oracle;
+        Sink &sink;
+
+        bool
+        cond(const BranchInfo &info)
+        {
+            const bool taken = oracle.cond(info);
+            sink.cond(taken);
+            return taken;
+        }
+
+        std::size_t
+        choice(const BranchInfo &info, std::size_t num_targets)
+        {
+            const std::size_t index = oracle.choice(info, num_targets);
+            sink.choice(index);
+            return index;
+        }
+    } outcomes{oracle_, sink};
+
+    DynInst inst;
+    while (true) {
+        const BranchInfo &info = program_.branches[flow_.nextBranch];
+        const std::uint64_t at =
+            instCount_ + (info.pc - flow_.pc) / kInstBytes;
+        if (at >= end)
+            break;
+        sink.branch(instCount_, flow_);
+        stepBranch(program_, info, flow_, outcomes, inst);
+        instCount_ = at + 1;
+    }
+    flow_.pc += (end - instCount_) * kInstBytes;
+    instCount_ = end;
+}
 
 } // namespace cfl
 

@@ -1,24 +1,30 @@
 /**
  * @file
- * Immutable branch-only storage for a pre-generated oracle trace.
+ * Immutable outcome trace: a pre-generated oracle stream stored as its
+ * dynamic branch outcomes only.
  *
  * A TraceBuffer captures the first N dynamic instructions an ExecEngine
- * with a given (program, params) pair would produce, but stores only
- * the branches: the instruction index of each branch, ascending, plus
- * one 16-byte record per branch (pc and target as 32-bit image slots,
- * kind, taken, and the request count after the branch) — about 20
- * bytes per branch, where a per-instruction layout costs 22 bytes per
- * instruction. Every non-branch instruction is rebuilt on demand: it
- * sits a whole number of instructions past the previous branch's next
- * pc (or the program entry), carries that branch's request count, and
- * is otherwise all zeros. Readers address records by branch index,
- * which the region walks already hold. The buffer is deeply const, so
- * any number of engines on any threads can replay one buffer
- * concurrently (the sharing the TraceCache exploits).
+ * with a given (program, params) pair would produce. Everything the
+ * program's static branch table already fixes (every pc, every branch's
+ * kind, fall-through and direct target) is left out, the split that
+ * hardware branch tracers rely on. What remains is
+ *  - one bit per conditional branch (taken or not),
+ *  - one byte per indirect branch: the index of its target in the
+ *    branch's target set (no preset set has more than 14 targets),
+ *  - a checkpoint every kCheckpointBranches branches, holding the flow
+ *    state there (instruction position, stream offsets, request count
+ *    and call stack), so a reader can seek without decoding from the
+ *    start, and
+ *  - the generator state snapshot taken *after* instruction N-1, so an
+ *    engine that consumes past the buffered prefix seamlessly resumes
+ *    live generation with a bit-identical stream.
+ * Return targets come from the call stack the decoder keeps. That is
+ * a few hundredths of a byte per instruction in the five presets.
  *
- * The buffer also carries the generator state snapshot taken *after*
- * instruction N-1, so an engine that consumes past the buffered prefix
- * seamlessly resumes live generation with a bit-identical stream.
+ * A TraceCursor (trace/trace_cursor.hh) decodes the buffer against the
+ * program's branch table. The buffer is deeply const, so any number of
+ * cursors on any threads can replay one buffer concurrently (the
+ * sharing the TraceCache exploits).
  */
 
 #ifndef CFL_TRACE_TRACE_BUFFER_HH
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "trace/engine.hh"
+#include "trace/trace_cursor.hh"
 #include "workloads/program.hh"
 
 namespace cfl
@@ -40,7 +47,8 @@ class TraceBuffer
   public:
     /**
      * Generate the first @p num_insts instructions of
-     * ExecEngine(program, params) and keep their branches.
+     * ExecEngine(program, params) and keep their branch outcomes.
+     * @p program must outlive the buffer.
      */
     TraceBuffer(const Program &program, const EngineParams &params,
                 std::uint64_t num_insts);
@@ -51,65 +59,11 @@ class TraceBuffer
     /** Instructions stored. */
     std::uint64_t size() const { return numInsts_; }
 
-    /**
-     * Branch-skip predecode index: the instruction indices of every
-     * branch in the trace, ascending. Shared by every replayer, it lets
-     * a region walk jump from branch to branch instead of
-     * materializing each non-branch instruction; entry b is the
-     * position of branch record b.
-     */
-    const std::uint32_t *branchPositions() const
-    {
-        return branchPos_.data();
-    }
+    /** Dynamic branches among them. */
+    std::uint64_t numBranches() const { return numBranches_; }
 
-    /** Number of entries in branchPositions(). */
-    std::uint64_t numBranches() const { return branchPos_.size(); }
-
-    /** PC of branch @p b. */
-    Addr branchPc(std::uint64_t b) const { return addrOf(records_[b].pc); }
-
-    /** Taken flag of branch @p b (touch-only walks need just this). */
-    bool branchTaken(std::uint64_t b) const { return records_[b].taken; }
-
-    /** Load branch @p b into @p out. */
-    void
-    readBranch(std::uint64_t b, DynInst &out) const
-    {
-        const Record &r = records_[b];
-        out.pc = addrOf(r.pc);
-        out.kind = r.kind;
-        out.taken = r.taken;
-        out.target = addrOf(r.target);
-        out.requestId = requestsBefore(b);
-    }
-
-    /** Request count in effect from the previous branch up to and
-     *  including branch @p b (numBranches() is valid: the tail). */
-    std::uint32_t
-    requestsBefore(std::uint64_t b) const
-    {
-        return b == 0 ? 0 : records_[b - 1].requestsAfter;
-    }
-
-    /**
-     * PC of the instruction at position @p pos, where @p next_branch
-     * is the index of the first branch at or after @p pos (or
-     * numBranches() when there is none).
-     */
-    Addr
-    instPc(std::uint64_t pos, std::uint64_t next_branch) const
-    {
-        if (next_branch < numBranches() && branchPos_[next_branch] == pos)
-            return branchPc(next_branch);
-        if (next_branch == 0)
-            return startPc_ + pos * kInstBytes;
-        const Record &prev = records_[next_branch - 1];
-        const Addr resume =
-            addrOf(prev.taken ? prev.target : prev.pc + 1);
-        return resume +
-               (pos - branchPos_[next_branch - 1] - 1) * kInstBytes;
-    }
+    /** The program the trace decodes against. */
+    const Program &program() const { return program_; }
 
     /** Generator state after the last stored instruction. */
     const EngineSnapshot &tailSnapshot() const { return tail_; }
@@ -117,50 +71,46 @@ class TraceBuffer
     /** The parameters the trace was generated with. */
     const EngineParams &params() const { return tail_.params; }
 
-    /** Bytes the branch columns occupy (for cache budgeting). */
-    std::uint64_t
-    bytes() const
-    {
-        return branchPos_.capacity() * sizeof(std::uint32_t) +
-               records_.capacity() * sizeof(Record);
-    }
+    /** Every heap byte the buffer owns, tail snapshot and checkpoints
+     *  included (for cache budgeting). */
+    std::uint64_t bytes() const;
 
     /**
-     * Upper bound on bytes() for a buffer of @p num_insts instructions:
-     * every instruction a branch.
+     * Bytes reserved while a buffer of @p num_insts instructions is
+     * generated: a bound on its bytes() when every instruction is an
+     * indirect branch and no call stack is deeper than 64 frames.
      */
-    static std::uint64_t
-    arenaBytesFor(std::uint64_t num_insts)
-    {
-        return num_insts * (sizeof(std::uint32_t) + sizeof(Record));
-    }
+    static std::uint64_t arenaBytesFor(std::uint64_t num_insts);
+
+    /** Branches between two checkpoints. */
+    static constexpr std::uint64_t kCheckpointBranches = 4096;
 
   private:
-    /** One branch; addresses are image slots (instruction indices). */
-    struct Record
+    friend class TraceCursor;
+
+    /** Flow state before dynamic branch k * kCheckpointBranches. */
+    struct Checkpoint
     {
-        std::uint32_t pc;
-        std::uint32_t target;
-        std::uint32_t requestsAfter; ///< request count after the branch
-        BranchKind kind;
-        bool taken;
+        Addr pc;                    ///< next instruction's pc
+        std::uint32_t pos;          ///< next instruction's index
+        std::uint32_t condBits;     ///< conditional outcomes before it
+        std::uint32_t choices;      ///< indirect choices before it
+        std::uint32_t requestCount; ///< requests dispatched before it
+        std::uint32_t stackBegin;   ///< its call stack in stacks_
+        std::uint32_t stackSize;
     };
-    static_assert(sizeof(Record) == 16, "branch record grew");
 
-    Addr addrOf(std::uint32_t slot) const
-    {
-        return base_ + Addr{slot} * kInstBytes;
-    }
+    /** Receives the generator's outcomes (ExecEngine::generateTo). */
+    struct Writer;
 
-    std::uint32_t slotOf(Addr addr) const;
-
-    Addr base_;    ///< image base: slot 0
-    Addr startPc_; ///< pc of instruction 0
+    const Program &program_;
     std::uint64_t numInsts_;
+    std::uint64_t numBranches_ = 0;
 
-    /** Instruction indices of every branch, ascending (predecode). */
-    std::vector<std::uint32_t> branchPos_;
-    std::vector<Record> records_;
+    std::vector<std::uint64_t> condBits_; ///< one bit per conditional
+    std::vector<std::uint8_t> choices_;   ///< one byte per indirect
+    std::vector<Checkpoint> checkpoints_;
+    std::vector<Addr> stacks_;            ///< checkpoint call stacks
 
     EngineSnapshot tail_;
 };

@@ -9,16 +9,17 @@
  * in one process, the common case for figure benches, calibration runs,
  * and the perf harness — replay instead of regenerating.
  *
- * Memory/speed trade-off: a buffer stores only branches, about 20 bytes
- * per branch (4–5 bytes per instruction in the five presets), so
- * full-length traces are still large. The cache enforces a byte budget
+ * Memory/speed trade-off: a buffer stores only dynamic branch
+ * outcomes, a few hundredths of a byte per instruction in the five
+ * presets (30–45 KB for a quick-scale trace of 1.25M instructions),
+ * so the budget rarely binds. The cache still enforces one
  * (CONFLUENCE_TRACE_CACHE_MB, default 512; 0 disables caching): least-
  * recently-used idle buffers are dropped to make room, and when a new
  * trace cannot fit even after eviction, acquire() returns nullptr and
  * the caller simply keeps generating live — behaviour is bit-identical
  * either way, only the speed differs. A generation in flight holds
- * TraceBuffer::arenaBytesFor(length), the all-branch upper bound; the
- * finished buffer is charged its actual bytes().
+ * TraceBuffer::arenaBytesFor(length), about a byte per instruction;
+ * the finished buffer is charged its actual bytes().
  */
 
 #ifndef CFL_TRACE_TRACE_CACHE_HH

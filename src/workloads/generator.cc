@@ -224,6 +224,38 @@ emitFunction(GenState &st, unsigned layer, bool is_leaf)
     st.layerEntries[layer].push_back(entry);
 }
 
+/**
+ * Reserve the builder's image and branch table for the program
+ * @p params lays out: the function count is fixed, and the grammar
+ * above gives each function's expected straight runs and branches.
+ * An estimate, so synthesis does not regrow its largest vectors; they
+ * still grow past it.
+ */
+void
+reserveProgram(const WorkloadParams &p, ProgramBuilder &b)
+{
+    double functions = 0;
+    for (const unsigned w : p.layerWidths)
+        functions += w;
+    const double straight = (p.minStraight + p.maxStraight) / 2.0;
+    const double diamonds = (p.minDiamonds + p.maxDiamonds) / 2.0;
+    const double loops = (p.minLoops + p.maxLoops) / 2.0;
+    // Straight runs: the entry run, four per diamond, two per loop and
+    // one per call site. A run consumes a chunk of about two
+    // instructions plus, with guardProb, a guard skipping about 1.5;
+    // no guard follows the last chunk. Diamond call sites count half
+    // toward callsExpected, so there are about 4/3 as many sites.
+    const double sites = 4.0 / 3.0 * p.callsExpected;
+    const double runs = 1 + 4 * diamonds + 2 * loops + sites;
+    const double guards = std::max(0.0, straight - 2) /
+                          (2 + 1.5 * p.guardProb) * p.guardProb;
+    const double branches =
+        runs * guards + 2 * diamonds + loops + sites + 1;
+    const double insts = runs * straight + branches;
+    b.reserve(static_cast<std::size_t>(functions * insts),
+              static_cast<std::size_t>(functions * branches));
+}
+
 } // namespace
 
 Program
@@ -235,6 +267,7 @@ generateWorkload(const WorkloadParams &params)
     cfl_assert(params.numRequestTypes > 0, "need >= 1 request type");
 
     ProgramBuilder builder(params.name);
+    reserveProgram(params, builder);
     GenState st(params, builder);
     const unsigned num_layers =
         static_cast<unsigned>(params.layerWidths.size());

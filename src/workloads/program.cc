@@ -50,14 +50,21 @@ ProgramBuilder::emitStraight(unsigned count)
         program_.image.append(encodeAlu());
 }
 
-void
+std::uint32_t
 ProgramBuilder::recordBranch(Addr pc, BranchInfo info)
 {
+    // Branches are emitted in address order, so ids ascend with pc.
+    info.pc = pc;
     info.id = static_cast<std::uint32_t>(program_.branches.size());
     program_.branches.push_back(info);
-    const std::size_t slot = (pc - program_.image.base()) / kInstBytes;
-    program_.branchSlots.resize(slot + 1, 0);
-    program_.branchSlots[slot] = info.id + 1;
+    return info.id;
+}
+
+void
+ProgramBuilder::reserve(std::size_t insts, std::size_t branches)
+{
+    program_.image.reserve(insts);
+    program_.branches.reserve(branches);
 }
 
 void
@@ -65,11 +72,10 @@ ProgramBuilder::emitCondTo(Label label, double bias)
 {
     // Emit with a zero displacement; the fixup pass patches it.
     const Addr pc = program_.image.append(encodeDirect(BranchKind::Cond, 0));
-    fixups_.push_back({pc, label, BranchKind::Cond});
     BranchInfo info;
     info.kind = BranchKind::Cond;
     info.bias = bias;
-    recordBranch(pc, info);
+    fixups_.push_back({recordBranch(pc, info), label});
 }
 
 void
@@ -95,10 +101,9 @@ ProgramBuilder::emitJumpTo(Label label)
 {
     const Addr pc =
         program_.image.append(encodeDirect(BranchKind::Uncond, 0));
-    fixups_.push_back({pc, label, BranchKind::Uncond});
     BranchInfo info;
     info.kind = BranchKind::Uncond;
-    recordBranch(pc, info);
+    fixups_.push_back({recordBranch(pc, info), label});
 }
 
 void
@@ -190,22 +195,16 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     cfl_assert(!finished_, "ProgramBuilder::finish called twice");
     finished_ = true;
 
-    // Straight-line code after the last branch has no slot yet.
-    program_.branchSlots.resize(program_.image.numInsts(), 0);
-
+    std::vector<BranchInfo> &branches = program_.branches;
     for (const Fixup &fx : fixups_) {
         cfl_assert(labelBound_[fx.label], "unbound label in fixup");
-        const Addr target = labelAddrs_[fx.label];
+        BranchInfo &info = branches[fx.branch];
+        info.target = labelAddrs_[fx.label];
         const std::int64_t disp =
-            (static_cast<std::int64_t>(target) -
-             static_cast<std::int64_t>(fx.branchPc)) /
+            (static_cast<std::int64_t>(info.target) -
+             static_cast<std::int64_t>(info.pc)) /
             static_cast<std::int64_t>(kInstBytes);
-        program_.image.patch(fx.branchPc, encodeDirect(fx.kind, disp));
-        const std::uint32_t slot =
-            program_.branchSlots[(fx.branchPc - program_.image.base()) /
-                                 kInstBytes];
-        cfl_assert(slot != 0, "fixup on unknown branch");
-        program_.branches[slot - 1].target = target;
+        program_.image.patch(info.pc, encodeDirect(info.kind, disp));
     }
 
     program_.entry = entry;
@@ -213,18 +212,45 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     program_.handlers = std::move(handlers);
     program_.numRequestTypes = num_request_types;
 
-    // Validate: every direct target must land inside the image.
-    for (const BranchInfo &info : program_.branches) {
+    // The branch-at-or-after table, in one backward pass.
+    const Addr base = program_.image.base();
+    const std::uint32_t num_branches =
+        static_cast<std::uint32_t>(branches.size());
+    program_.firstBranch.resize(program_.image.numInsts());
+    std::uint32_t next = num_branches;
+    for (std::size_t slot = program_.firstBranch.size(); slot-- > 0;) {
+        if (next > 0 && branches[next - 1].pc == base + slot * kInstBytes)
+            --next;
+        program_.firstBranch[slot] = next;
+    }
+    cfl_assert(next == 0, "branches out of address order");
+
+    // Control flow must not run off the image: every place it can land
+    // (entry, direct and indirect targets, a fall-through) reaches a
+    // branch, and the last branch falls through nowhere.
+    const auto lands = [&](Addr pc) {
+        return program_.image.contains(pc) &&
+               program_.firstBranchAt(pc) < num_branches;
+    };
+    cfl_assert(lands(entry), "program entry reaches no branch");
+    cfl_assert(num_branches > 0 &&
+                   (branches.back().kind == BranchKind::Uncond ||
+                    branches.back().kind == BranchKind::IndJump ||
+                    branches.back().kind == BranchKind::Return),
+               "the last branch falls through off the image");
+    for (BranchInfo &info : branches) {
         if (hasDirectTarget(info.kind)) {
-            cfl_assert(program_.image.contains(info.target),
-                       "branch %u targets outside image", info.id);
+            cfl_assert(lands(info.target), "branch %u targets outside image",
+                       info.id);
+            info.targetBranch = program_.firstBranchAt(info.target);
         }
     }
     for (const auto &set : program_.indirectSets) {
-        for (const Addr t : set) {
-            cfl_assert(program_.image.contains(t),
-                       "indirect target outside image");
-        }
+        // A trace stores an indirect choice in one byte.
+        cfl_assert(set.size() <= 256, "indirect set of %zu targets",
+                   set.size());
+        for (const Addr t : set)
+            cfl_assert(lands(t), "indirect target outside image");
     }
 
     return std::move(program_);

@@ -8,9 +8,15 @@
  * structure (entry loop + request handler entry points).
  *
  * The branch metadata is a dense table: `branches` is indexed by
- * BranchInfo::id, and `branchSlots` holds one 32-bit entry per image
- * instruction (id + 1, or 0 for a non-branch), so branchAt() is two
- * indexed loads and synthesis allocates nothing per branch.
+ * BranchInfo::id, and ids follow address order, so branch b falls
+ * through to branch b + 1. `firstBranch` holds one 32-bit entry per
+ * image instruction: the id of the first branch at or after it. That
+ * one table serves lookup and execution: branchAt() is two loads and a
+ * compare, and control flow steps from branch to branch, because a
+ * direct branch records the first branch at or after its target
+ * (BranchInfo::targetBranch) and an indirect or return target's next
+ * branch is one firstBranch load away. An outcome trace
+ * (trace/trace_buffer.hh) is decoded against this table.
  *
  * The front-end simulator never reads this metadata directly — it sees
  * only the dynamic instruction stream and the raw code image, exactly like
@@ -33,14 +39,17 @@ namespace cfl
 /** Oracle behaviour metadata for one static branch site. */
 struct BranchInfo
 {
-    BranchKind kind = BranchKind::None;
+    // The fields control flow reads at every dynamic branch come first.
+    Addr pc = 0;                   ///< address of the branch
     Addr target = 0;               ///< direct target (Cond/Uncond/Call)
-    double bias = 0.5;             ///< P(taken) shaping for Cond branches
+    std::uint32_t id = 0;          ///< dense static branch id
+    std::uint32_t targetBranch = 0; ///< first branch at or after target
+    BranchKind kind = BranchKind::None;
     bool isLoopBack = false;       ///< Cond backedge of a loop
     std::uint8_t tripBase = 0;     ///< minimum loop trip count
     std::uint8_t tripRange = 0;    ///< trip varies in [base, base+range]
     std::uint32_t indirectSet = 0; ///< index into Program::indirectSets
-    std::uint32_t id = 0;          ///< dense static branch id
+    double bias = 0.5;             ///< P(taken) shaping for Cond branches
 };
 
 /** A function's layout metadata (for reporting and tests). */
@@ -57,12 +66,13 @@ struct Program
     std::string name;
     CodeImage image;
 
-    /** Branch-site oracle metadata, indexed by BranchInfo::id. */
+    /** Branch-site oracle metadata, indexed by BranchInfo::id (ids
+     *  ascend with the branch address). */
     std::vector<BranchInfo> branches;
 
-    /** One entry per image instruction: the branch's id + 1, or 0 when
-     *  the instruction is not a branch. */
-    std::vector<std::uint32_t> branchSlots;
+    /** One entry per image instruction: the id of the first branch at
+     *  or after it (branches.size() past the last branch). */
+    std::vector<std::uint32_t> firstBranch;
 
     /** Target sets for indirect branches. */
     std::vector<std::vector<Addr>> indirectSets;
@@ -91,10 +101,19 @@ struct Program
         // Below the base the subtraction wraps past every slot.
         const Addr offset = pc - image.base();
         if (offset % kInstBytes != 0 ||
-            offset / kInstBytes >= branchSlots.size())
+            offset / kInstBytes >= firstBranch.size())
             return nullptr;
-        const std::uint32_t slot = branchSlots[offset / kInstBytes];
-        return slot == 0 ? nullptr : &branches[slot - 1];
+        const std::uint32_t id = firstBranch[offset / kInstBytes];
+        return id < branches.size() && branches[id].pc == pc
+                   ? &branches[id]
+                   : nullptr;
+    }
+
+    /** Id of the first branch at or after @p pc, an aligned address
+     *  inside the image. */
+    std::uint32_t firstBranchAt(Addr pc) const
+    {
+        return firstBranch[(pc - image.base()) / kInstBytes];
     }
 
     /** Static branch-per-block density over the whole image. */
@@ -165,8 +184,16 @@ class ProgramBuilder
     void noteFunction(Addr entry, Addr limit, unsigned layer);
 
     /**
-     * Resolve all labels, verify every branch target is inside the image,
-     * and return the finished program. The builder must not be used after.
+     * Size the image and branch table for about @p insts instructions
+     * and @p branches branches (an estimate; both still grow past it).
+     */
+    void reserve(std::size_t insts, std::size_t branches);
+
+    /**
+     * Resolve all labels, build the branch-at-or-after table, verify
+     * that control flow cannot leave the image (every target and every
+     * fall-through reaches a branch), and return the finished program.
+     * The builder must not be used after.
      */
     Program finish(Addr entry, Addr dispatch_call_pc,
                    std::vector<Addr> handlers, unsigned num_request_types);
@@ -174,12 +201,12 @@ class ProgramBuilder
   private:
     struct Fixup
     {
-        Addr branchPc;
+        std::uint32_t branch; ///< id of the branch to patch
         Label label;
-        BranchKind kind;
     };
 
-    void recordBranch(Addr pc, BranchInfo info);
+    /** Append @p info as the branch at @p pc; returns its id. */
+    std::uint32_t recordBranch(Addr pc, BranchInfo info);
 
     Program program_;
     std::vector<Addr> labelAddrs_;

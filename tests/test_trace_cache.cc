@@ -1,8 +1,10 @@
 /**
- * @file Tests for shared immutable traces: TraceBuffer replay fidelity
- * (including cursor jumps onto rebuilt non-branch instructions),
- * TraceCache sharing/thread-safety/budget and actual-size charging, and
- * bit-identity of cached sweeps against the pre-cache golden pins.
+ * @file Tests for shared immutable traces: outcome-trace replay
+ * fidelity on every preset (including cursor seeks through checkpoints
+ * and onto non-branch instructions, from the engine and the BPU's
+ * sampling tiers), TraceCache sharing/thread-safety/budget and
+ * actual-size charging, and bit-identity of cached sweeps against the
+ * pre-cache golden pins.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "confluence/factory.hh"
+#include "mem/llc.hh"
+#include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "trace/trace_cache.hh"
 
@@ -35,7 +40,183 @@ expectSameInst(const DynInst &a, const DynInst &b, std::uint64_t i)
     ASSERT_EQ(a.requestId, b.requestId) << "inst " << i;
 }
 
+/** Compare @p n instructions of @p got against @p want from stream
+ *  position @p from on; reports the first mismatch only. */
+void
+expectSameStream(ExecEngine &want, ExecEngine &got, std::uint64_t from,
+                 std::uint64_t n)
+{
+    for (std::uint64_t i = from; i < from + n; ++i) {
+        const DynInst a = want.next();
+        const DynInst b = got.next();
+        if (a.pc != b.pc || a.kind != b.kind || a.taken != b.taken ||
+            a.target != b.target || a.requestId != b.requestId) {
+            expectSameInst(a, b, i);
+            return;
+        }
+    }
+}
+
+/** Instructions a quick-scale sweep point acquires: warm-up, measure
+ *  and the oracle slack, rounded up to the cache's 64K granule. */
+std::uint64_t
+quickTraceLength()
+{
+    const RunScale quick = scaleByName("quick");
+    const std::uint64_t insts =
+        quick.timingWarmupInsts + quick.timingMeasureInsts + 4096;
+    constexpr std::uint64_t kGranule = 1 << 16;
+    return (insts + kGranule - 1) / kGranule * kGranule;
+}
+
 } // namespace
+
+TEST(TraceBuffer, EveryPresetReplaysItsLiveStreamAtQuickLength)
+{
+    const std::uint64_t length = quickTraceLength();
+    for (const WorkloadId wl : allWorkloads()) {
+        SCOPED_TRACE(workloadName(wl));
+        const Program &program = workloadProgram(wl);
+        const EngineParams params = paramsFor(wl, 0x5eed);
+        auto trace =
+            std::make_shared<const TraceBuffer>(program, params, length);
+        EXPECT_LE(trace->bytes(), length / 10)
+            << "outcome traces cost at most 0.1 B/inst";
+
+        ExecEngine live(program, params);
+        ExecEngine replay(program, params);
+        replay.attachTrace(trace);
+        // Past the tail the replaying engine generates from the
+        // buffer's snapshot.
+        expectSameStream(live, replay, 0, length + 20'000);
+        EXPECT_FALSE(replay.replaying());
+        EXPECT_EQ(live.instCount(), replay.instCount());
+    }
+}
+
+TEST(TraceCursor, SeeksThroughCheckpointsLandOnTheLiveStream)
+{
+    const WorkloadId wl = WorkloadId::WebFrontend;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0xc4ec);
+    const std::uint64_t per_checkpoint = TraceBuffer::kCheckpointBranches;
+
+    // A live reference over four checkpoint segments. Checkpoint k sits
+    // right after dynamic branch k * kCheckpointBranches - 1.
+    std::vector<DynInst> ref;
+    std::vector<std::uint64_t> boundaries;
+    {
+        ExecEngine live(program, params);
+        std::uint64_t branches = 0;
+        while (boundaries.size() < 4) {
+            ref.push_back(live.next());
+            if (ref.back().isBranch() && ++branches % per_checkpoint == 0)
+                boundaries.push_back(ref.size());
+        }
+    }
+    const std::uint64_t buffered = ref.size();
+    auto trace = std::make_shared<const TraceBuffer>(program, params,
+                                                     buffered);
+    EXPECT_EQ(trace->numBranches(), 4 * per_checkpoint);
+
+    // Landing spots: at, one before and one after three checkpoints, a
+    // non-branch instruction mid-segment, and the dispatcher's call.
+    std::vector<std::uint64_t> targets;
+    for (std::size_t k = 0; k < 3; ++k)
+        for (const std::uint64_t at :
+             {boundaries[k] - 1, boundaries[k], boundaries[k] + 1})
+            targets.push_back(at);
+    std::uint64_t straight = boundaries[0] + per_checkpoint;
+    while (ref[straight].isBranch())
+        ++straight;
+    targets.push_back(straight);
+    std::uint64_t dispatch = boundaries[1];
+    while (ref[dispatch].pc != program.dispatchCallPc)
+        ++dispatch;
+    targets.push_back(dispatch);
+
+    // Every continuation runs past the buffer's tail.
+    const auto continuation = [&](std::uint64_t at) {
+        return buffered + 1000 - at;
+    };
+    const auto live_at = [&](std::uint64_t at) {
+        auto live = std::make_unique<ExecEngine>(program, params);
+        for (std::uint64_t i = 0; i < at; ++i)
+            live->next();
+        return live;
+    };
+
+    for (const std::uint64_t at : targets) {
+        SCOPED_TRACE(at);
+        for (const bool fast_forward : {false, true}) {
+            ExecEngine replay(program, params);
+            replay.attachTrace(trace);
+            if (fast_forward) {
+                // A pending peek counts as the first skipped instruction.
+                replay.peek();
+                replay.fastForward(at);
+            } else {
+                replay.skipReplay(at);
+            }
+            expectSameStream(*live_at(at), replay, at, continuation(at));
+        }
+
+        // The BPU's skip tier seeks the engine's own cursor.
+        Llc llc(makeSystemConfig(1).llc);
+        SharedState shared;
+        shared.llc = &llc;
+        CoreSim core(FrontendKind::Baseline, program, workloadParams(wl),
+                     makeSystemConfig(1), shared, 0, params.seed, false);
+        core.engine().attachTrace(trace);
+        Cycle now = 0;
+        EXPECT_EQ(core.bpu().skipStream(at, now), at);
+        expectSameStream(*live_at(at), core.engine(), at, continuation(at));
+    }
+
+    // A cursor seeks backward as well as forward.
+    TraceCursor cursor;
+    cursor.attach(*trace);
+    for (auto it = targets.rbegin(); it != targets.rend(); ++it) {
+        cursor.seek(*it);
+        for (std::uint64_t i = *it; i < *it + 64; ++i) {
+            DynInst got;
+            cursor.next(got);
+            expectSameInst(ref[i], got, i);
+        }
+    }
+}
+
+TEST(TraceCursor, TouchTierWalksTheLiveStream)
+{
+    // touchStream consumes whole regions, so it may overshoot the
+    // request; whatever it consumed, the stream continues from there.
+    const WorkloadId wl = WorkloadId::OltpDb2;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0x70c4);
+    const std::uint64_t buffered = 3 * TraceBuffer::kCheckpointBranches * 8;
+    auto trace = std::make_shared<const TraceBuffer>(program, params,
+                                                     buffered);
+    Llc llc(makeSystemConfig(1).llc);
+    SharedState shared;
+    shared.llc = &llc;
+    CoreSim core(FrontendKind::Baseline, program, workloadParams(wl),
+                 makeSystemConfig(1), shared, 0, params.seed, false);
+    core.engine().attachTrace(trace);
+
+    Cycle now = 0;
+    const Counter touched = core.bpu().touchStream(
+        buffered / 2, core.mem(), core.prefetcher(), now);
+    EXPECT_GE(touched, buffered / 2);
+    EXPECT_LT(touched, buffered / 2 + 16);
+    // Asking for more than is buffered stops at the tail.
+    const Counter rest = core.bpu().touchStream(
+        buffered, core.mem(), core.prefetcher(), now);
+    EXPECT_EQ(touched + rest, buffered);
+
+    ExecEngine live(program, params);
+    live.fastForward(buffered);
+    expectSameStream(live, core.engine(), buffered, 1000);
+}
 
 TEST(TraceBuffer, ReplayMatchesLiveGenerationIncludingTail)
 {
@@ -129,6 +310,22 @@ TEST(TraceBuffer, SkipToNonBranchThenReplayMatchesLive)
             EXPECT_FALSE(replay.replaying());
         }
     }
+}
+
+TEST(TraceCache, ChargesTheBytesOfEveryHeldBufferAtQuickLength)
+{
+    const std::uint64_t length = quickTraceLength();
+    TraceCache cache(256ull << 20);
+    std::vector<std::shared_ptr<const TraceBuffer>> held;
+    std::uint64_t sum = 0;
+    for (const WorkloadId wl : allWorkloads()) {
+        held.push_back(cache.acquire(wl, 1, length));
+        ASSERT_NE(held.back(), nullptr);
+        EXPECT_LE(held.back()->bytes(), length / 10) << workloadName(wl);
+        EXPECT_LE(held.back()->bytes(), TraceBuffer::arenaBytesFor(length));
+        sum += held.back()->bytes();
+    }
+    EXPECT_EQ(cache.cachedBytes(), sum);
 }
 
 TEST(TraceCache, SamePointSameBufferAcrossThreads)

@@ -118,6 +118,22 @@ TEST(Suite, AllWorkloadsGenerate)
     }
 }
 
+namespace
+{
+
+/** Id of the first branch at or after @p pc, found by decoding the
+ *  image word by word (branches.size() when there is none). */
+std::uint32_t
+firstBranchByScan(const Program &p, Addr pc)
+{
+    for (; pc < p.image.limit(); pc += kInstBytes)
+        if (decodeKind(p.image.at(pc)) != BranchKind::None)
+            return p.branchAt(pc)->id;
+    return static_cast<std::uint32_t>(p.branches.size());
+}
+
+} // namespace
+
 TEST(Suite, BranchTableMatchesTheImage)
 {
     // The static counts are fixed by the generator's RNG consumption;
@@ -155,9 +171,24 @@ TEST(Suite, BranchTableMatchesTheImage)
             ASSERT_EQ(info->kind, kind) << name << " pc " << std::hex << pc;
             ASSERT_LT(info->id, p.branches.size());
             ASSERT_EQ(&p.branches[info->id], info);
+            ASSERT_EQ(info->pc, pc);
+            // The table names the fall-through's first branch, which
+            // is the next id because ids follow address order.
+            if (pc + kInstBytes < p.image.limit()) {
+                ASSERT_EQ(p.firstBranchAt(pc + kInstBytes),
+                          firstBranchByScan(p, pc + kInstBytes))
+                    << name << " pc " << std::hex << pc;
+            }
+            if (info->id + 1 < p.branches.size()) {
+                ASSERT_EQ(p.firstBranchAt(pc + kInstBytes), info->id + 1);
+            }
             if (hasDirectTarget(kind)) {
                 ASSERT_EQ(info->target, directTarget(pc, word))
                     << name << " pc " << std::hex << pc;
+                ASSERT_EQ(info->targetBranch,
+                          firstBranchByScan(p, info->target))
+                    << name << " pc " << std::hex << pc;
+                ASSERT_EQ(info->targetBranch, p.firstBranchAt(info->target));
             }
         }
         EXPECT_EQ(p.branchAt(p.image.base() - kInstBytes), nullptr) << name;
