@@ -7,9 +7,9 @@
  * records the repo's perf trajectory in a small JSON file
  * (BENCH_sweep.json). Two phases are measured:
  *
- *   live    — the trace cache is disabled: every sweep point
- *             re-synthesizes its oracle stream, the pre-trace-cache
- *             behaviour;
+ *   live    — the trace cache shares nothing (budget 0): every
+ *             sweep point generates its oracle stream into a private,
+ *             unshared trace and replays it;
  *   cached  — the trace cache is enabled and warmed: points replay
  *             shared immutable traces (the steady state for repeated
  *             sweeps, figure benches, and calibration runs).
@@ -84,15 +84,7 @@
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sweepio/codec.hh"
-
-// The harness is also built against the pre-trace-cache tree to record
-// before/after numbers; the cache hooks degrade to no-ops there.
-#if __has_include("trace/trace_cache.hh")
 #include "trace/trace_cache.hh"
-#define CFL_HAS_TRACE_CACHE 1
-#else
-#define CFL_HAS_TRACE_CACHE 0
-#endif
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (this binary only).
@@ -221,13 +213,9 @@ runOnce(const std::vector<SweepPoint> &points, const SystemConfig &config,
 void
 setTraceCacheEnabled(bool enabled)
 {
-#if CFL_HAS_TRACE_CACHE
-    // 0 disables; otherwise restore a budget comfortably above the
-    // harness working set so the cached phase never evicts.
+    // 0 shares nothing; otherwise restore a budget comfortably above
+    // the harness working set so the cached phase never evicts.
     traceCache().setBudgetBytes(enabled ? (1ull << 30) : 0);
-#else
-    (void)enabled;
-#endif
 }
 
 /** First "model name" from /proc/cpuinfo, JSON-safe; "unknown" when
@@ -300,7 +288,7 @@ harnessMain(const HarnessConfig &cfg)
     for (const WorkloadId wl : allWorkloads())
         (void)workloadProgram(wl);
 
-    // Phase 1: live generation (trace cache off) — the "before" shape.
+    // Phase 1: a private trace per point (trace cache budget 0).
     // Best-of-N, same as the cached phase, for a fair comparison.
     setTraceCacheEnabled(false);
     PhaseResult live;
@@ -626,17 +614,13 @@ harnessMain(const HarnessConfig &cfg)
                      queued.minstsPerSec, cfg.queueWorkers);
     }
 
-    std::uint64_t cache_lookups = 0, cache_hits = 0, cache_misses = 0,
-                  cache_bypasses = 0;
-#if CFL_HAS_TRACE_CACHE
-    cache_lookups = traceCache().lookups();
-    cache_hits = traceCache().hits();
-    cache_misses = traceCache().misses();
-    cache_bypasses = traceCache().bypasses();
+    const std::uint64_t cache_lookups = traceCache().lookups();
+    const std::uint64_t cache_hits = traceCache().hits();
+    const std::uint64_t cache_misses = traceCache().misses();
+    const std::uint64_t cache_bypasses = traceCache().bypasses();
     cfl_assert(cache_hits + cache_misses + cache_bypasses ==
                    cache_lookups,
                "trace-cache counters do not partition lookups");
-#endif
 
     std::ostringstream json;
     json.precision(17);

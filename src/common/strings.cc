@@ -1,6 +1,6 @@
 #include "common/strings.hh"
 
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -29,12 +29,23 @@ splitList(const std::string &list)
 unsigned
 parseUnsignedFlag(const std::string &flag, const std::string &text)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || text[0] == '-')
+    // ASCII digits only: no sign, no whitespace, nothing that does not
+    // fit the result.
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    unsigned v = 0;
+    bool ok = !text.empty();
+    for (const char c : text) {
+        const unsigned digit = static_cast<unsigned>(c - '0');
+        if (c < '0' || c > '9' || v > (kMax - digit) / 10) {
+            ok = false;
+            break;
+        }
+        v = v * 10 + digit;
+    }
+    if (!ok)
         cfl_fatal("%s needs an unsigned integer, got \"%s\"",
                   flag.c_str(), text.c_str());
-    return static_cast<unsigned>(v);
+    return v;
 }
 
 } // namespace cfl

@@ -16,8 +16,8 @@ namespace cfl
  *  comma, or an empty list). */
 std::vector<std::string> splitList(const std::string &list);
 
-/** Parse @p text as an unsigned decimal CLI flag value; fatal() —
- *  naming @p flag — on anything else. */
+/** Parse @p text, ASCII decimal digits whose value fits unsigned, as
+ *  a CLI flag value; fatal() — naming @p flag — on anything else. */
 unsigned parseUnsignedFlag(const std::string &flag,
                            const std::string &text);
 

@@ -11,42 +11,12 @@ namespace cfl
 namespace
 {
 
-/** Single-core measurement loop with the BTB's concrete type baked in
- *  (see Frontend::runUntil). */
-using CoreRunner = void (*)(Frontend &, Counter);
-
 template <typename BtbT>
 void
 runTyped(Frontend &fe, Counter target)
 {
     fe.runUntil<BtbT>(target);
 }
-
-/**
- * Resolve the typed runner for a core's actual BTB. The compile-time
- * table covers every type the factory builds; a BTB none of the casts
- * recognize (e.g. a test double) falls back to the virtual-dispatch
- * runner, which is bit-identical, just slower.
- */
-CoreRunner
-pickRunner(const Btb &btb)
-{
-    if (dynamic_cast<const ConventionalBtb *>(&btb) != nullptr)
-        return &runTyped<ConventionalBtb>;
-    if (dynamic_cast<const TwoLevelBtb *>(&btb) != nullptr)
-        return &runTyped<TwoLevelBtb>;
-    if (dynamic_cast<const PhantomBtb *>(&btb) != nullptr)
-        return &runTyped<PhantomBtb>;
-    if (dynamic_cast<const AirBtb *>(&btb) != nullptr)
-        return &runTyped<AirBtb>;
-    if (dynamic_cast<const PerfectBtb *>(&btb) != nullptr)
-        return &runTyped<PerfectBtb>;
-    return &runTyped<Btb>;
-}
-
-/** Fast-forward loop with the BTB's concrete type baked in (see
- *  Frontend::fastForward); resolved like pickRunner. */
-using CoreSkipper = void (*)(Frontend &, Counter);
 
 template <typename BtbT>
 void
@@ -55,20 +25,29 @@ skipTyped(Frontend &fe, Counter insts)
     fe.fastForward<BtbT>(insts);
 }
 
-CoreSkipper
-pickSkipper(const Btb &btb)
+template <typename BtbT>
+constexpr Cmp::TypedCore kTypedCore{&runTyped<BtbT>, &skipTyped<BtbT>};
+
+/**
+ * Resolve the typed loops for a core's actual BTB. The compile-time
+ * table covers every type the factory builds; a BTB none of the casts
+ * recognize (e.g. a test double) falls back to the virtual-dispatch
+ * loops, which are bit-identical, just slower.
+ */
+Cmp::TypedCore
+typedCore(const Btb &btb)
 {
     if (dynamic_cast<const ConventionalBtb *>(&btb) != nullptr)
-        return &skipTyped<ConventionalBtb>;
+        return kTypedCore<ConventionalBtb>;
     if (dynamic_cast<const TwoLevelBtb *>(&btb) != nullptr)
-        return &skipTyped<TwoLevelBtb>;
+        return kTypedCore<TwoLevelBtb>;
     if (dynamic_cast<const PhantomBtb *>(&btb) != nullptr)
-        return &skipTyped<PhantomBtb>;
+        return kTypedCore<PhantomBtb>;
     if (dynamic_cast<const AirBtb *>(&btb) != nullptr)
-        return &skipTyped<AirBtb>;
+        return kTypedCore<AirBtb>;
     if (dynamic_cast<const PerfectBtb *>(&btb) != nullptr)
-        return &skipTyped<PerfectBtb>;
-    return &skipTyped<Btb>;
+        return kTypedCore<PerfectBtb>;
+    return kTypedCore<Btb>;
 }
 
 /** Sum @p add's counters into @p into (sampled runs aggregate the
@@ -163,18 +142,18 @@ Cmp::Cmp(FrontendKind kind, WorkloadId workload, const SystemConfig &config,
         cores_.push_back(std::make_unique<CoreSim>(
             kind, program, wparams, config_, shared_, c, seed,
             /*recorder=*/c == 0));
+        typed_.push_back(typedCore(cores_.back()->btb()));
     }
 }
 
 void
-Cmp::runUntilRetired(Counter target)
+Cmp::runToTargets(const std::vector<Counter> &targets)
 {
     if (cores_.size() == 1) {
         // One core leaves no cross-core LLC interleaving to preserve,
         // so the whole loop can run through the typed fast path
         // (devirtualized BPU walk + quiet-window skip).
-        CoreSim &core = *cores_[0];
-        pickRunner(core.btb())(core.frontend(), target);
+        typed_[0].run(cores_[0]->frontend(), targets[0]);
         return;
     }
 
@@ -182,9 +161,9 @@ Cmp::runUntilRetired(Counter target)
     // (Section 4.1's round-robin interleaving).
     while (true) {
         bool any_running = false;
-        for (auto &core : cores_) {
-            if (core->frontend().measuredRetired() < target) {
-                core->frontend().tick();
+        for (std::size_t c = 0; c < cores_.size(); ++c) {
+            if (cores_[c]->frontend().measuredRetired() < targets[c]) {
+                cores_[c]->frontend().tick();
                 any_running = true;
             }
         }
@@ -197,21 +176,22 @@ void
 Cmp::prepareTraces(Counter total_insts)
 {
     // The BPU walks the oracle stream ahead of retirement by at most the
-    // fetch queue, the in-progress region, the decode buffer, and one
-    // peeked instruction; 4K instructions of slack covers that many
-    // times over. An undersized buffer would still be correct (the
-    // engine resumes live generation from the tail snapshot), just
-    // slower for the overflow.
+    // fetch queue, the in-progress region and the decode buffer; 4K
+    // instructions of slack covers that many times over. An undersized
+    // buffer would still be correct (the engine regenerates a longer
+    // private one), just slower.
     constexpr Counter kOracleSlack = 4096;
     for (unsigned c = 0; c < numCores(); ++c) {
         ExecEngine &engine = cores_[c]->engine();
-        if (engine.instCount() != 0 || engine.replaying())
-            continue;  // mid-run reuse: keep whatever mode it is in
+        if (engine.hasTrace())
+            continue;  // attached by the caller, or mid-run reuse
         auto trace = traceCache().acquire(
             workload_, seedBase_ + 0x1000ull * c,
             total_insts + kOracleSlack);
         if (trace != nullptr)
             engine.attachTrace(std::move(trace));
+        else
+            engine.cursor(total_insts + kOracleSlack);  // private trace
     }
 }
 
@@ -219,7 +199,7 @@ void
 Cmp::runWarmup(Counter warmup_insts)
 {
     if (warmup_insts > 0)
-        runUntilRetired(warmup_insts);
+        runToTargets(std::vector<Counter>(cores_.size(), warmup_insts));
 }
 
 void
@@ -228,7 +208,7 @@ Cmp::runMeasurement(Counter measure_insts)
     for (auto &core : cores_)
         core->beginMeasurement();
 
-    runUntilRetired(measure_insts);
+    runToTargets(std::vector<Counter>(cores_.size(), measure_insts));
 }
 
 CmpMetrics
@@ -271,30 +251,12 @@ Cmp::runDetailedDelta(Counter delta)
 {
     if (delta == 0)
         return;
-    if (cores_.size() == 1) {
-        CoreSim &core = *cores_[0];
-        pickRunner(core.btb())(core.frontend(),
-                               core.frontend().measuredRetired() + delta);
-        return;
-    }
-
-    // Lockstep round-robin with per-core absolute targets: each core's
-    // own current position plus delta (positions drift apart because
-    // fast-forward never splits a fetch region).
+    // Per-core targets: positions drift apart because fast-forward
+    // never splits a fetch region.
     std::vector<Counter> targets(cores_.size());
     for (std::size_t c = 0; c < cores_.size(); ++c)
         targets[c] = cores_[c]->frontend().measuredRetired() + delta;
-    while (true) {
-        bool any_running = false;
-        for (std::size_t c = 0; c < cores_.size(); ++c) {
-            if (cores_[c]->frontend().measuredRetired() < targets[c]) {
-                cores_[c]->frontend().tick();
-                any_running = true;
-            }
-        }
-        if (!any_running)
-            return;
-    }
+    runToTargets(targets);
 }
 
 void
@@ -321,13 +283,13 @@ Cmp::fastForwardAll(Counter delta)
 
     if (delta == 0)
         return;
-    for (auto &core : cores_) {
-        Frontend &fe = core->frontend();
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        Frontend &fe = cores_[c]->frontend();
         Counter remaining = delta;
         if (remaining > kTouchWarmInsts + kPredictorWarmInsts) {
-            const Counter skipped = fe.fastForwardSkip(
-                remaining - kTouchWarmInsts - kPredictorWarmInsts);
-            remaining = skipped < remaining ? remaining - skipped : 0;
+            fe.fastForwardSkip(remaining - kTouchWarmInsts -
+                               kPredictorWarmInsts);
+            remaining = kTouchWarmInsts + kPredictorWarmInsts;
         }
         if (remaining > kPredictorWarmInsts) {
             const Counter touched =
@@ -335,7 +297,7 @@ Cmp::fastForwardAll(Counter delta)
             remaining = touched < remaining ? remaining - touched : 0;
         }
         if (remaining > 0)
-            pickSkipper(core->btb())(fe, remaining);
+            typed_[c].skip(fe, remaining);
     }
 }
 

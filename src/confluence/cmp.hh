@@ -114,12 +114,13 @@ class Cmp
     // point. Calling the four phases in order is bit-identical to run().
 
     /**
-     * Predecode phase: swap each core's engine onto a shared replay
-     * trace sized for @p total_insts retired instructions, when the
-     * trace cache can serve one. Engines already replaying (e.g. a
-     * trace a caller attached directly) are left alone, so
-     * pre-attaching a longer shared buffer is safe: results do not
-     * depend on trace-buffer length, only on the generated stream.
+     * Predecode phase: give each core's engine a trace sized for
+     * @p total_insts retired instructions — the shared one the trace
+     * cache serves, or a private one when the cache turns the lookup
+     * away. Engines that already hold a trace (e.g. one a caller
+     * attached directly) are left alone, so pre-attaching a longer or
+     * shorter shared buffer is safe: results do not depend on
+     * trace-buffer length, only on the generated stream.
      */
     void prepareTraces(Counter total_insts);
 
@@ -141,9 +142,17 @@ class Cmp
     }
     Llc &llc() { return *llc_; }
 
+    /** A core's measurement and fast-forward loops, with its BTB's
+     *  concrete type baked in (see Frontend::runUntil/fastForward). */
+    struct TypedCore
+    {
+        void (*run)(Frontend &, Counter target);
+        void (*skip)(Frontend &, Counter insts);
+    };
+
   private:
-    /** Tick every unfinished core until each retires @p target. */
-    void runUntilRetired(Counter target);
+    /** Tick every core until core c retires @p targets[c]. */
+    void runToTargets(const std::vector<Counter> &targets);
 
     /** Detailed-simulate @p delta more retired instructions per core
      *  from wherever each core currently stands. */
@@ -160,6 +169,7 @@ class Cmp
     std::unique_ptr<ShiftHistory> shiftHistory_;
     SharedState shared_;
     std::vector<std::unique_ptr<CoreSim>> cores_;
+    std::vector<TypedCore> typed_; ///< one per core, resolved once
 };
 
 } // namespace cfl

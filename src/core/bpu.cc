@@ -78,24 +78,19 @@ Counter
 Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
                  Cycle &now)
 {
-    if (!engine_.replaying())
-        return touchStreamGenerated(insts, mem, pf, now);
-    TraceCursor *cursor = engine_.replayCursor();
-    if (cursor == nullptr)
-        return 0;
-
-    const std::uint64_t limit = cursor->size();
+    // The last region starts before insts and holds at most
+    // maxRegionInsts instructions, so the walk never runs off the buffer.
     const unsigned max_insts = params_.maxRegionInsts;
-    const std::uint64_t start = cursor->position();
+    TraceCursor &cursor = engine_.cursor(insts + max_insts);
+    const std::uint64_t start = cursor.position();
     // Consecutive regions usually stay inside one block; a repeated
     // probe of the block just touched is a hit that re-marks an
     // already-MRU line, so eliding it leaves cache state identical.
     Addr last_block = ~Addr{0};
     DynInst inst;
 
-    while (cursor->position() - start < insts &&
-           cursor->position() < limit) {
-        const Addr start_pc = cursor->pc();
+    while (cursor.position() - start < insts) {
+        const Addr start_pc = cursor.pc();
         unsigned ninsts = 0;
         // Regions split at taken branches and the detailed-mode length
         // cap; the touched block stream is identical either way. Every
@@ -103,18 +98,16 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
         // (warmBranch); taken branches additionally feed the BTB's
         // large-backing-level hook (see Btb::warmTakenBranch).
         while (true) {
-            const std::uint64_t pos = cursor->position();
-            const std::uint64_t gap = cursor->toBranch();
-            const std::uint64_t room =
-                std::min<std::uint64_t>(max_insts - ninsts, limit - pos);
+            const std::uint64_t gap = cursor.toBranch();
+            const unsigned room = max_insts - ninsts;
             if (gap >= room) {
-                ninsts += static_cast<unsigned>(room);
-                cursor->advance(room);
+                ninsts += room;
+                cursor.advance(room);
                 break;
             }
             ninsts += static_cast<unsigned>(gap) + 1;
-            cursor->advance(gap);
-            cursor->takeBranch(inst);
+            cursor.advance(gap);
+            cursor.takeBranch(inst);
             if (!inst.taken) {
                 // Not-taken ⇒ conditional: the direction predictor is
                 // the only per-branch state it updates (see
@@ -141,60 +134,10 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
             if (pf != nullptr)
                 pf->onWarmAccess(block, now, /*miss=*/!hit);
         }
-        now += std::max<Counter>(ninsts, 1);
+        now += ninsts;
     }
 
-    const Counter consumed = cursor->position() - start;
-    instsStat_->inc(consumed);
-    return consumed;
-}
-
-Counter
-Bpu::touchStreamGenerated(Counter insts, InstMemory &mem,
-                          InstPrefetcher *pf, Cycle &now)
-{
-    // Mirror of the trace-cursor walk above, consuming the engine
-    // live. Region boundaries (taken branches, the detailed-mode
-    // length cap) and every warm call match instruction for
-    // instruction, so a trace-cache bypass leaves bit-identical state.
-    const unsigned max_insts = params_.maxRegionInsts;
-    Addr last_block = ~Addr{0};
-    Counter consumed = 0;
-
-    while (consumed < insts) {
-        const Addr start_pc = engine_.peek().pc;
-        unsigned ninsts = 0;
-        while (true) {
-            const DynInst &di = engine_.next();
-            ++ninsts;
-            if (di.kind == BranchKind::None) {
-                if (ninsts >= max_insts)
-                    break;
-                continue;
-            }
-            if (!di.taken) {
-                warmDirection(di.pc, false);
-                if (ninsts >= max_insts)
-                    break;
-                continue;
-            }
-            warmBranch(di);
-            break;
-        }
-
-        const BlockRange blocks = blockRangeOf(start_pc, ninsts);
-        for (const Addr block : blocks) {
-            if (block == last_block)
-                continue;
-            last_block = block;
-            const bool hit = mem.warmTouch(block, now);
-            if (pf != nullptr)
-                pf->onWarmAccess(block, now, /*miss=*/!hit);
-        }
-        now += std::max<Counter>(ninsts, 1);
-        consumed += ninsts;
-    }
-
+    const Counter consumed = cursor.position() - start;
     instsStat_->inc(consumed);
     return consumed;
 }
@@ -235,26 +178,12 @@ Bpu::warmBranch(const DynInst &inst)
                              hasDirectTarget(inst.kind) ? inst.target : 0);
 }
 
-Counter
+void
 Bpu::skipStream(Counter insts, Cycle &now)
 {
-    if (!engine_.replaying()) {
-        // Generation mode: generate and discard. Bit-identical to the
-        // replay-cursor skip — the subsequent stream is the same.
-        engine_.fastForward(insts);
-        instsStat_->inc(insts);
-        now += insts;
-        return insts;
-    }
-    TraceCursor *cursor = engine_.replayCursor();
-    if (cursor == nullptr)
-        return 0;
-    const Counter consumed =
-        std::min<Counter>(insts, cursor->size() - cursor->position());
-    cursor->seek(cursor->position() + consumed);
-    instsStat_->inc(consumed);
-    now += consumed;
-    return consumed;
+    engine_.fastForward(insts);
+    instsStat_->inc(insts);
+    now += insts;
 }
 
 } // namespace cfl

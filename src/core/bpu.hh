@@ -108,10 +108,9 @@ class Bpu
 
     /**
      * predictNextRegion with the BTB's concrete type known at compile
-     * time: the per-branch lookup devirtualizes, and when the engine is
-     * replaying a buffered trace the walk steps the engine's
-     * TraceCursor branch to branch instead of materializing every
-     * non-branch instruction. Bit-identical to the virtual path.
+     * time, so the per-branch lookup devirtualizes; bit-identical to
+     * the virtual path. Both step the engine's TraceCursor branch to
+     * branch instead of materializing every non-branch instruction.
      */
     template <typename BtbT>
     BpuResult predictNextRegionT(Cycle now);
@@ -123,60 +122,42 @@ class Bpu
     Counter instsConsumed() const { return stats_.get("insts"); }
 
     /**
-     * Touch-only functional advance of ~@p insts instructions over a
-     * replayed trace (sampled fast-forward, far from any measured
-     * interval): regions are derived from the stream's taken
-     * branches and their blocks touched in @p mem, with @p pf seeing
-     * each block transition through onWarmAccess — so long-lived
-     * state (L1-I/LLC content, recorded prefetch metadata) sees every
-     * access. Per-branch predictor state (direction predictor, RAS,
-     * ITC, the BTB's large backing levels) is kept warm through
-     * warmBranch; no BTB lookups, misprediction accounting, or
-     * speculative prefetch-engine activity happens — those are
-     * short-lived and relearned by the full-fidelity warming window
-     * that always follows. @p now advances ~1 inst/cycle like
-     * fastForward. May overshoot by up to one region; returns
-     * instructions consumed. Over a buffered prefix the walk steps the
-     * engine's TraceCursor branch to branch; in generation mode
-     * it consumes the engine live with the identical region/warming
-     * sequence, so trace-cache hits and bypasses stay bit-identical
-     * (only the speed differs). Returns short when the buffered
-     * prefix ends — the caller covers the remainder.
+     * Touch-only functional advance of ~@p insts instructions (sampled
+     * fast-forward, far from any measured interval): regions are
+     * derived from the stream's taken branches and their blocks
+     * touched in @p mem, with @p pf seeing each block transition
+     * through onWarmAccess — so long-lived state (L1-I/LLC content,
+     * recorded prefetch metadata) sees every access. Per-branch
+     * predictor state (direction predictor, RAS, ITC, the BTB's large
+     * backing levels) is kept warm through warmBranch; no BTB lookups,
+     * misprediction accounting, or speculative prefetch-engine
+     * activity happens — those are short-lived and relearned by the
+     * full-fidelity warming window that always follows. @p now
+     * advances ~1 inst/cycle like fastForward. The walk steps the
+     * engine's TraceCursor branch to branch and overshoots by less
+     * than one region; returns instructions consumed.
      */
     Counter touchStream(Counter insts, InstMemory &mem,
                         InstPrefetcher *pf, Cycle &now);
 
     /**
-     * Pure stream skip of up to @p insts instructions over a replayed
-     * trace: the replay cursor seeks through the trace's checkpoints
-     * with no state touched at all — not even cache content. Used by
-     * sampled fast-forward for stream distance beyond the touch
-     * window, where even content warming is unnecessary (everything
-     * the skipped stretch would install is re-installed by the touch
-     * window that always follows). @p now advances ~1 inst/cycle. In
-     * generation mode the engine generates and discards instead —
-     * slower, bit-identical. Returns instructions skipped (short only
-     * at a buffered prefix's end).
+     * Pure stream skip of @p insts instructions: the engine's cursor
+     * seeks through the trace's checkpoints with no state touched at
+     * all — not even cache content. Used by sampled fast-forward for
+     * stream distance beyond the touch window, where even content
+     * warming is unnecessary (everything the skipped stretch would
+     * install is re-installed by the touch window that always
+     * follows). @p now advances ~1 inst/cycle.
      */
-    Counter skipStream(Counter insts, Cycle &now);
+    void skipStream(Counter insts, Cycle &now);
 
   private:
-    /** Generation-mode touchStream: the same region walk driven by
-     *  live engine consumption instead of the trace cursor. */
-    Counter touchStreamGenerated(Counter insts, InstMemory &mem,
-                                 InstPrefetcher *pf, Cycle &now);
     /**
      * Predict/train on one branch instruction; returns true when the
-     * branch ends the region (taken, misfetch, or mispredict). Shared
-     * by the scalar walk and the trace-cursor walk so the two paths
-     * cannot drift.
+     * branch ends the region (taken, misfetch, or mispredict).
      */
     template <typename BtbT>
     bool handleBranch(const DynInst &inst, Cycle now, BpuResult &out);
-
-    /** Branch-to-branch region walk over a buffered trace prefix. */
-    template <typename BtbT>
-    BpuResult predictRegionFromTrace(TraceCursor &cursor, Cycle now);
 
     /** Resolution-time side effects of a branch the BPU did not predict
      *  (misfetch): trains predictors, fixes RAS/ITC, learns the BTB. */
@@ -319,9 +300,12 @@ Bpu::handleBranch(const DynInst &inst, Cycle now, BpuResult &out)
 
 template <typename BtbT>
 inline BpuResult
-Bpu::predictRegionFromTrace(TraceCursor &cursor, Cycle now)
+Bpu::predictNextRegionT(Cycle now)
 {
+    // A region holds at most maxRegionInsts instructions, so the walk
+    // never runs off the buffer.
     const unsigned max_insts = params_.maxRegionInsts;
+    TraceCursor &cursor = engine_.cursor(max_insts);
     BpuResult out;
     out.region.startPc = cursor.pc();
 
@@ -355,45 +339,6 @@ Bpu::predictRegionFromTrace(TraceCursor &cursor, Cycle now)
     out.region.numInsts = insts;
     instsStat_->inc(insts);
     return out;
-}
-
-template <typename BtbT>
-inline BpuResult
-Bpu::predictNextRegionT(Cycle now)
-{
-    // Fast path: plain replay with the whole worst-case region inside
-    // the buffered prefix (so the branch-to-branch walk can never run
-    // off the buffer or interleave with live generation).
-    TraceCursor *cursor = engine_.replayCursor();
-    if (cursor != nullptr &&
-        cursor->position() + params_.maxRegionInsts <= cursor->size())
-        return predictRegionFromTrace<BtbT>(*cursor, now);
-
-    // Scalar walk: generation mode, a peeked stream, or the trace tail.
-    BpuResult out;
-    out.region.startPc = engine_.peek().pc;
-
-    while (true) {
-        const DynInst inst = engine_.next();
-        ++out.region.numInsts;
-        instsStat_->inc();
-
-        if (!inst.isBranch()) {
-            if (out.region.numInsts >= params_.maxRegionInsts) {
-                // Region cap: continue sequentially next cycle.
-                regionCapEndsStat_->inc();
-                return out;
-            }
-            continue;
-        }
-
-        if (handleBranch<BtbT>(inst, now, out))
-            return out;
-        if (out.region.numInsts >= params_.maxRegionInsts) {
-            regionCapEndsStat_->inc();
-            return out;
-        }
-    }
 }
 
 } // namespace cfl

@@ -78,13 +78,12 @@ Frontend::fastForwardTouch(Counter insts)
     return consumed;
 }
 
-Counter
+void
 Frontend::fastForwardSkip(Counter insts)
 {
     squashForFastForward();
-    const Counter consumed = bpu_.skipStream(insts, cycle_);
-    retired_ += consumed;
-    return consumed;
+    bpu_.skipStream(insts, cycle_);
+    retired_ += insts;
 }
 
 void

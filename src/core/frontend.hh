@@ -110,24 +110,22 @@ class Frontend
 
     /**
      * Touch-only fast-forward of ~@p insts instructions (see
-     * Bpu::touchStream): advances the stream keeping caches and
-     * prefetch metadata warm but leaving predictor structures frozen.
-     * Only used for stream distance that a full-fidelity fastForward()
-     * window still separates from the next measured interval. Returns
-     * instructions actually consumed (possibly 0 — e.g. live
-     * generation mode); the caller covers the rest with fastForward().
+     * Bpu::touchStream): advances the stream keeping caches, prefetch
+     * metadata and per-branch predictor state warm, with no BTB
+     * lookups or timing. Only used for stream distance that a
+     * full-fidelity fastForward() window still separates from the next
+     * measured interval. Returns instructions consumed: at least
+     * @p insts, overshooting by less than one region.
      */
     Counter fastForwardTouch(Counter insts);
 
     /**
-     * Pure stream skip of up to @p insts instructions (see
-     * Bpu::skipStream): no state is warmed at all. Only used for
-     * stream distance beyond the touch window — every block the
-     * skipped stretch would install is re-installed by the touch
-     * window that always follows. Returns instructions actually
-     * consumed (possibly 0).
+     * Pure stream skip of @p insts instructions (see Bpu::skipStream):
+     * no state is warmed at all. Only used for stream distance beyond
+     * the touch window — every block the skipped stretch would install
+     * is re-installed by the touch window that always follows.
      */
-    Counter fastForwardSkip(Counter insts);
+    void fastForwardSkip(Counter insts);
 
     /** Instructions retired so far. */
     Counter retired() const { return retired_; }

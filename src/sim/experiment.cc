@@ -74,10 +74,11 @@ runFunctionalStudy(WorkloadId workload, const FunctionalSetup &setup,
     // same (workload, seed) stream; replaying one shared immutable trace
     // removes the per-point regeneration. The driver consumes exactly
     // warmup + measure instructions.
-    if (auto trace = traceCache().acquire(
-            workload, setup.engineSeed,
-            fconfig.warmupInsts + fconfig.measureInsts))
+    const std::uint64_t insts = fconfig.warmupInsts + fconfig.measureInsts;
+    if (auto trace = traceCache().acquire(workload, setup.engineSeed, insts))
         engine.attachTrace(std::move(trace));
+    else
+        engine.cursor(insts);  // private trace
 
     std::unique_ptr<Btb> btb = btb_factory(program, predecoder);
     cfl_assert(btb != nullptr, "btb_factory returned null");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -62,14 +61,9 @@ RunScale
 currentScale()
 {
     const char *env = std::getenv("CONFLUENCE_SCALE");
-    if (env == nullptr)
+    if (env == nullptr || *env == '\0')
         return RunScale{};
-    // Unknown values fall back to the default scale rather than
-    // aborting, matching the engine's historic leniency for this knob.
-    for (const char *known : {"quick", "default", "full"})
-        if (std::strcmp(env, known) == 0)
-            return scaleByName(env);
-    return RunScale{};
+    return scaleByName(env);
 }
 
 FunctionalConfig

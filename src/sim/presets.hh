@@ -40,7 +40,8 @@ SystemConfig paperSystemConfig();
  *  unknown name. */
 RunScale scaleByName(const std::string &name);
 
-/** Current run scale (honors CONFLUENCE_SCALE). */
+/** Current run scale: CONFLUENCE_SCALE through scaleByName(), the
+ *  default scale when it is unset or empty. */
 RunScale currentScale();
 
 /** FunctionalConfig derived from the current scale. */

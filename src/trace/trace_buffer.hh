@@ -1,30 +1,37 @@
 /**
  * @file
- * Immutable outcome trace: a pre-generated oracle stream stored as its
- * dynamic branch outcomes only.
+ * The oracle stream's generator and the immutable outcome trace it
+ * writes.
  *
- * A TraceBuffer captures the first N dynamic instructions an ExecEngine
- * with a given (program, params) pair would produce. Everything the
- * program's static branch table already fixes (every pc, every branch's
- * kind, fall-through and direct target) is left out, the split that
- * hardware branch tracers rely on. What remains is
+ * A StreamGenerator is the stand-in for Flexus full-system traces: it
+ * keeps a call stack and per-loop counters, draws a new typed request
+ * at every iteration of the dispatch loop (Zipf-distributed
+ * popularity), and asks the BranchBehavior model for every outcome.
+ * It runs branch to branch, drawing the RNG only at branches, and
+ * never materializes the instructions between them. Two generators
+ * with the same (program, params) produce identical streams.
+ *
+ * A TraceBuffer captures the first N dynamic instructions of that
+ * stream. Everything the program's static branch table already fixes
+ * (every pc, every branch's kind, fall-through and direct target) is
+ * left out, the split that hardware branch tracers rely on. What
+ * remains is
  *  - one bit per conditional branch (taken or not),
  *  - one byte per indirect branch: the index of its target in the
- *    branch's target set (no preset set has more than 14 targets),
+ *    branch's target set (no preset set has more than 14 targets), and
  *  - a checkpoint every kCheckpointBranches branches, holding the flow
  *    state there (instruction position, stream offsets, request count
  *    and call stack), so a reader can seek without decoding from the
- *    start, and
- *  - the generator state snapshot taken *after* instruction N-1, so an
- *    engine that consumes past the buffered prefix seamlessly resumes
- *    live generation with a bit-identical stream.
+ *    start.
  * Return targets come from the call stack the decoder keeps. That is
  * a few hundredths of a byte per instruction in the five presets.
  *
  * A TraceCursor (trace/trace_cursor.hh) decodes the buffer against the
  * program's branch table. The buffer is deeply const, so any number of
  * cursors on any threads can replay one buffer concurrently (the
- * sharing the TraceCache exploits).
+ * sharing the TraceCache exploits). The stream is a pure function of
+ * (program, params), so a longer buffer continues a shorter one bit for
+ * bit.
  */
 
 #ifndef CFL_TRACE_TRACE_BUFFER_HH
@@ -34,12 +41,102 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/engine.hh"
+#include "common/flat_map.hh"
+#include "common/logging.hh"
+#include "common/rng.hh"
+#include "trace/behavior.hh"
 #include "trace/trace_cursor.hh"
 #include "workloads/program.hh"
 
 namespace cfl
 {
+
+/** Oracle-stream tunables (defaults come from the workload). */
+struct EngineParams
+{
+    std::uint64_t seed = 0x5eed;
+    double zipfSkew = 0.6;
+    double branchNoise = 0.03;
+};
+
+/** Generates the oracle stream of one (program, params) pair. */
+class StreamGenerator
+{
+  public:
+    StreamGenerator(const Program &program, const EngineParams &params);
+
+    /**
+     * Run branch to branch to instruction @p end, no earlier than the
+     * last call's end. For every branch, @p sink sees
+     * sink.branch(pos, flow) with the state before it (pos is the index
+     * of the instruction at flow.pc), then sink.cond(taken) or
+     * sink.choice(index) for each outcome the behavior model draws,
+     * then sink.executed(inst) with the branch as executed.
+     */
+    template <typename Sink>
+    void generateTo(std::uint64_t end, Sink &sink);
+
+    /** Control state before the next instruction to generate. */
+    const FlowState &flow() const { return flow_; }
+
+    /** Request type drawn at the last dispatch (0 before the first). */
+    std::uint32_t requestType() const { return requestType_; }
+
+  private:
+    bool cond(const BranchInfo &info);
+    std::size_t choice(const BranchInfo &info, std::size_t num_targets);
+
+    const Program &program_;
+    BranchBehavior behavior_;
+    Rng rng_;
+    double zipfSkew_;
+    FlatMap<std::uint32_t> loopCounters_;
+    std::uint32_t requestType_ = 0;
+    FlowState flow_;
+    std::uint64_t pos_ = 0;
+};
+
+template <typename Sink>
+void
+StreamGenerator::generateTo(std::uint64_t end, Sink &sink)
+{
+    cfl_assert(end >= pos_, "generateTo behind the generator");
+    struct Recorded
+    {
+        StreamGenerator &gen;
+        Sink &sink;
+
+        bool
+        cond(const BranchInfo &info)
+        {
+            const bool taken = gen.cond(info);
+            sink.cond(taken);
+            return taken;
+        }
+
+        std::size_t
+        choice(const BranchInfo &info, std::size_t num_targets)
+        {
+            const std::size_t index = gen.choice(info, num_targets);
+            sink.choice(index);
+            return index;
+        }
+    } outcomes{*this, sink};
+
+    DynInst inst;
+    while (true) {
+        const BranchInfo &info = program_.branches[flow_.nextBranch];
+        const std::uint64_t at = pos_ + (info.pc - flow_.pc) / kInstBytes;
+        if (at >= end)
+            break;
+        sink.branch(pos_, flow_);
+        stepBranch(program_, info, flow_, outcomes, inst);
+        sink.executed(inst);
+        pos_ = at + 1;
+    }
+    flow_.pc += (end - pos_) * kInstBytes;
+    pos_ = end;
+}
 
 /** One immutable pre-generated instruction trace. */
 class TraceBuffer
@@ -47,7 +144,7 @@ class TraceBuffer
   public:
     /**
      * Generate the first @p num_insts instructions of
-     * ExecEngine(program, params) and keep their branch outcomes.
+     * StreamGenerator(program, params) and keep their branch outcomes.
      * @p program must outlive the buffer.
      */
     TraceBuffer(const Program &program, const EngineParams &params,
@@ -65,14 +162,11 @@ class TraceBuffer
     /** The program the trace decodes against. */
     const Program &program() const { return program_; }
 
-    /** Generator state after the last stored instruction. */
-    const EngineSnapshot &tailSnapshot() const { return tail_; }
-
     /** The parameters the trace was generated with. */
-    const EngineParams &params() const { return tail_.params; }
+    const EngineParams &params() const { return params_; }
 
-    /** Every heap byte the buffer owns, tail snapshot and checkpoints
-     *  included (for cache budgeting). */
+    /** Every heap byte the buffer owns, checkpoints included (for
+     *  cache budgeting). */
     std::uint64_t bytes() const;
 
     /**
@@ -81,6 +175,9 @@ class TraceBuffer
      * indirect branch and no call stack is deeper than 64 frames.
      */
     static std::uint64_t arenaBytesFor(std::uint64_t num_insts);
+
+    /** Longest buffer: checkpoint positions are 32-bit. */
+    static constexpr std::uint64_t kMaxInsts = ~std::uint32_t{0};
 
     /** Branches between two checkpoints. */
     static constexpr std::uint64_t kCheckpointBranches = 4096;
@@ -100,10 +197,11 @@ class TraceBuffer
         std::uint32_t stackSize;
     };
 
-    /** Receives the generator's outcomes (ExecEngine::generateTo). */
+    /** Receives the generator's outcomes. */
     struct Writer;
 
     const Program &program_;
+    EngineParams params_;
     std::uint64_t numInsts_;
     std::uint64_t numBranches_ = 0;
 
@@ -111,8 +209,6 @@ class TraceBuffer
     std::vector<std::uint8_t> choices_;   ///< one byte per indirect
     std::vector<Checkpoint> checkpoints_;
     std::vector<Addr> stacks_;            ///< checkpoint call stacks
-
-    EngineSnapshot tail_;
 };
 
 } // namespace cfl

@@ -2,24 +2,24 @@
  * @file
  * Process-wide, thread-safe cache of shared immutable workload traces.
  *
- * Every sweep point used to re-synthesize its oracle stream from scratch
- * (RNG + behavior model per instruction). The cache generates the trace
- * of each (workload, seed) pair once into a TraceBuffer and hands out
+ * Every engine reads its oracle stream from a TraceBuffer. The cache
+ * generates the trace of each (workload, seed) pair once and hands out
  * shared const views, so concurrent sweep points — and repeated sweeps
  * in one process, the common case for figure benches, calibration runs,
- * and the perf harness — replay instead of regenerating.
+ * and the perf harness — replay one buffer instead of each generating
+ * its own.
  *
  * Memory/speed trade-off: a buffer stores only dynamic branch
  * outcomes, a few hundredths of a byte per instruction in the five
  * presets (30–45 KB for a quick-scale trace of 1.25M instructions),
  * so the budget rarely binds. The cache still enforces one
- * (CONFLUENCE_TRACE_CACHE_MB, default 512; 0 disables caching): least-
+ * (CONFLUENCE_TRACE_CACHE_MB, default 512; 0 shares nothing): least-
  * recently-used idle buffers are dropped to make room, and when a new
  * trace cannot fit even after eviction, acquire() returns nullptr and
- * the caller simply keeps generating live — behaviour is bit-identical
- * either way, only the speed differs. A generation in flight holds
- * TraceBuffer::arenaBytesFor(length), about a byte per instruction;
- * the finished buffer is charged its actual bytes().
+ * the engine generates its own unshared trace — behaviour is
+ * bit-identical either way, only the speed differs. A generation in
+ * flight holds TraceBuffer::arenaBytesFor(length), about a byte per
+ * instruction; the finished buffer is charged its actual bytes().
  */
 
 #ifndef CFL_TRACE_TRACE_CACHE_HH
@@ -40,20 +40,21 @@ namespace cfl
 class TraceCache
 {
   public:
-    /** @param budget_bytes maximum cached bytes; 0 disables. */
+    /** @param budget_bytes maximum cached bytes; 0 shares nothing. */
     explicit TraceCache(std::uint64_t budget_bytes);
 
     /**
      * A shared trace of at least @p min_insts instructions of
      * (workload, seed), generating and caching it on first use.
-     * Returns nullptr when the budget rules caching out — callers fall
-     * back to live generation.
+     * Returns nullptr when the budget rules caching out — the engine
+     * then generates its own unshared trace.
      */
     std::shared_ptr<const TraceBuffer>
     acquire(WorkloadId workload, std::uint64_t seed,
             std::uint64_t min_insts);
 
-    /** Replace the byte budget (0 disables and drops idle entries). */
+    /** Replace the byte budget (0 shares nothing and drops idle
+     *  entries). */
     void setBudgetBytes(std::uint64_t bytes);
 
     /** Drop every idle (externally unreferenced) buffer. */
@@ -97,7 +98,8 @@ class TraceCache
 
 /**
  * The process-wide cache every frontend shares. The initial budget comes
- * from CONFLUENCE_TRACE_CACHE_MB (default 512, 0 disables).
+ * from CONFLUENCE_TRACE_CACHE_MB (default 512; 0 shares nothing, so
+ * every engine generates its own trace).
  */
 TraceCache &traceCache();
 

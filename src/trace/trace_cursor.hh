@@ -1,7 +1,7 @@
 /**
  * @file
- * Branch-to-branch control flow over a Program, shared by live
- * generation and trace replay.
+ * Branch-to-branch control flow over a Program, shared by the stream
+ * generator and the trace decoder.
  *
  * Between two branches the dynamic stream is fixed by the static
  * branch table: it runs straight from the current pc to the first
@@ -13,9 +13,9 @@
  * stepBranch() is the one per-branch routine that applies an outcome:
  * it asks an outcome source for the direction or the target choice,
  * keeps the call stack and request count, and moves the flow to the
- * next pc and its first branch. The ExecEngine drives it with outcomes
- * drawn from the behavior model; a TraceCursor drives it with outcomes
- * read back from a TraceBuffer. The two cannot drift.
+ * next pc and its first branch. The StreamGenerator drives it with
+ * outcomes drawn from the behavior model; a TraceCursor drives it with
+ * outcomes read back from a TraceBuffer. The two cannot drift.
  *
  * An outcome source provides
  *   bool cond(const BranchInfo &)                      // taken?

@@ -68,7 +68,7 @@ TEST(Bpu, RegionsPartitionTheOracleStream)
             << "regions must tile the dynamic instruction stream";
         ASSERT_GT(res.region.numInsts, 0u);
         insts += res.region.numInsts;
-        expected_start = env.engine.peek().pc;
+        expected_start = env.engine.cursor(1).pc();
     }
     EXPECT_EQ(insts, env.bpu.instsConsumed());
 }

@@ -11,7 +11,9 @@
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "common/strings.hh"
 #include "common/types.hh"
+#include "death_test_style.hh"
 
 using namespace cfl;
 
@@ -262,4 +264,23 @@ TEST(Delegate, BindsMembersAndCallables)
 
     Delegate<void(int)> empty;
     EXPECT_FALSE(static_cast<bool>(empty));
+}
+
+TEST(Strings, ParseUnsignedFlagAcceptsTheWholeRange)
+{
+    EXPECT_EQ(parseUnsignedFlag("--n", "0"), 0u);
+    EXPECT_EQ(parseUnsignedFlag("--n", "17"), 17u);
+    EXPECT_EQ(parseUnsignedFlag("--n", "4294967295"), 4294967295u);
+}
+
+TEST(Strings, ParseUnsignedFlagRejectsSignsSpacesJunkAndOverflow)
+{
+    // Each value once slipped through: a narrowed strtoul result, or a
+    // sign strtoul skips past leading whitespace to accept.
+    for (const char *text : {"", "-1", " -1", "+5", " 12", "12abc",
+                             "4294967296", "18446744073709551617"}) {
+        SCOPED_TRACE(text);
+        EXPECT_DEATH(parseUnsignedFlag("--workers", text),
+                     "--workers needs an unsigned integer");
+    }
 }

@@ -4,9 +4,11 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "trace/behavior.hh"
 #include "trace/engine.hh"
+#include "trace/trace_buffer.hh"
 #include "workloads/generator.hh"
 #include "workloads/suite.hh"
 
@@ -104,15 +106,6 @@ TEST(Engine, DeterministicStream)
     }
 }
 
-TEST(Engine, PeekDoesNotAdvance)
-{
-    const Program p = generateWorkload(smallParams());
-    ExecEngine e(p, EngineParams{});
-    const Addr peeked = e.peek().pc;
-    EXPECT_EQ(e.peek().pc, peeked);
-    EXPECT_EQ(e.next().pc, peeked);
-}
-
 TEST(Engine, ControlFlowIsConsistent)
 {
     const Program p = generateWorkload(smallParams());
@@ -158,35 +151,53 @@ TEST(Engine, RecurringControlFlow)
     // The same request type must traverse substantially similar paths on
     // repeat visits — the property SHIFT's temporal streams rely on.
     const Program p = generateWorkload(smallParams());
-    ExecEngine e(p, EngineParams{9, 0.5, 0.0});  // no noise
+    StreamGenerator gen(p, EngineParams{9, 0.5, 0.0});  // no noise
+
+    // Blocks each request touches, and each request's type as the
+    // generator draws it at the dispatcher's call. Request 0 is the
+    // dispatcher prologue, not a request.
+    struct Requests
+    {
+        const Program &program;
+        const StreamGenerator &gen;
+        std::vector<std::set<Addr>> blocks{std::set<Addr>()};
+        std::vector<std::uint32_t> types{0u};
+        Addr pc = 0;
+
+        void
+        branch(std::uint64_t, const FlowState &flow)
+        {
+            pc = flow.pc;
+        }
+
+        void cond(bool) {}
+        void choice(std::size_t) {}
+
+        void
+        executed(const DynInst &inst)
+        {
+            for (Addr b = blockAlign(pc); b <= inst.pc; b += kBlockBytes)
+                blocks.back().insert(b);
+            if (inst.pc == program.dispatchCallPc) {
+                blocks.emplace_back();
+                types.push_back(gen.requestType());
+            }
+        }
+    } requests{p, gen};
+    gen.generateTo(400000, requests);
 
     std::map<std::uint32_t, std::set<Addr>> first_visit;
     std::map<std::uint32_t, std::set<Addr>> second_visit;
     std::map<std::uint32_t, int> visits;
-
-    std::uint64_t last_req = ~0ull;
-    std::set<Addr> current;
-    std::uint32_t current_type = 0;
-    bool in_prologue = true;
-    for (int i = 0; i < 400000; ++i) {
-        const DynInst &inst = e.next();
-        if (inst.requestId != last_req) {
-            // The segment before the first dispatch (requestId 0) is
-            // dispatcher prologue, not a request: discard it.
-            if (last_req != ~0ull && !in_prologue) {
-                auto &count = visits[current_type];
-                if (count == 0)
-                    first_visit[current_type] = current;
-                else if (count == 1)
-                    second_visit[current_type] = current;
-                ++count;
-            }
-            in_prologue = last_req == ~0ull && inst.requestId == 0;
-            last_req = inst.requestId;
-            current_type = e.currentRequestType();
-            current.clear();
-        }
-        current.insert(blockAlign(inst.pc));
+    // The last request is still running.
+    for (std::size_t r = 1; r + 1 < requests.blocks.size(); ++r) {
+        const std::uint32_t type = requests.types[r];
+        auto &count = visits[type];
+        if (count == 0)
+            first_visit[type] = requests.blocks[r];
+        else if (count == 1)
+            second_visit[type] = requests.blocks[r];
+        ++count;
     }
 
     int compared = 0;

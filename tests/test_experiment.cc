@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "death_test_style.hh"
 #include "sim/experiment.hh"
@@ -56,6 +58,31 @@ TEST(Experiment, RunScalePresets)
     EXPECT_GT(scale.timingCores, 0u);
     const FunctionalConfig fc = functionalConfigFromScale(scale);
     EXPECT_EQ(fc.measureInsts, scale.functionalMeasureInsts);
+}
+
+TEST(Experiment, UnknownScaleNameDies)
+{
+    // A typo must not silently run the default scale.
+    EXPECT_DEATH(
+        {
+            setenv("CONFLUENCE_SCALE", "quik", 1);
+            currentScale();
+        },
+        "unknown scale \"quik\"");
+}
+
+TEST(Experiment, EmptyScaleNameIsTheDefault)
+{
+    const char *saved = std::getenv("CONFLUENCE_SCALE");
+    const std::string restore = saved != nullptr ? saved : "";
+    setenv("CONFLUENCE_SCALE", "", 1);
+    const RunScale scale = currentScale();
+    if (saved != nullptr)
+        setenv("CONFLUENCE_SCALE", restore.c_str(), 1);
+    else
+        unsetenv("CONFLUENCE_SCALE");
+    EXPECT_EQ(scale.timingMeasureInsts, RunScale{}.timingMeasureInsts);
+    EXPECT_EQ(scale.timingCores, RunScale{}.timingCores);
 }
 
 TEST(Experiment, PaperConfigIsSixteenCores)

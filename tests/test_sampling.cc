@@ -4,12 +4,13 @@
  *
  * The contract that makes SMARTS sampling trustworthy is stream
  * identity: however the gaps between measured intervals are covered —
- * engine fast-forward, snapshot/restore, replay from a cached trace —
- * the instruction stream observed afterwards must be bit-identical to
- * straight-line execution. These tests drive the fast-forward and
- * restore paths at arbitrary (seeded-random) offsets across workloads,
- * seeds, and trace-cache on/off, and pin the sampled estimator codec
- * round trip plus the exact-mode byte format.
+ * engine fast-forward over a shared, private or too-short trace — the
+ * instruction stream observed afterwards must be bit-identical to the
+ * generator's straight-line stream. These tests drive fast-forward at
+ * arbitrary (seeded-random) offsets across workloads and seeds, check
+ * that exact and sampled CMP runs do not depend on the trace buffers
+ * their engines start on, and pin the sampled estimator codec round
+ * trip plus the exact-mode byte format.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "common/rng.hh"
 #include "confluence/cmp.hh"
+#include "reference_stream.hh"
 #include "sim/presets.hh"
 #include "sim/sampling.hh"
 #include "sim/sweep.hh"
@@ -30,32 +32,11 @@
 #include "workloads/suite.hh"
 
 using namespace cfl;
+using cfl::test::expectSameInst;
+using cfl::test::referenceStream;
 
 namespace
 {
-
-/** Straight-line reference: the first @p n instructions via next(). */
-std::vector<DynInst>
-referenceStream(const Program &program, const EngineParams &params,
-                std::uint64_t n)
-{
-    ExecEngine engine(program, params);
-    std::vector<DynInst> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(engine.next());
-    return out;
-}
-
-void
-expectSameInst(const DynInst &got, const DynInst &want, std::uint64_t pos)
-{
-    ASSERT_EQ(got.pc, want.pc) << "stream diverged at offset " << pos;
-    ASSERT_EQ(got.kind, want.kind) << "at offset " << pos;
-    ASSERT_EQ(got.taken, want.taken) << "at offset " << pos;
-    ASSERT_EQ(got.target, want.target) << "at offset " << pos;
-    ASSERT_EQ(got.requestId, want.requestId) << "at offset " << pos;
-}
 
 void
 expectSameCore(const CoreMetrics &a, const CoreMetrics &b, unsigned core)
@@ -86,7 +67,7 @@ expectSameMetrics(const CmpMetrics &a, const CmpMetrics &b)
 }
 
 /** Restores the process-wide trace-cache budget on scope exit so the
- *  tests below can toggle replay on/off without leaking state. */
+ *  tests below can toggle sharing on/off without leaking state. */
 class TraceCacheBudgetGuard
 {
   public:
@@ -103,10 +84,9 @@ class TraceCacheBudgetGuard
 
 } // namespace
 
-// Fast-forwarding by arbitrary amounts at arbitrary offsets — with
-// peeks interleaved, in generation mode and in replay mode (including
-// runs that cross the replay buffer's tail back into generation) —
-// observes exactly the straight-line stream.
+// Fast-forwarding by arbitrary amounts at arbitrary offsets — on a
+// private trace, and on a half-length attached one whose end the walk
+// crosses mid-run — observes exactly the straight-line stream.
 TEST(SamplingFastForward, ArbitraryOffsetsMatchStraightLine)
 {
     constexpr std::uint64_t kStream = 60'000;
@@ -118,17 +98,12 @@ TEST(SamplingFastForward, ArbitraryOffsetsMatchStraightLine)
             params.seed = seed;
             const std::vector<DynInst> ref =
                 referenceStream(program, params, kStream);
-            for (const bool replay : {false, true}) {
+            for (const bool attached : {false, true}) {
                 ExecEngine engine(program, params);
-                std::shared_ptr<const TraceBuffer> buf;
-                if (replay) {
-                    // Half-length buffer: the walk below crosses the
-                    // buffered prefix into live generation mid-run.
-                    buf = std::make_shared<TraceBuffer>(program, params,
-                                                        kStream / 2);
-                    engine.attachTrace(buf);
-                }
-                Rng sched(seed ^ (replay ? 0x9e3779b9ull : 0x1234ull));
+                if (attached)
+                    engine.attachTrace(std::make_shared<TraceBuffer>(
+                        program, params, kStream / 2));
+                Rng sched(seed ^ (attached ? 0x9e3779b9ull : 0x1234ull));
                 std::uint64_t pos = 0;
                 while (pos + 512 < kStream) {
                     const std::uint64_t ff = 1 + sched.nextBelow(300);
@@ -136,8 +111,6 @@ TEST(SamplingFastForward, ArbitraryOffsetsMatchStraightLine)
                     pos += ff;
                     const std::uint64_t run = 1 + sched.nextBelow(60);
                     for (std::uint64_t i = 0; i < run; ++i) {
-                        if (sched.nextBelow(4) == 0)
-                            expectSameInst(engine.peek(), ref[pos], pos);
                         expectSameInst(engine.next(), ref[pos], pos);
                         ++pos;
                     }
@@ -147,44 +120,10 @@ TEST(SamplingFastForward, ArbitraryOffsetsMatchStraightLine)
     }
 }
 
-// Snapshot, wander arbitrarily far ahead, restore: the stream after the
-// restore is bit-identical to the one after the original snapshot.
-TEST(SamplingFastForward, SnapshotRestoreReplaysIdenticalStream)
-{
-    constexpr std::uint64_t kStream = 40'000;
-    const Program &program = workloadProgram(allWorkloads()[1]);
-    EngineParams params;
-    params.seed = 0x77;
-    const std::vector<DynInst> ref =
-        referenceStream(program, params, kStream);
-
-    ExecEngine engine(program, params);
-    Rng sched(0xabcdef);
-    std::uint64_t pos = 0;
-    for (int round = 0; round < 8; ++round) {
-        const std::uint64_t advance = 1 + sched.nextBelow(2'000);
-        engine.fastForward(advance);
-        pos += advance;
-        const EngineSnapshot snap = engine.snapshot();
-
-        std::uint64_t wander = 1 + sched.nextBelow(3'000);
-        while (wander-- > 0)
-            engine.next();
-        // A pending peek must not leak through the restore either.
-        engine.peek();
-
-        engine.restoreSnapshot(snap);
-        for (int k = 0; k < 64; ++k) {
-            expectSameInst(engine.next(), ref[pos], pos);
-            ++pos;
-        }
-    }
-}
-
 // A sampled CMP run is a pure function of (point, spec, seed): reruns
-// are bit-identical, and the trace cache — which swaps the engines from
-// generation onto replay buffers under the sampled fast-forward path —
-// must not change a single counter or estimator bit.
+// are bit-identical, and whether the engines share cached traces or,
+// at budget 0, each generate a private one must not change a single
+// counter or estimator bit.
 TEST(SamplingCmp, SampledRunDeterministicAndTraceCacheInvariant)
 {
     TraceCacheBudgetGuard guard;
@@ -213,6 +152,51 @@ TEST(SamplingCmp, SampledRunDeterministicAndTraceCacheInvariant)
 
     const CmpMetrics generated = run(false);
     expectSameMetrics(cached, generated);
+}
+
+// Exact and sampled runs do not depend on the trace buffers the engines
+// start on: a 64K-instruction buffer, which every run outgrows, gives
+// the metrics of a buffer covering the whole budget and of private
+// traces at trace-cache budget 0.
+TEST(SamplingCmp, ShortStartingBuffersChangeNoMetric)
+{
+    TraceCacheBudgetGuard guard;
+    const SystemConfig cfg = makeSystemConfig(2);
+    const WorkloadId wl = WorkloadId::WebFrontend;
+    constexpr std::uint64_t kSeedBase = 0x3c3c;
+    RunScale scale;
+    scale.timingWarmupInsts = 100'000;
+    scale.timingMeasureInsts = 200'000;
+    const SamplingSpec spec = defaultSamplingSpec(scale);
+    const std::uint64_t total =
+        scale.timingWarmupInsts + scale.timingMeasureInsts;
+
+    // start_length 0: whatever prepareTraces gives the engines.
+    const auto run = [&](bool sampled, std::uint64_t start_length) {
+        Cmp cmp(FrontendKind::Confluence, wl, cfg, kSeedBase);
+        const WorkloadParams wp = workloadParams(wl);
+        for (unsigned c = 0; c < cmp.numCores() && start_length != 0; ++c)
+            cmp.core(c).engine().attachTrace(
+                std::make_shared<const TraceBuffer>(
+                    workloadProgram(wl),
+                    EngineParams{kSeedBase + 0x1000ull * c, wp.zipfSkew,
+                                 wp.branchNoise},
+                    start_length));
+        return sampled ? cmp.runSampled(scale.timingWarmupInsts,
+                                        scale.timingMeasureInsts, spec)
+                       : cmp.run(scale.timingWarmupInsts,
+                                 scale.timingMeasureInsts);
+    };
+
+    for (const bool sampled : {false, true}) {
+        SCOPED_TRACE(sampled ? "sampled" : "exact");
+        const CmpMetrics short_start = run(sampled, 1 << 16);
+        EXPECT_EQ(short_start.sampling.valid(), sampled);
+        expectSameMetrics(short_start, run(sampled, total + 4096));
+        traceCache().setBudgetBytes(0);
+        expectSameMetrics(short_start, run(sampled, 0));
+        traceCache().setBudgetBytes(512ull << 20);
+    }
 }
 
 // Distinct rng streams pick distinct interval phases (that is their

@@ -1,10 +1,11 @@
 /**
  * @file Tests for shared immutable traces: outcome-trace replay
- * fidelity on every preset (including cursor seeks through checkpoints
- * and onto non-branch instructions, from the engine and the BPU's
- * sampling tiers), TraceCache sharing/thread-safety/budget and
- * actual-size charging, and bit-identity of cached sweeps against the
- * pre-cache golden pins.
+ * fidelity on every preset against the generator's own straight-line
+ * stream (including cursor seeks through checkpoints and onto
+ * non-branch instructions, regeneration past a buffer's end, from the
+ * engine, the BPU's region walk and its sampling tiers), TraceCache
+ * sharing/thread-safety/budget and actual-size charging, and
+ * bit-identity of cached sweeps against the golden pins.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,15 @@
 
 #include "confluence/factory.hh"
 #include "mem/llc.hh"
+#include "reference_stream.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "trace/trace_cache.hh"
 
 using namespace cfl;
+using cfl::test::expectSameInst;
+using cfl::test::referenceStream;
+using cfl::test::sameInst;
 
 namespace
 {
@@ -30,28 +35,17 @@ paramsFor(WorkloadId wl, std::uint64_t seed)
     return EngineParams{seed, wp.zipfSkew, wp.branchNoise};
 }
 
-void
-expectSameInst(const DynInst &a, const DynInst &b, std::uint64_t i)
-{
-    ASSERT_EQ(a.pc, b.pc) << "inst " << i;
-    ASSERT_EQ(a.kind, b.kind) << "inst " << i;
-    ASSERT_EQ(a.taken, b.taken) << "inst " << i;
-    ASSERT_EQ(a.target, b.target) << "inst " << i;
-    ASSERT_EQ(a.requestId, b.requestId) << "inst " << i;
-}
-
-/** Compare @p n instructions of @p got against @p want from stream
+/** Compare @p n instructions of @p got against @p ref from stream
  *  position @p from on; reports the first mismatch only. */
 void
-expectSameStream(ExecEngine &want, ExecEngine &got, std::uint64_t from,
-                 std::uint64_t n)
+expectSameStream(const std::vector<DynInst> &ref, ExecEngine &got,
+                 std::uint64_t from, std::uint64_t n)
 {
+    ASSERT_LE(from + n, ref.size());
     for (std::uint64_t i = from; i < from + n; ++i) {
-        const DynInst a = want.next();
-        const DynInst b = got.next();
-        if (a.pc != b.pc || a.kind != b.kind || a.taken != b.taken ||
-            a.target != b.target || a.requestId != b.requestId) {
-            expectSameInst(a, b, i);
+        const DynInst &inst = got.next();
+        if (!sameInst(inst, ref[i])) {
+            expectSameInst(inst, ref[i], i);
             return;
         }
     }
@@ -69,9 +63,26 @@ quickTraceLength()
     return (insts + kGranule - 1) / kGranule * kGranule;
 }
 
+/** A single core of @p wl whose engine reads @p params's stream. */
+struct TestCore
+{
+    TestCore(WorkloadId wl, const EngineParams &params)
+        : llc(makeSystemConfig(1).llc),
+          shared{&llc, nullptr, nullptr},
+          core(FrontendKind::Baseline, workloadProgram(wl),
+               workloadParams(wl), makeSystemConfig(1), shared, 0,
+               params.seed, false)
+    {
+    }
+
+    Llc llc;
+    SharedState shared;
+    CoreSim core;
+};
+
 } // namespace
 
-TEST(TraceBuffer, EveryPresetReplaysItsLiveStreamAtQuickLength)
+TEST(TraceBuffer, EveryPresetReplaysItsStreamAtQuickLength)
 {
     const std::uint64_t length = quickTraceLength();
     for (const WorkloadId wl : allWorkloads()) {
@@ -83,38 +94,36 @@ TEST(TraceBuffer, EveryPresetReplaysItsLiveStreamAtQuickLength)
         EXPECT_LE(trace->bytes(), length / 10)
             << "outcome traces cost at most 0.1 B/inst";
 
-        ExecEngine live(program, params);
+        // Past the end the engine regenerates a longer private buffer.
+        const std::vector<DynInst> ref =
+            referenceStream(program, params, length + 20'000);
         ExecEngine replay(program, params);
         replay.attachTrace(trace);
-        // Past the tail the replaying engine generates from the
-        // buffer's snapshot.
-        expectSameStream(live, replay, 0, length + 20'000);
-        EXPECT_FALSE(replay.replaying());
-        EXPECT_EQ(live.instCount(), replay.instCount());
+        expectSameStream(ref, replay, 0, ref.size());
+        EXPECT_EQ(replay.instCount(), ref.size());
     }
 }
 
-TEST(TraceCursor, SeeksThroughCheckpointsLandOnTheLiveStream)
+TEST(TraceCursor, SeeksThroughCheckpointsLandOnTheReferenceStream)
 {
     const WorkloadId wl = WorkloadId::WebFrontend;
     const Program &program = workloadProgram(wl);
     const EngineParams params = paramsFor(wl, 0xc4ec);
     const std::uint64_t per_checkpoint = TraceBuffer::kCheckpointBranches;
 
-    // A live reference over four checkpoint segments. Checkpoint k sits
-    // right after dynamic branch k * kCheckpointBranches - 1.
-    std::vector<DynInst> ref;
+    // Four checkpoint segments. Checkpoint k sits right after dynamic
+    // branch k * kCheckpointBranches - 1.
+    const std::vector<DynInst> ref = referenceStream(program, params,
+                                                     400'000);
     std::vector<std::uint64_t> boundaries;
-    {
-        ExecEngine live(program, params);
-        std::uint64_t branches = 0;
-        while (boundaries.size() < 4) {
-            ref.push_back(live.next());
-            if (ref.back().isBranch() && ++branches % per_checkpoint == 0)
-                boundaries.push_back(ref.size());
-        }
+    std::uint64_t branches = 0;
+    for (std::uint64_t i = 0; boundaries.size() < 4; ++i) {
+        ASSERT_LT(i, ref.size());
+        if (ref[i].isBranch() && ++branches % per_checkpoint == 0)
+            boundaries.push_back(i + 1);
     }
-    const std::uint64_t buffered = ref.size();
+    const std::uint64_t buffered = boundaries.back();
+    ASSERT_LE(buffered + 1000, ref.size());
     auto trace = std::make_shared<const TraceBuffer>(program, params,
                                                      buffered);
     EXPECT_EQ(trace->numBranches(), 4 * per_checkpoint);
@@ -135,42 +144,25 @@ TEST(TraceCursor, SeeksThroughCheckpointsLandOnTheLiveStream)
         ++dispatch;
     targets.push_back(dispatch);
 
-    // Every continuation runs past the buffer's tail.
+    // Every continuation runs past the buffer's end.
     const auto continuation = [&](std::uint64_t at) {
         return buffered + 1000 - at;
-    };
-    const auto live_at = [&](std::uint64_t at) {
-        auto live = std::make_unique<ExecEngine>(program, params);
-        for (std::uint64_t i = 0; i < at; ++i)
-            live->next();
-        return live;
     };
 
     for (const std::uint64_t at : targets) {
         SCOPED_TRACE(at);
-        for (const bool fast_forward : {false, true}) {
-            ExecEngine replay(program, params);
-            replay.attachTrace(trace);
-            if (fast_forward) {
-                // A pending peek counts as the first skipped instruction.
-                replay.peek();
-                replay.fastForward(at);
-            } else {
-                replay.skipReplay(at);
-            }
-            expectSameStream(*live_at(at), replay, at, continuation(at));
-        }
+        ExecEngine replay(program, params);
+        replay.attachTrace(trace);
+        replay.fastForward(at);
+        expectSameStream(ref, replay, at, continuation(at));
 
         // The BPU's skip tier seeks the engine's own cursor.
-        Llc llc(makeSystemConfig(1).llc);
-        SharedState shared;
-        shared.llc = &llc;
-        CoreSim core(FrontendKind::Baseline, program, workloadParams(wl),
-                     makeSystemConfig(1), shared, 0, params.seed, false);
-        core.engine().attachTrace(trace);
+        TestCore t(wl, params);
+        t.core.engine().attachTrace(trace);
         Cycle now = 0;
-        EXPECT_EQ(core.bpu().skipStream(at, now), at);
-        expectSameStream(*live_at(at), core.engine(), at, continuation(at));
+        t.core.bpu().skipStream(at, now);
+        EXPECT_EQ(t.core.engine().instCount(), at);
+        expectSameStream(ref, t.core.engine(), at, continuation(at));
     }
 
     // A cursor seeks backward as well as forward.
@@ -181,89 +173,65 @@ TEST(TraceCursor, SeeksThroughCheckpointsLandOnTheLiveStream)
         for (std::uint64_t i = *it; i < *it + 64; ++i) {
             DynInst got;
             cursor.next(got);
-            expectSameInst(ref[i], got, i);
+            expectSameInst(got, ref[i], i);
         }
     }
 }
 
-TEST(TraceCursor, TouchTierWalksTheLiveStream)
+TEST(TraceCursor, TouchTierWalksTheReferenceStream)
 {
     // touchStream consumes whole regions, so it may overshoot the
-    // request; whatever it consumed, the stream continues from there.
+    // request; whatever it consumed, the stream continues from there,
+    // past the buffer's end too.
     const WorkloadId wl = WorkloadId::OltpDb2;
     const Program &program = workloadProgram(wl);
     const EngineParams params = paramsFor(wl, 0x70c4);
     const std::uint64_t buffered = 3 * TraceBuffer::kCheckpointBranches * 8;
     auto trace = std::make_shared<const TraceBuffer>(program, params,
                                                      buffered);
-    Llc llc(makeSystemConfig(1).llc);
-    SharedState shared;
-    shared.llc = &llc;
-    CoreSim core(FrontendKind::Baseline, program, workloadParams(wl),
-                 makeSystemConfig(1), shared, 0, params.seed, false);
-    core.engine().attachTrace(trace);
+    TestCore t(wl, params);
+    t.core.engine().attachTrace(trace);
 
     Cycle now = 0;
-    const Counter touched = core.bpu().touchStream(
-        buffered / 2, core.mem(), core.prefetcher(), now);
+    const Counter touched = t.core.bpu().touchStream(
+        buffered / 2, t.core.mem(), t.core.prefetcher(), now);
     EXPECT_GE(touched, buffered / 2);
     EXPECT_LT(touched, buffered / 2 + 16);
-    // Asking for more than is buffered stops at the tail.
-    const Counter rest = core.bpu().touchStream(
-        buffered, core.mem(), core.prefetcher(), now);
-    EXPECT_EQ(touched + rest, buffered);
+    const Counter rest = t.core.bpu().touchStream(
+        buffered, t.core.mem(), t.core.prefetcher(), now);
+    EXPECT_GE(rest, buffered);
+    EXPECT_LT(rest, buffered + 16);
+    EXPECT_EQ(t.core.engine().instCount(), touched + rest);
 
-    ExecEngine live(program, params);
-    live.fastForward(buffered);
-    expectSameStream(live, core.engine(), buffered, 1000);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, touched + rest + 1000);
+    expectSameStream(ref, t.core.engine(), touched + rest, 1000);
 }
 
-TEST(TraceBuffer, ReplayMatchesLiveGenerationIncludingTail)
+TEST(TraceBuffer, ReplayPastTheBufferMatchesTheReference)
 {
     const WorkloadId wl = WorkloadId::DssQry;
     const Program &program = workloadProgram(wl);
     const EngineParams params = paramsFor(wl, 0x1234);
 
-    // Buffer shorter than the run: the replaying engine must cross the
-    // buffered prefix and continue generating, bit-identically.
+    // Buffer shorter than the run: the engine must cross the buffer's
+    // end onto a regenerated one, bit-identically.
     const std::uint64_t buffered = 1000;
     auto trace = std::make_shared<const TraceBuffer>(program, params,
                                                      buffered);
     ASSERT_EQ(trace->size(), buffered);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, 3 * buffered);
 
-    ExecEngine live(program, params);
     ExecEngine replay(program, params);
     replay.attachTrace(trace);
-    EXPECT_TRUE(replay.replaying());
-
-    for (std::uint64_t i = 0; i < 3 * buffered; ++i) {
-        const DynInst a = live.next();
-        const DynInst b = replay.next();
-        expectSameInst(a, b, i);
-        ASSERT_EQ(live.instCount(), replay.instCount()) << "inst " << i;
-    }
-    EXPECT_FALSE(replay.replaying()) << "tail continuation left replay mode";
-}
-
-TEST(TraceBuffer, PeekSemanticsMatchUnderReplay)
-{
-    const WorkloadId wl = WorkloadId::MediaStreaming;
-    const Program &program = workloadProgram(wl);
-    const EngineParams params = paramsFor(wl, 0x77);
-
-    auto trace =
-        std::make_shared<const TraceBuffer>(program, params, 512);
-    ExecEngine live(program, params);
-    ExecEngine replay(program, params);
-    replay.attachTrace(trace);
-
-    for (std::uint64_t i = 0; i < 1024; ++i) {
-        expectSameInst(live.peek(), replay.peek(), i);
-        expectSameInst(live.next(), replay.next(), i);
+    for (std::uint64_t i = 0; i < ref.size(); ++i) {
+        expectSameInst(replay.next(), ref[i], i);
+        ASSERT_EQ(replay.instCount(), i + 1) << "inst " << i;
     }
 }
 
-TEST(TraceBuffer, SkipToNonBranchThenReplayMatchesLive)
+TEST(TraceBuffer, SkipToNonBranchThenReplayMatchesTheReference)
 {
     const WorkloadId wl = WorkloadId::OltpDb2;
     const Program &program = workloadProgram(wl);
@@ -271,43 +239,177 @@ TEST(TraceBuffer, SkipToNonBranchThenReplayMatchesLive)
     const std::uint64_t buffered = 200'000;
     auto trace = std::make_shared<const TraceBuffer>(program, params,
                                                      buffered);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, buffered + 1000);
 
     // Two non-branch landing spots past the first request boundary:
     // right after a taken branch (the pc resumes at its target) and
     // in the middle of a straight run.
     std::uint64_t after_taken = 0, mid_run = 0;
-    {
-        ExecEngine probe(program, params);
-        DynInst prev;
-        for (std::uint64_t i = 0; i < buffered / 2; ++i) {
-            const DynInst inst = probe.next();
-            if (inst.requestId > 0 && !inst.isBranch()) {
-                if (after_taken == 0 && prev.isBranch() && prev.taken)
-                    after_taken = i;
-                else if (after_taken != 0 && mid_run == 0 &&
-                         !prev.isBranch())
-                    mid_run = i;
-            }
-            prev = inst;
+    for (std::uint64_t i = 1; i < buffered / 2; ++i) {
+        const DynInst &inst = ref[i];
+        const DynInst &prev = ref[i - 1];
+        if (inst.requestId > 0 && !inst.isBranch()) {
+            if (after_taken == 0 && prev.isBranch() && prev.taken)
+                after_taken = i;
+            else if (after_taken != 0 && mid_run == 0 && !prev.isBranch())
+                mid_run = i;
         }
     }
     ASSERT_NE(after_taken, 0u);
     ASSERT_NE(mid_run, 0u);
 
     for (const std::uint64_t skip : {after_taken, mid_run}) {
-        for (const bool fast_forward : {false, true}) {
-            ExecEngine live(program, params);
-            ExecEngine replay(program, params);
-            replay.attachTrace(trace);
-            live.fastForward(skip);
-            if (fast_forward)
-                replay.fastForward(skip);
-            else
-                replay.skipReplay(skip);
-            ASSERT_TRUE(replay.replaying());
-            for (std::uint64_t i = skip; i < buffered + 1000; ++i)
-                expectSameInst(live.next(), replay.next(), i);
-            EXPECT_FALSE(replay.replaying());
+        ExecEngine replay(program, params);
+        replay.attachTrace(trace);
+        replay.fastForward(skip);
+        expectSameStream(ref, replay, skip, ref.size() - skip);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One stream path: an engine on a short attached buffer and one with no
+// buffer at all read the generator's stream, through every consumer,
+// across every regeneration boundary.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+constexpr std::uint64_t kShortBuffer = 20'000;
+/** Past three times the short buffer, and past two regenerations of an
+ *  engine that starts with no buffer. */
+constexpr std::uint64_t kDriven = 140'000;
+
+/** Start @p engine on a short attached buffer, or on none. */
+void
+startEngine(ExecEngine &engine, bool attached, const Program &program,
+            const EngineParams &params)
+{
+    if (attached)
+        engine.attachTrace(std::make_shared<const TraceBuffer>(
+            program, params, kShortBuffer));
+}
+
+/** Buffer lengths an engine driven by next() reads on the way to
+ *  kDriven: every one is a regeneration boundary. */
+std::vector<std::uint64_t>
+regenerationBoundaries(bool attached, const Program &program,
+                       const EngineParams &params)
+{
+    ExecEngine engine(program, params);
+    startEngine(engine, attached, program, params);
+    std::vector<std::uint64_t> sizes;
+    for (std::uint64_t i = 0; i < kDriven; ++i) {
+        engine.next();
+        const std::uint64_t size = engine.cursor(0).size();
+        if (sizes.empty() || sizes.back() != size)
+            sizes.push_back(size);
+    }
+    sizes.pop_back();  // the buffer still being read at kDriven
+    return sizes;
+}
+
+} // namespace
+
+TEST(OneStreamPath, NextAndFastForwardAcrossRegenerations)
+{
+    const WorkloadId wl = WorkloadId::WebFrontend;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0x0b0e);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, kDriven + 2000);
+
+    for (const bool attached : {true, false}) {
+        SCOPED_TRACE(attached ? "short buffer attached" : "no buffer");
+        const std::vector<std::uint64_t> boundaries =
+            regenerationBoundaries(attached, program, params);
+        ASSERT_GE(boundaries.size(), 2u);
+        if (attached) {
+            EXPECT_EQ(boundaries.front(), kShortBuffer);
+        }
+
+        ExecEngine engine(program, params);
+        startEngine(engine, attached, program, params);
+        expectSameStream(ref, engine, 0, kDriven);
+
+        for (const std::uint64_t b : boundaries) {
+            for (const std::uint64_t at : {b - 1, b, b + 1}) {
+                SCOPED_TRACE(at);
+                // One jump from the start, and one from just short of
+                // the landing spot.
+                ExecEngine jump(program, params);
+                startEngine(jump, attached, program, params);
+                jump.fastForward(at);
+                expectSameStream(ref, jump, at, 2000);
+
+                ExecEngine step(program, params);
+                startEngine(step, attached, program, params);
+                step.fastForward(at - 3);
+                step.fastForward(3);
+                expectSameStream(ref, step, at, 2000);
+            }
+        }
+    }
+}
+
+TEST(OneStreamPath, BpuRegionWalkTilesTheReference)
+{
+    const WorkloadId wl = WorkloadId::OltpOracle;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0x7e91);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, kDriven + 128);
+
+    for (const bool attached : {true, false}) {
+        SCOPED_TRACE(attached ? "short buffer attached" : "no buffer");
+        TestCore t(wl, params);
+        startEngine(t.core.engine(), attached, program, params);
+        std::uint64_t pos = 0;
+        for (Cycle now = 0; pos < kDriven; ++now) {
+            const BpuResult res = t.core.bpu().predictNextRegion(now);
+            ASSERT_EQ(res.region.startPc, ref[pos].pc) << "at " << pos;
+            unsigned branches = 0;
+            for (unsigned i = 0; i < res.region.numInsts; ++i)
+                branches += ref[pos + i].isBranch() ? 1 : 0;
+            ASSERT_EQ(res.region.numBranches, branches) << "at " << pos;
+            pos += res.region.numInsts;
+            ASSERT_EQ(t.core.engine().instCount(), pos);
+        }
+        expectSameStream(ref, t.core.engine(), pos, 64);
+    }
+}
+
+TEST(OneStreamPath, TouchAndSkipTiersAcrossRegenerations)
+{
+    const WorkloadId wl = WorkloadId::MediaStreaming;
+    const Program &program = workloadProgram(wl);
+    const EngineParams params = paramsFor(wl, 0x5c1f);
+    const std::vector<DynInst> ref =
+        referenceStream(program, params, kDriven + 20'000);
+
+    for (const bool attached : {true, false}) {
+        SCOPED_TRACE(attached ? "short buffer attached" : "no buffer");
+        TestCore t(wl, params);
+        startEngine(t.core.engine(), attached, program, params);
+        Rng sched(attached ? 0x51 : 0x52);
+        Cycle now = 0;
+        std::uint64_t pos = 0;
+        while (pos < kDriven) {
+            const Counter n = 1 + sched.nextBelow(9'000);
+            if (sched.nextBelow(2) == 0) {
+                t.core.bpu().skipStream(n, now);
+                pos += n;
+            } else {
+                const Counter touched = t.core.bpu().touchStream(
+                    n, t.core.mem(), t.core.prefetcher(), now);
+                ASSERT_GE(touched, n);
+                ASSERT_LT(touched, n + 16);
+                pos += touched;
+            }
+            ASSERT_EQ(t.core.engine().instCount(), pos);
+            expectSameStream(ref, t.core.engine(), pos, 32);
+            pos += 32;
         }
     }
 }
@@ -512,7 +614,8 @@ TEST(TraceCache, ChargesEachBufferItsActualBytes)
 // ---------------------------------------------------------------------------
 // Bit-identity against the golden pins: the same quick-scale sweep that
 // tests/test_calibration.cc pins must produce identical numbers whether
-// every point replays a shared cached trace or generates live.
+// every point replays a shared cached trace or, at budget 0, generates
+// its own unshared one.
 // ---------------------------------------------------------------------------
 
 namespace
@@ -538,7 +641,7 @@ TEST(TraceCacheGolden, CachedSweepIsBitIdenticalToLive)
 {
     const std::uint64_t saved = traceCache().budgetBytes();
 
-    traceCache().setBudgetBytes(0);  // live generation for every point
+    traceCache().setBudgetBytes(0);  // a private trace for every point
     const SweepResult live = goldenQuickSweep();
 
     traceCache().setBudgetBytes(1ull << 30);  // shared replay
