@@ -278,8 +278,7 @@ fig08Spec()
                                 p.syncWithL1I = step.sync;
                                 return std::make_unique<AirBtb>(
                                     p, program.image, pre);
-                            })
-                     .result;
+                            });
              }});
 
     f.report = [](const std::string &title,
@@ -324,8 +323,7 @@ fig09Spec()
                         [&](const Program &, const Predecoder &) {
                             return std::make_unique<PhantomBtb>(
                                 config.phantom, history, 0);
-                        })
-                 .result;
+                        });
          }});
     // AirBTB inside Confluence (with SHIFT).
     f.runs.push_back(
@@ -340,8 +338,7 @@ fig09Spec()
                         [](const Program &program, const Predecoder &pre) {
                             return std::make_unique<AirBtb>(
                                 AirBtbParams{}, program.image, pre);
-                        })
-                 .result;
+                        });
          }});
     f.runs.push_back({"16K BTB",
                       [](WorkloadId wl, const SystemConfig &,
@@ -396,8 +393,7 @@ fig10Spec()
                                 p.overflowEntries = ob;
                                 return std::make_unique<AirBtb>(
                                     p, program.image, pre);
-                            })
-                     .result;
+                            });
              }});
 
     f.report = [](const std::string &title,

@@ -767,15 +767,15 @@ main(int argc, char **argv)
         else if (arg == "--strict")
             cfg.strict = true;
         else if (arg == "--min-sampled-speedup")
-            cfg.minSampledSpeedup = std::stod(value());
+            cfg.minSampledSpeedup = parseDoubleFlag(arg, value());
         else if (arg == "--iters")
-            cfg.iters = static_cast<unsigned>(std::stoul(value()));
+            cfg.iters = parseUnsignedFlag(arg, value());
         else if (arg == "--out")
             cfg.outPath = value();
         else if (arg == "--compare")
             cfg.comparePath = value();
         else if (arg == "--min-ratio")
-            cfg.minRatio = std::stod(value());
+            cfg.minRatio = parseDoubleFlag(arg, value());
         else if (arg == "--dispatch")
             cfg.dispatchSweepBin = value();
         else if (arg == "--dispatch-workers")

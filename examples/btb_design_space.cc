@@ -62,8 +62,7 @@ main(int argc, char **argv)
                            ap.overflowEntries = p.overflowEntries;
                            return std::make_unique<AirBtb>(
                                ap, program.image, pre);
-                       })
-                .result;
+                       });
         });
 
     const FunctionalResult &base = results[0];

@@ -15,8 +15,8 @@
 #include <string>
 
 #include "common/report.hh"
-#include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/sweep.hh"
 
 using namespace cfl;
 
@@ -50,16 +50,17 @@ main(int argc, char **argv)
 
     double base_ipc = 0.0;
     for (const FrontendKind kind : ladder) {
-        const TimingPoint point = runTiming(kind, workload, config, scale);
-        const double ipc = point.metrics.meanIpc();
+        const CmpMetrics metrics = evaluateSweepPoint(
+            {kind, workload, scale}, config, kDefaultCmpSeedBase);
+        const double ipc = metrics.meanIpc();
         if (kind == FrontendKind::Baseline)
             base_ipc = ipc;
         report.addRow({
             frontendKindName(kind),
             Report::num(ipc, 3),
             Report::ratio(speedup(ipc, base_ipc)),
-            Report::num(point.metrics.meanBtbMpki(), 1),
-            Report::num(point.metrics.meanL1iMpki(), 1),
+            Report::num(metrics.meanBtbMpki(), 1),
+            Report::num(metrics.meanL1iMpki(), 1),
             Report::num(frontendOverheadMm2(kind, config), 2) + "mm2",
             Report::ratio(relativeArea(kind, config)),
         });

@@ -12,8 +12,8 @@
 #include <string>
 
 #include "common/report.hh"
-#include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/sweep.hh"
 
 using namespace cfl;
 
@@ -55,13 +55,12 @@ main(int argc, char **argv)
                   {"metric", "baseline (1K BTB, no prefetch)",
                    "Confluence (AirBTB + SHIFT)"});
 
-    const TimingPoint base =
-        runTiming(FrontendKind::Baseline, workload, config, scale);
-    const TimingPoint conf =
-        runTiming(FrontendKind::Confluence, workload, config, scale);
-
-    const CmpMetrics &b = base.metrics;
-    const CmpMetrics &c = conf.metrics;
+    const CmpMetrics b = evaluateSweepPoint(
+        {FrontendKind::Baseline, workload, scale}, config,
+        kDefaultCmpSeedBase);
+    const CmpMetrics c = evaluateSweepPoint(
+        {FrontendKind::Confluence, workload, scale}, config,
+        kDefaultCmpSeedBase);
     report.addRow({"IPC", Report::num(b.meanIpc(), 3),
                    Report::num(c.meanIpc(), 3)});
     report.addRow({"BTB MPKI", Report::num(b.meanBtbMpki(), 1),

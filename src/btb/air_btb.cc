@@ -5,20 +5,6 @@
 namespace cfl
 {
 
-namespace
-{
-
-std::size_t
-bundleSets(const AirBtbParams &p)
-{
-    cfl_assert(p.bundles % p.ways == 0, "bundles must divide by ways");
-    const std::size_t sets = p.bundles / p.ways;
-    cfl_assert(isPowerOfTwo(sets), "bundle sets must be a power of two");
-    return sets;
-}
-
-} // namespace
-
 AirBtb::AirBtb(const AirBtbParams &params, const CodeImage &image,
                const Predecoder &predecoder, std::string name)
     : Btb(std::move(name)),
@@ -26,7 +12,8 @@ AirBtb::AirBtb(const AirBtbParams &params, const CodeImage &image,
       image_(image),
       predecoder_(predecoder),
       // Keyed by block address; skip the 6 block-offset bits.
-      bundleStore_(bundleSets(params), params.ways, floorLog2(kBlockBytes)),
+      bundleStore_(assocSets(params.bundles, params.ways), params.ways,
+                   floorLog2(kBlockBytes)),
       overflow_(1, std::max(1u, params.overflowEntries), 0)
 {
     cfl_assert(params.branchEntries >= 1 && params.branchEntries <= 8,

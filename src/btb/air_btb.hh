@@ -31,7 +31,7 @@
 
 #include <array>
 
-#include "btb/assoc.hh"
+#include "common/assoc.hh"
 #include "btb/btb.hh"
 #include "common/delegate.hh"
 #include "isa/code_image.hh"

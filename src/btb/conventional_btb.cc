@@ -3,26 +3,12 @@
 namespace cfl
 {
 
-namespace
-{
-
-std::size_t
-mainSets(const ConventionalBtbParams &p)
-{
-    cfl_assert(p.entries % p.ways == 0, "BTB entries must divide by ways");
-    const std::size_t sets = p.entries / p.ways;
-    cfl_assert(isPowerOfTwo(sets), "BTB sets must be a power of two");
-    return sets;
-}
-
-} // namespace
-
 ConventionalBtb::ConventionalBtb(const ConventionalBtbParams &params,
                                  std::string name)
     : Btb(std::move(name)),
       params_(params),
       // Keys are branch PCs; skip the 2 byte-offset bits when indexing.
-      main_(mainSets(params), params.ways, 2)
+      main_(assocSets(params.entries, params.ways), params.ways, 2)
 {
     if (params.victimEntries > 0) {
         victim_ = std::make_unique<AssocCache<BtbEntryData>>(

@@ -14,7 +14,7 @@
 
 #include <memory>
 
-#include "btb/assoc.hh"
+#include "common/assoc.hh"
 #include "btb/btb.hh"
 
 namespace cfl

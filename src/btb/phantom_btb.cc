@@ -1,29 +1,13 @@
 #include "btb/phantom_btb.hh"
 
-#include "common/bitops.hh"
-
 namespace cfl
 {
-
-namespace
-{
-
-std::size_t
-setsOf(std::size_t entries, unsigned ways)
-{
-    cfl_assert(entries % ways == 0, "entries must divide by ways");
-    const std::size_t s = entries / ways;
-    cfl_assert(isPowerOfTwo(s), "sets must be a power of two");
-    return s;
-}
-
-} // namespace
 
 PhantomSharedHistory::PhantomSharedHistory(const PhantomBtbParams &params)
     : params_(params),
       // The virtualized table is a direct-mapped-ish region-indexed store
       // bounded at numGroups LLC blocks; 8 ways balances conflict churn.
-      groups_(setsOf(params.numGroups, 8), 8, 0),
+      groups_(assocSets(params.numGroups, 8), 8, 0),
       forming_(64)
 {
     cfl_assert(params.groupSize <= PhantomGroup::kMaxEntries,
@@ -76,7 +60,7 @@ PhantomBtb::PhantomBtb(const PhantomBtbParams &params,
       params_(params),
       history_(std::move(history)),
       coreId_(core_id),
-      l1_(setsOf(params.l1Entries, params.l1Ways), params.l1Ways, 2),
+      l1_(assocSets(params.l1Entries, params.l1Ways), params.l1Ways, 2),
       prefetchBuffer_(1, params.prefetchBufferEntries, 0)
 {
     cfl_assert(history_ != nullptr, "PhantomBtb needs a shared history");

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "btb/assoc.hh"
+#include "common/assoc.hh"
 #include "btb/btb.hh"
 #include "common/ring.hh"
 

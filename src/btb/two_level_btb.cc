@@ -3,25 +3,11 @@
 namespace cfl
 {
 
-namespace
-{
-
-std::size_t
-sets(std::size_t entries, unsigned ways)
-{
-    cfl_assert(entries % ways == 0, "BTB entries must divide by ways");
-    const std::size_t s = entries / ways;
-    cfl_assert(isPowerOfTwo(s), "BTB sets must be a power of two");
-    return s;
-}
-
-} // namespace
-
 TwoLevelBtb::TwoLevelBtb(const TwoLevelBtbParams &params, std::string name)
     : Btb(std::move(name)),
       params_(params),
-      l1_(sets(params.l1Entries, params.l1Ways), params.l1Ways, 2),
-      l2_(sets(params.l2Entries, params.l2Ways), params.l2Ways, 2)
+      l1_(assocSets(params.l1Entries, params.l1Ways), params.l1Ways, 2),
+      l2_(assocSets(params.l2Entries, params.l2Ways), params.l2Ways, 2)
 {
 }
 

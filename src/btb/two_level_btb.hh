@@ -10,7 +10,7 @@
 #ifndef CFL_BTB_TWO_LEVEL_BTB_HH
 #define CFL_BTB_TWO_LEVEL_BTB_HH
 
-#include "btb/assoc.hh"
+#include "common/assoc.hh"
 #include "btb/btb.hh"
 
 namespace cfl

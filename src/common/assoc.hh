@@ -1,15 +1,18 @@
 /**
  * @file
- * Set-associative key/value array with true-LRU replacement — the storage
- * building block of every BTB design (main tables, victim buffers,
- * prefetch buffers, bundle stores).
+ * Set-associative key/value array with true-LRU replacement: the one
+ * storage building block of the L1-I and LLC tag arrays (mem/Cache,
+ * with an empty payload) and of every BTB design (main tables, victim
+ * buffers, prefetch buffers, bundle stores).
  *
- * Unlike mem/SetAssocTags this stores a payload per entry; keys are
- * pre-shifted by the caller (branch PC or block address).
+ * Keys are opaque 64-bit values (block addresses, branch PCs, region
+ * numbers); the set index is the key's low bits above index_shift.
+ * Victim choice is the set's first invalid way, else its least
+ * recently used one, by a use clock private to each array.
  */
 
-#ifndef CFL_BTB_ASSOC_HH
-#define CFL_BTB_ASSOC_HH
+#ifndef CFL_COMMON_ASSOC_HH
+#define CFL_COMMON_ASSOC_HH
 
 #include <cstdint>
 #include <optional>
@@ -20,6 +23,17 @@
 
 namespace cfl
 {
+
+/** Sets of an array holding @p entries in @p ways ways; @p entries
+ *  must divide by @p ways (the AssocCache constructor checks that the
+ *  quotient is a power of two). */
+inline std::size_t
+assocSets(std::size_t entries, unsigned ways)
+{
+    cfl_assert(ways > 0 && entries % ways == 0,
+               "%zu entries do not divide by %u ways", entries, ways);
+    return entries / ways;
+}
 
 /** Set-associative payload cache; fully associative when sets == 1. */
 template <typename Value>
@@ -169,4 +183,4 @@ class AssocCache
 
 } // namespace cfl
 
-#endif // CFL_BTB_ASSOC_HH
+#endif // CFL_COMMON_ASSOC_HH

@@ -43,9 +43,6 @@ class FlatMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Heap bytes the slot array occupies. */
-    std::size_t heapBytes() const { return slots_.capacity() * sizeof(Slot); }
-
     Value *
     find(std::uint64_t key)
     {

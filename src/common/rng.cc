@@ -77,15 +77,6 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-unsigned
-Rng::nextGeometric(double p, unsigned max_value)
-{
-    unsigned n = 0;
-    while (n < max_value && nextBool(p))
-        ++n;
-    return n;
-}
-
 std::uint64_t
 Rng::nextZipf(std::uint64_t n, double s)
 {

@@ -38,12 +38,6 @@ class Rng
     /** Bernoulli draw with probability @p p of true. */
     bool nextBool(double p);
 
-    /**
-     * Geometric-ish draw: number of successes before failure with
-     * continue-probability @p p, clamped at @p max_value.
-     */
-    unsigned nextGeometric(double p, unsigned max_value);
-
     /** Zipf-distributed value in [0, n) with exponent @p s. */
     std::uint64_t nextZipf(std::uint64_t n, double s);
 

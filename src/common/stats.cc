@@ -5,67 +5,6 @@
 namespace cfl
 {
 
-Histogram::Histogram(unsigned num_buckets, std::uint64_t bucket_width)
-    : buckets_(num_buckets, 0), bucketWidth_(bucket_width)
-{
-    cfl_assert(num_buckets > 0, "histogram needs at least one bucket");
-    cfl_assert(bucket_width > 0, "histogram bucket width must be positive");
-}
-
-void
-Histogram::sample(std::uint64_t value, Counter count)
-{
-    const std::uint64_t bucket = value / bucketWidth_;
-    if (bucket >= buckets_.size())
-        overflow_ += count;
-    else
-        buckets_[bucket] += count;
-    samples_ += count;
-    sum_ += value * count;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    overflow_ = 0;
-    samples_ = 0;
-    sum_ = 0;
-}
-
-double
-Histogram::mean() const
-{
-    return samples_ == 0
-        ? 0.0
-        : static_cast<double>(sum_) / static_cast<double>(samples_);
-}
-
-Counter
-Histogram::bucketCount(unsigned bucket) const
-{
-    cfl_assert(bucket < buckets_.size(), "histogram bucket out of range");
-    return buckets_[bucket];
-}
-
-double
-Histogram::cumulativeFractionAtOrBelow(std::uint64_t value) const
-{
-    if (samples_ == 0)
-        return 0.0;
-    Counter below = 0;
-    for (unsigned b = 0; b < buckets_.size(); ++b) {
-        const std::uint64_t bucket_lo = b * bucketWidth_;
-        if (bucket_lo > value)
-            break;
-        // A bucket counts fully once its whole range is at or below value.
-        if (bucket_lo + bucketWidth_ - 1 <= value)
-            below += buckets_[b];
-    }
-    return static_cast<double>(below) / static_cast<double>(samples_);
-}
-
 StatSet::StatSet(std::string component_name)
     : componentName_(std::move(component_name))
 {
@@ -81,22 +20,10 @@ Counter
 StatSet::get(const std::string &name) const
 {
     const auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0 : it->second.value();
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return scalars_.find(name) != scalars_.end();
-}
-
-double
-StatSet::ratio(const std::string &num, const std::string &den) const
-{
-    const auto d = get(den);
-    if (d == 0)
-        return 0.0;
-    return static_cast<double>(get(num)) / static_cast<double>(d);
+    if (it == scalars_.end())
+        cfl_panic("%s: no stat named \"%s\"", componentName_.c_str(),
+                  name.c_str());
+    return it->second.value();
 }
 
 std::vector<std::pair<std::string, Counter>>

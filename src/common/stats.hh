@@ -1,16 +1,17 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, ratios, and
- * histograms grouped into StatSet objects that components expose.
+ * Lightweight statistics package: named scalar counters grouped into
+ * StatSet objects that components expose.
  *
- * Components register their stats in a StatSet; the experiment harness
- * pulls values by name to compute derived metrics (MPKI, coverage, IPC).
+ * Components register every counter in a StatSet when they are built
+ * and keep a Stat pointer for the hot path; the experiment harness
+ * reads values by name (Cmp::collectMetrics), and a name that was
+ * never registered is a bug, not a zero.
  */
 
 #ifndef CFL_COMMON_STATS_HH
 #define CFL_COMMON_STATS_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,36 +36,6 @@ class Stat
     Counter value_ = 0;
 };
 
-/** A bounded histogram with fixed-width buckets plus an overflow bucket. */
-class Histogram
-{
-  public:
-    /** @param num_buckets number of regular buckets
-     *  @param bucket_width value-range width of each bucket */
-    Histogram(unsigned num_buckets = 16, std::uint64_t bucket_width = 1);
-
-    void sample(std::uint64_t value, Counter count = 1);
-    void reset();
-
-    Counter totalSamples() const { return samples_; }
-    double mean() const;
-    Counter bucketCount(unsigned bucket) const;
-    Counter overflowCount() const { return overflow_; }
-    unsigned numBuckets() const
-    {
-        return static_cast<unsigned>(buckets_.size());
-    }
-    /** Fraction of samples whose value is <= @p value. */
-    double cumulativeFractionAtOrBelow(std::uint64_t value) const;
-
-  private:
-    std::vector<Counter> buckets_;
-    std::uint64_t bucketWidth_;
-    Counter overflow_ = 0;
-    Counter samples_ = 0;
-    std::uint64_t sum_ = 0;
-};
-
 /**
  * A registry of named statistics owned by one component.
  *
@@ -78,14 +49,9 @@ class StatSet
     /** Create-or-get a scalar by name. */
     Stat &scalar(const std::string &name);
 
-    /** Read a scalar by name; returns 0 for unknown names. */
+    /** Read a registered scalar by name; panics, in every build, on a
+     *  name that was never registered. */
     Counter get(const std::string &name) const;
-
-    /** True if the named scalar has been registered. */
-    bool has(const std::string &name) const;
-
-    /** Ratio of two registered scalars; returns 0 when denominator is 0. */
-    double ratio(const std::string &num, const std::string &den) const;
 
     /** All (name, value) pairs sorted by name. */
     std::vector<std::pair<std::string, Counter>> dump() const;

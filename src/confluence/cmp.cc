@@ -13,6 +13,13 @@ namespace
 
 template <typename BtbT>
 void
+tickTyped(Frontend &fe)
+{
+    fe.tickImpl<BtbT>();
+}
+
+template <typename BtbT>
+void
 runTyped(Frontend &fe, Counter target)
 {
     fe.runUntil<BtbT>(target);
@@ -26,13 +33,14 @@ skipTyped(Frontend &fe, Counter insts)
 }
 
 template <typename BtbT>
-constexpr Cmp::TypedCore kTypedCore{&runTyped<BtbT>, &skipTyped<BtbT>};
+constexpr Cmp::TypedCore kTypedCore{&tickTyped<BtbT>, &runTyped<BtbT>,
+                                    &skipTyped<BtbT>};
 
 /**
- * Resolve the typed loops for a core's actual BTB. The compile-time
- * table covers every type the factory builds; a BTB none of the casts
- * recognize (e.g. a test double) falls back to the virtual-dispatch
- * loops, which are bit-identical, just slower.
+ * Resolve the typed step and loops for a core's actual BTB. The
+ * compile-time table covers every type the factory builds; a BTB none
+ * of the casts recognize (e.g. a test double) falls back to the
+ * virtual-dispatch instantiation, which is bit-identical, just slower.
  */
 Cmp::TypedCore
 typedCore(const Btb &btb)
@@ -151,8 +159,7 @@ Cmp::runToTargets(const std::vector<Counter> &targets)
 {
     if (cores_.size() == 1) {
         // One core leaves no cross-core LLC interleaving to preserve,
-        // so the whole loop can run through the typed fast path
-        // (devirtualized BPU walk + quiet-window skip).
+        // so the whole loop can skip quiet windows (Frontend::runUntil).
         typed_[0].run(cores_[0]->frontend(), targets[0]);
         return;
     }
@@ -162,8 +169,9 @@ Cmp::runToTargets(const std::vector<Counter> &targets)
     while (true) {
         bool any_running = false;
         for (std::size_t c = 0; c < cores_.size(); ++c) {
-            if (cores_[c]->frontend().measuredRetired() < targets[c]) {
-                cores_[c]->frontend().tick();
+            Frontend &fe = cores_[c]->frontend();
+            if (fe.measuredRetired() < targets[c]) {
+                typed_[c].tick(fe);
                 any_running = true;
             }
         }

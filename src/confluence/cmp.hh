@@ -142,10 +142,12 @@ class Cmp
     }
     Llc &llc() { return *llc_; }
 
-    /** A core's measurement and fast-forward loops, with its BTB's
-     *  concrete type baked in (see Frontend::runUntil/fastForward). */
+    /** A core's cycle step, measurement and fast-forward loops, with
+     *  its BTB's concrete type baked in (see Frontend::tickImpl,
+     *  runUntil and fastForward). */
     struct TypedCore
     {
+        void (*tick)(Frontend &);
         void (*run)(Frontend &, Counter target);
         void (*skip)(Frontend &, Counter insts);
     };

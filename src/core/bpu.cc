@@ -66,14 +66,6 @@ Bpu::resolveMisfetchedBranch(const DynInst &inst, Cycle now)
     }
 }
 
-BpuResult
-Bpu::predictNextRegion(Cycle now)
-{
-    // Virtual-dispatch entry point; the typed core runner calls
-    // predictNextRegionT<ConcreteBtb> directly.
-    return predictNextRegionT<Btb>(now);
-}
-
 Counter
 Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
                  Cycle &now)

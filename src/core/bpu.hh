@@ -103,14 +103,12 @@ class Bpu
         ReturnAddressStack &ras, IndirectTargetCache &itc,
         ExecEngine &engine, InstMemory *mem = nullptr);
 
-    /** Produce the next fetch region by walking the oracle stream. */
-    BpuResult predictNextRegion(Cycle now);
-
     /**
-     * predictNextRegion with the BTB's concrete type known at compile
-     * time, so the per-branch lookup devirtualizes; bit-identical to
-     * the virtual path. Both step the engine's TraceCursor branch to
-     * branch instead of materializing every non-branch instruction.
+     * Produce the next fetch region by walking the oracle stream, with
+     * the BTB's type known at compile time: for a concrete BTB the
+     * per-branch lookup devirtualizes; BtbT = Btb dispatches virtually,
+     * with bit-identical results. Steps the engine's TraceCursor branch
+     * to branch instead of materializing every non-branch instruction.
      */
     template <typename BtbT>
     BpuResult predictNextRegionT(Cycle now);

@@ -265,10 +265,4 @@ Frontend::tickFetch()
         fetchQueueEmptyStat_->inc();
 }
 
-void
-Frontend::tick()
-{
-    tickImpl<Btb>();
-}
-
 } // namespace cfl

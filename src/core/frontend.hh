@@ -69,13 +69,11 @@ class Frontend
     Frontend(const FrontendParams &params, Bpu &bpu, InstMemory &mem,
              InstPrefetcher *prefetcher);
 
-    /** Advance one cycle. */
-    void tick();
-
     /**
-     * tick() with the BTB's concrete type known at compile time: the
-     * BPU region walk devirtualizes (see Bpu::predictNextRegionT).
-     * Bit-identical to tick().
+     * Advance one cycle, with the BTB's type known at compile time: for
+     * a concrete BTB the BPU region walk devirtualizes (see
+     * Bpu::predictNextRegionT); BtbT = Btb dispatches virtually, with
+     * bit-identical results.
      */
     template <typename BtbT> void tickImpl();
 
@@ -87,7 +85,7 @@ class Frontend
      * bubble, or the lookahead window scanned clean since the last
      * install), a cycle only advances the backend and the three stall
      * counters — so those cycles run without touching the fetch path
-     * at all. Bit-identical to calling tick() in a loop.
+     * at all. Bit-identical to calling tickImpl() in a loop.
      */
     template <typename BtbT> void runUntil(Counter target);
 

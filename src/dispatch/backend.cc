@@ -42,20 +42,27 @@ runLocalCommand(const std::string &command, unsigned timeout_sec,
         out.exitCode = 127;
         return out;
     }
+    // The child leads its own process group and every kill goes to the
+    // group: a shell may fork even a lone command, and killing only
+    // the shell would leave the command running, still writing the
+    // result file a retry also writes. Both sides call setpgid so the
+    // group exists before the first kill, whichever runs first.
     const pid_t pid = ::fork();
     if (pid < 0)
         cfl_fatal("fork failed: %s", std::strerror(errno));
     if (pid == 0) {
+        ::setpgid(0, 0);
         ::execl("/bin/sh", "sh", "-c", command.c_str(),
                 static_cast<char *>(nullptr));
         // exec failed; 127 is the shell's own "command not found".
         ::_exit(127);
     }
+    ::setpgid(pid, pid);
     // An injected child kill models the OOM killer (or an operator)
     // taking out the worker process mid-run: the wait loop below sees
     // an ordinary SIGKILL death (exit 137).
     if (isIoFault(fault::at("dispatch.child.kill").kind))
-        ::kill(pid, SIGKILL);
+        ::kill(-pid, SIGKILL);
 
     using Clock = std::chrono::steady_clock;
     const Clock::time_point deadline =
@@ -72,7 +79,7 @@ runLocalCommand(const std::string &command, unsigned timeout_sec,
         const bool expired =
             timeout_sec != 0 && Clock::now() >= deadline;
         if (expired || (poll_tick && !poll_tick())) {
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
             ::waitpid(pid, &status, 0);
             RunStatus out;
             out.exitCode = 128 + SIGKILL;

@@ -51,11 +51,12 @@ class WorkerBackend
 std::string shellQuote(const std::string &text);
 
 /**
- * Run @p command under /bin/sh -c, enforcing @p timeout_sec (0 = no
- * timeout) by SIGKILL. The engine under LocalBackend. A
+ * Run @p command under /bin/sh -c in its own process group, enforcing
+ * @p timeout_sec (0 = no timeout) by SIGKILL to the whole group, so
+ * the command dies with the shell. The engine under LocalBackend. A
  * non-empty @p poll_tick is invoked every ~20ms while the child runs —
  * the hook confluence_worker uses to heartbeat its queue lease without
- * a second thread. Returning false from the tick aborts the child by
+ * a second thread. Returning false from the tick aborts the group by
  * SIGKILL (reported as a timeout): the worker's reaction to a lost
  * lease, where racing the re-claimed attempt's writes would be worse
  * than stopping.

@@ -102,7 +102,6 @@ class ResultCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::size_t size() const { return entries_.size(); }
-    const std::string &storePath() const { return path_; }
     const std::string &codeVersion() const { return codeVersion_; }
 
     /**

@@ -463,16 +463,6 @@ active()
     return inj.hasPlan;
 }
 
-std::optional<FaultPlan>
-activePlan()
-{
-    if (!active())
-        return std::nullopt;
-    Injector &inj = injector();
-    std::scoped_lock lock(inj.mutex);
-    return inj.plan;
-}
-
 Decision
 at(const char *site)
 {

@@ -143,9 +143,6 @@ void clearPlan();
  *  use). */
 bool active();
 
-/** A copy of the active plan, if any (env-loaded on first use). */
-std::optional<FaultPlan> activePlan();
-
 /**
  * Count one hit of @p site and return its decision. Die and Kill are
  * carried out *here* — any instrumented site is a potential death

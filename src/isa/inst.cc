@@ -163,19 +163,4 @@ btbClassOf(BranchKind kind)
     cfl_panic("btbClassOf on non-branch");
 }
 
-std::string
-branchKindName(BranchKind kind)
-{
-    switch (kind) {
-      case BranchKind::None: return "none";
-      case BranchKind::Cond: return "cond";
-      case BranchKind::Uncond: return "uncond";
-      case BranchKind::Call: return "call";
-      case BranchKind::Return: return "return";
-      case BranchKind::IndJump: return "indjump";
-      case BranchKind::IndCall: return "indcall";
-    }
-    return "?";
-}
-
 } // namespace cfl

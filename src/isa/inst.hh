@@ -20,7 +20,6 @@
 #define CFL_ISA_INST_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -96,9 +95,6 @@ bool hasDirectTarget(BranchKind kind);
 
 /** Map a BranchKind to the 2-bit class stored in BTB entries. */
 BtbBranchClass btbClassOf(BranchKind kind);
-
-/** Human-readable kind name (for reports and tests). */
-std::string branchKindName(BranchKind kind);
 
 /**
  * One dynamic instruction as produced by the execution engine: the oracle

@@ -6,111 +6,6 @@
 namespace cfl
 {
 
-SetAssocTags::SetAssocTags(CacheGeometry geometry, unsigned index_shift)
-    : geometry_(geometry), indexShift_(index_shift)
-{
-    cfl_assert(geometry.ways > 0, "cache needs >= 1 way");
-    cfl_assert(geometry.numEntries % geometry.ways == 0,
-               "entries (%llu) must divide by ways (%u)",
-               static_cast<unsigned long long>(geometry.numEntries),
-               geometry.ways);
-    const std::uint64_t sets = geometry.numSets();
-    cfl_assert(sets > 0 && isPowerOfTwo(sets),
-               "number of sets (%llu) must be a power of two",
-               static_cast<unsigned long long>(sets));
-    ways_.resize(geometry.numEntries);
-}
-
-std::uint64_t
-SetAssocTags::setIndex(std::uint64_t key) const
-{
-    return (key >> indexShift_) & (geometry_.numSets() - 1);
-}
-
-SetAssocTags::Way *
-SetAssocTags::findWay(std::uint64_t key)
-{
-    const std::uint64_t set = setIndex(key);
-    Way *base = &ways_[set * geometry_.ways];
-    for (unsigned w = 0; w < geometry_.ways; ++w) {
-        if (base[w].valid && base[w].key == key)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const SetAssocTags::Way *
-SetAssocTags::findWay(std::uint64_t key) const
-{
-    return const_cast<SetAssocTags *>(this)->findWay(key);
-}
-
-bool
-SetAssocTags::lookup(std::uint64_t key, bool update_lru)
-{
-    Way *way = findWay(key);
-    if (way == nullptr)
-        return false;
-    if (update_lru)
-        way->lastUse = ++useClock_;
-    return true;
-}
-
-bool
-SetAssocTags::contains(std::uint64_t key) const
-{
-    return findWay(key) != nullptr;
-}
-
-std::optional<std::uint64_t>
-SetAssocTags::insert(std::uint64_t key)
-{
-    cfl_assert(findWay(key) == nullptr, "double insert of key %llx",
-               static_cast<unsigned long long>(key));
-    const std::uint64_t set = setIndex(key);
-    Way *base = &ways_[set * geometry_.ways];
-
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < geometry_.ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (victim == nullptr || base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-
-    std::optional<std::uint64_t> evicted;
-    if (victim->valid) {
-        evicted = victim->key;
-    } else {
-        ++validCount_;
-    }
-    victim->key = key;
-    victim->valid = true;
-    victim->lastUse = ++useClock_;
-    return evicted;
-}
-
-bool
-SetAssocTags::invalidate(std::uint64_t key)
-{
-    Way *way = findWay(key);
-    if (way == nullptr)
-        return false;
-    way->valid = false;
-    --validCount_;
-    return true;
-}
-
-void
-SetAssocTags::clear()
-{
-    for (Way &w : ways_)
-        w.valid = false;
-    validCount_ = 0;
-}
-
 Cache::Cache(std::string name, std::uint64_t capacity_bytes, unsigned ways)
     : name_(std::move(name)),
       capacityBytes_(capacity_bytes),
@@ -120,11 +15,12 @@ Cache::Cache(std::string name, std::uint64_t capacity_bytes, unsigned ways)
       hitsStat_(&stats_.scalar("hits")),
       missesStat_(&stats_.scalar("misses")),
       fillsStat_(&stats_.scalar("fills")),
-      evictionsStat_(&stats_.scalar("evictions"))
+      evictionsStat_(&stats_.scalar("evictions")),
+      reservedBytesStat_(&stats_.scalar("reservedBytes"))
 {
 }
 
-SetAssocTags
+Cache::Tags
 Cache::buildTags() const
 {
     const std::uint64_t blocks = capacityBytes_ / kBlockBytes;
@@ -134,10 +30,7 @@ Cache::buildTags() const
     std::uint64_t sets = blocks / ways_;
     while (!isPowerOfTwo(sets))
         --sets;
-    CacheGeometry geom;
-    geom.ways = ways_;
-    geom.numEntries = sets * ways_;
-    return SetAssocTags(geom, floorLog2(kBlockBytes));
+    return Tags(sets, ways_, floorLog2(kBlockBytes));
 }
 
 bool
@@ -146,7 +39,7 @@ Cache::access(Addr block_addr)
     cfl_assert(blockAlign(block_addr) == block_addr,
                "%s: unaligned block access", name_.c_str());
     touched_ = true;
-    const bool hit = tags_.lookup(block_addr);
+    const bool hit = tags_.find(block_addr) != nullptr;
     (hit ? hitsStat_ : missesStat_)->inc();
     return hit;
 }
@@ -154,7 +47,7 @@ Cache::access(Addr block_addr)
 bool
 Cache::contains(Addr block_addr) const
 {
-    return tags_.contains(block_addr);
+    return tags_.peek(block_addr) != nullptr;
 }
 
 void
@@ -163,21 +56,21 @@ Cache::insert(Addr block_addr)
     cfl_assert(blockAlign(block_addr) == block_addr,
                "%s: unaligned block insert", name_.c_str());
     touched_ = true;
-    if (tags_.contains(block_addr))
+    if (tags_.peek(block_addr) != nullptr)
         return;
     fillsStat_->inc();
-    const auto evicted = tags_.insert(block_addr);
+    const auto evicted = tags_.insert(block_addr, Present{});
     if (evicted) {
         evictionsStat_->inc();
         if (evictHook_)
-            evictHook_(*evicted);
+            evictHook_(evicted->first);
     }
 }
 
 bool
 Cache::invalidate(Addr block_addr)
 {
-    return tags_.invalidate(block_addr);
+    return tags_.invalidate(block_addr).has_value();
 }
 
 void
@@ -187,7 +80,7 @@ Cache::reserveBytes(std::uint64_t bytes)
     cfl_assert(bytes < capacityBytes_, "%s: reservation exceeds capacity",
                name_.c_str());
     capacityBytes_ -= bytes;
-    stats_.scalar("reservedBytes").inc(bytes);
+    reservedBytesStat_->inc(bytes);
     tags_ = buildTags();
 }
 

@@ -1,107 +1,27 @@
 /**
  * @file
- * Generic set-associative cache with true-LRU replacement.
+ * Block-presence cache with true-LRU replacement: the L1-I
+ * (32KB/4-way/64B, Table 1) and the shared LLC.
  *
- * Used for the L1-I (32KB/4-way/64B, Table 1), the shared LLC, and — with
- * different key semantics — as the building block of the BTB designs
- * (entries keyed by branch PC or block address instead of block address).
- * The cache tracks presence only; instruction bytes always come from the
- * CodeImage.
+ * The tag array is an AssocCache (common/assoc.hh) with an empty
+ * payload, keyed by 64B block address; the BTBs build their tables on
+ * the same array with a payload per entry. The cache tracks presence
+ * only; instruction bytes always come from the CodeImage.
  */
 
 #ifndef CFL_MEM_CACHE_HH
 #define CFL_MEM_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
+#include "common/assoc.hh"
 #include "common/delegate.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace cfl
 {
-
-/** Geometry of a set-associative structure. */
-struct CacheGeometry
-{
-    std::uint64_t numEntries = 512; ///< total entries (sets * ways)
-    unsigned ways = 4;
-
-    std::uint64_t numSets() const { return numEntries / ways; }
-};
-
-/**
- * A set-associative tag store with LRU replacement over opaque keys.
- *
- * Keys are arbitrary 64-bit values (block addresses for caches, branch or
- * block addresses for BTBs); the set index is derived from the key's low
- * bits above an optional shift.
- */
-class SetAssocTags
-{
-  public:
-    /** @param geometry sets*ways layout (numEntries must divide by ways)
-     *  @param index_shift low bits of the key to skip when indexing
-     *         (6 for byte addresses of 64B blocks, 0 for pre-shifted keys)
-     */
-    SetAssocTags(CacheGeometry geometry, unsigned index_shift);
-
-    /** Probe for @p key; promotes to MRU on hit when @p update_lru. */
-    bool lookup(std::uint64_t key, bool update_lru = true);
-
-    /** Probe without any LRU side effect. */
-    bool contains(std::uint64_t key) const;
-
-    /**
-     * Insert @p key (must not be present); evicts the set's LRU entry if
-     * the set is full and returns the evicted key.
-     */
-    std::optional<std::uint64_t> insert(std::uint64_t key);
-
-    /** Remove @p key if present; returns true if it was. */
-    bool invalidate(std::uint64_t key);
-
-    /** Invalidate everything. */
-    void clear();
-
-    /** Number of valid entries. */
-    std::uint64_t size() const { return validCount_; }
-
-    const CacheGeometry &geometry() const { return geometry_; }
-
-    /** Visit all valid keys (for checkers/tests); the template visitor
-     *  keeps stats walks free of std::function boxing. */
-    template <typename Fn>
-    void
-    forEachKey(Fn &&fn) const
-    {
-        for (const Way &w : ways_) {
-            if (w.valid)
-                fn(w.key);
-        }
-    }
-
-  private:
-    struct Way
-    {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::uint64_t setIndex(std::uint64_t key) const;
-    Way *findWay(std::uint64_t key);
-    const Way *findWay(std::uint64_t key) const;
-
-    CacheGeometry geometry_;
-    unsigned indexShift_;
-    std::uint64_t useClock_ = 0;
-    std::uint64_t validCount_ = 0;
-    std::vector<Way> ways_;
-};
 
 /** A block-presence cache (tags over 64B block addresses) with hooks. */
 class Cache
@@ -142,22 +62,26 @@ class Cache
     StatSet &stats() { return stats_; }
 
   private:
-    SetAssocTags buildTags() const;
+    struct Present {};  ///< empty payload: a valid entry is the block
+    using Tags = AssocCache<Present>;
+
+    Tags buildTags() const;
 
     std::string name_;
     std::uint64_t capacityBytes_;
     unsigned ways_;
     StatSet stats_;
-    SetAssocTags tags_;  ///< value member: tag storage lives inline and
-                         ///< is fully reserved at construction
+    Tags tags_;  ///< value member: tag storage lives inline and is fully
+                 ///< reserved at construction
     EvictHook evictHook_;
     bool touched_ = false;
 
-    // Hot counters resolved once; StatSet map nodes are stable.
+    // Counters resolved once; StatSet map nodes are stable.
     Stat *hitsStat_;
     Stat *missesStat_;
     Stat *fillsStat_;
     Stat *evictionsStat_;
+    Stat *reservedBytesStat_;
 };
 
 } // namespace cfl

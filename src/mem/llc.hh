@@ -10,7 +10,7 @@
  *
  * Virtualized predictor metadata (SHIFT's history buffer, PhantomBTB's
  * temporal groups) reserves LLC capacity via reserveMetadata() and pays
- * the LLC round-trip latency for metadata reads via metadataReadLatency().
+ * the LLC round-trip latency (hitLatency()) for metadata reads.
  */
 
 #ifndef CFL_MEM_LLC_HH
@@ -56,9 +56,6 @@ class Llc
      * install the block).
      */
     Access access(Addr block_addr);
-
-    /** Latency of reading one block of virtualized predictor metadata. */
-    Cycle metadataReadLatency() const { return roundTrip_; }
 
     /** Reserve capacity for virtualized metadata; call before first use. */
     void reserveMetadata(std::uint64_t bytes);

@@ -24,7 +24,6 @@ class MeshNoc
 
     unsigned width() const { return width_; }
     unsigned height() const { return height_; }
-    unsigned cyclesPerHop() const { return cyclesPerHop_; }
 
     /** Manhattan hop count between two tiles. */
     unsigned hops(unsigned from, unsigned to) const;

@@ -1,63 +1,12 @@
 #include "sim/experiment.hh"
 
 #include "common/logging.hh"
-#include "sim/metrics.hh"
-#include "sim/sweep.hh"
 #include "trace/trace_cache.hh"
 
 namespace cfl
 {
 
-TimingPoint
-runTiming(FrontendKind kind, WorkloadId workload,
-          const SystemConfig &config, const RunScale &scale,
-          std::uint64_t seed_base)
-{
-    SystemConfig cfg = config;
-    cfg.numCores = scale.timingCores;
-
-    Cmp cmp(kind, workload, cfg, seed_base);
-    TimingPoint out;
-    out.kind = kind;
-    out.workload = workload;
-    out.metrics =
-        cmp.run(scale.timingWarmupInsts, scale.timingMeasureInsts);
-    return out;
-}
-
-std::vector<ComparisonRow>
-runComparison(const std::vector<FrontendKind> &kinds,
-              const std::vector<WorkloadId> &workloads,
-              const SystemConfig &config, const RunScale &scale)
-{
-    // Fan every (kind, workload) point — plus the Baseline normalization
-    // points — out across the sweep engine's thread pool.
-    const SweepResult sweep =
-        runTimingSweep(withBaseline(kinds), workloads, config, scale);
-
-    std::vector<ComparisonRow> rows;
-    for (const FrontendKind kind : kinds) {
-        ComparisonRow row;
-        row.kind = kind;
-        row.relArea = relativeArea(kind, config);
-
-        std::vector<double> speedups;
-        for (const WorkloadId wl : workloads) {
-            const double s =
-                kind == FrontendKind::Baseline
-                    ? 1.0
-                    : speedup(sweep.ipc(kind, wl),
-                              sweep.ipc(FrontendKind::Baseline, wl));
-            row.perWorkloadSpeedup[wl] = s;
-            speedups.push_back(s);
-        }
-        row.relPerfGeomean = geomean(speedups);
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-FunctionalRun
+FunctionalResult
 runFunctionalStudy(WorkloadId workload, const FunctionalSetup &setup,
                    const SystemConfig &config,
                    const FunctionalConfig &fconfig,
@@ -126,9 +75,7 @@ runFunctionalStudy(WorkloadId workload, const FunctionalSetup &setup,
 
     FunctionalDriver driver(engine, *btb, mem.get(), shift.get(),
                             predecoder);
-    FunctionalRun out;
-    out.result = driver.run(fconfig);
-    return out;
+    return driver.run(fconfig);
 }
 
 FunctionalResult
@@ -140,7 +87,7 @@ runConventionalBtbStudy(WorkloadId workload, std::size_t entries,
     setup.useL1I = with_l1i;
     setup.useShift = false;
     const SystemConfig config = makeSystemConfig(1);
-    const auto run = runFunctionalStudy(
+    return runFunctionalStudy(
         workload, setup, config, fconfig,
         [&](const Program &, const Predecoder &) {
             ConventionalBtbParams p;
@@ -149,7 +96,6 @@ runConventionalBtbStudy(WorkloadId workload, std::size_t entries,
             p.victimEntries = victim_entries;
             return std::make_unique<ConventionalBtb>(p);
         });
-    return run.result;
 }
 
 } // namespace cfl

@@ -1,22 +1,21 @@
 /**
  * @file
- * High-level experiment runners used by the per-figure bench binaries.
+ * Functional experiment runners used by the per-figure bench binaries.
  *
  * Two kinds of experiments reproduce the paper:
  *  - timing comparisons (Figures 2, 6, 7): full CMP cycle simulation of
- *    a front-end design, normalized to the Baseline design;
+ *    a front-end design, normalized to the Baseline design; each design
+ *    and workload is one sweep point (sim/sweep.hh);
  *  - functional coverage studies (Figures 1, 8, 9, 10; Table 2): BTB and
  *    L1-I hit/miss behaviour over the oracle stream, with optional
- *    functional SHIFT prefetching (timing-free).
+ *    functional SHIFT prefetching (timing-free), run here.
  */
 
 #ifndef CFL_SIM_EXPERIMENT_HH
 #define CFL_SIM_EXPERIMENT_HH
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "confluence/cmp.hh"
 #include "core/functional.hh"
@@ -24,42 +23,6 @@
 
 namespace cfl
 {
-
-/** Timing result of one (design, workload) point. */
-struct TimingPoint
-{
-    FrontendKind kind;
-    WorkloadId workload;
-    CmpMetrics metrics;
-};
-
-/**
- * Run one timing point at the given scale. @p seed_base seeds the CMP's
- * per-core engines; equal bases give bit-identical metrics.
- */
-TimingPoint runTiming(FrontendKind kind, WorkloadId workload,
-                      const SystemConfig &config, const RunScale &scale,
-                      std::uint64_t seed_base = kDefaultCmpSeedBase);
-
-/** Normalized comparison of several designs (geomean over workloads). */
-struct ComparisonRow
-{
-    FrontendKind kind;
-    double relPerfGeomean = 0.0;  ///< vs Baseline
-    double relArea = 0.0;
-    std::map<WorkloadId, double> perWorkloadSpeedup;
-};
-
-/**
- * Run @p kinds (plus Baseline implicitly) over @p workloads and
- * normalize performance to Baseline per workload. Points are evaluated
- * on the parallel sweep engine (sim/sweep.hh); results are independent
- * of the worker count.
- */
-std::vector<ComparisonRow>
-runComparison(const std::vector<FrontendKind> &kinds,
-              const std::vector<WorkloadId> &workloads,
-              const SystemConfig &config, const RunScale &scale);
 
 /**
  * Functional front-end environment for coverage studies: builds the
@@ -76,19 +39,13 @@ struct FunctionalSetup
     /** Override AirBTB-style params etc. by building your own Btb. */
 };
 
-/** Owns everything a functional run needs; keeps the Btb alive. */
-struct FunctionalRun
-{
-    FunctionalResult result;
-};
-
 /**
  * Run a functional study of @p btb on @p workload.
  *
  * @param btb_factory builds the BTB once the predecoder/LLC exist; it
  *        receives (program, predecoder, core_id) and must return the BTB.
  */
-FunctionalRun
+FunctionalResult
 runFunctionalStudy(WorkloadId workload, const FunctionalSetup &setup,
                    const SystemConfig &config,
                    const FunctionalConfig &fconfig,

@@ -53,24 +53,6 @@ SampleEstimates::ipcMean() const
 }
 
 double
-SampleEstimates::ipcLow95() const
-{
-    const double hi = cpi.mean + cpi.halfWidth95();
-    if (cpi.count == 0 || hi <= 0.0)
-        return 0.0;
-    return 1.0 / hi;
-}
-
-double
-SampleEstimates::ipcHigh95() const
-{
-    const double lo = cpi.mean - cpi.halfWidth95();
-    if (cpi.count == 0 || lo <= 0.0)
-        return 0.0;  // unbounded above; callers treat 0 as "no bound"
-    return 1.0 / lo;
-}
-
-double
 tCritical95(std::uint64_t df)
 {
     // Two-sided 95% critical values; beyond df = 30 the normal limit

@@ -88,8 +88,8 @@ struct MetricEstimate
  * instruction count, so the mean of per-interval CPIs equals the CPI
  * of the union of measured windows (a linear, unbiased statistic),
  * whereas the mean of per-interval IPCs over-estimates by Jensen's
- * inequality. ipcMean()/ipcLow95()/ipcHigh95() transform the CPI
- * interval back for reporting.
+ * inequality. ipcMean() transforms the CPI estimate back for
+ * reporting.
  */
 struct SampleEstimates
 {
@@ -102,10 +102,6 @@ struct SampleEstimates
 
     /** Point estimate of IPC (1 / mean CPI; 0 without observations). */
     double ipcMean() const;
-    /** IPC at the upper CPI bound — the conservative low end. */
-    double ipcLow95() const;
-    /** IPC at the lower CPI bound; infinity-free (clamped at 0 CPI). */
-    double ipcHigh95() const;
 
     bool operator==(const SampleEstimates &o) const = default;
 };

@@ -147,18 +147,6 @@ ProgramBuilder::emitIndirectCall(std::uint32_t set_id)
 }
 
 void
-ProgramBuilder::emitIndirectJump(std::uint32_t set_id)
-{
-    const Addr pc = program_.image.append(
-        encodeIndirect(BranchKind::IndJump,
-                       static_cast<std::uint16_t>(set_id)));
-    BranchInfo info;
-    info.kind = BranchKind::IndJump;
-    info.indirectSet = set_id;
-    recordBranch(pc, info);
-}
-
-void
 ProgramBuilder::emitReturn()
 {
     const Addr pc = program_.image.append(encodeReturn());

@@ -168,9 +168,6 @@ class ProgramBuilder
     /** Emit an indirect call through target set @p set_id. */
     void emitIndirectCall(std::uint32_t set_id);
 
-    /** Emit an indirect jump through target set @p set_id. */
-    void emitIndirectJump(std::uint32_t set_id);
-
     /** Emit a return. */
     void emitReturn();
 

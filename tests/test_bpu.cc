@@ -63,7 +63,7 @@ TEST(Bpu, RegionsPartitionTheOracleStream)
     Counter insts = 0;
     Addr expected_start = env.program.entry;
     for (int i = 0; i < 20000; ++i) {
-        const BpuResult res = env.bpu.predictNextRegion(i);
+        const BpuResult res = env.bpu.predictNextRegionT<Btb>(i);
         ASSERT_EQ(res.region.startPc, expected_start)
             << "regions must tile the dynamic instruction stream";
         ASSERT_GT(res.region.numInsts, 0u);
@@ -78,7 +78,7 @@ TEST(Bpu, MisfetchesMatchTakenMisses)
     BpuEnv env(std::make_unique<ConventionalBtb>(
         ConventionalBtbParams{64, 4, 0}));
     for (int i = 0; i < 30000; ++i)
-        env.bpu.predictNextRegion(i);
+        env.bpu.predictNextRegionT<Btb>(i);
     const StatSet &s = env.bpu.stats();
     EXPECT_EQ(s.get("misfetches"), s.get("btbTakenMisses"));
     EXPECT_GT(s.get("misfetches"), 0u);
@@ -90,7 +90,7 @@ TEST(Bpu, PerfectBtbNeverMisfetches)
     BpuEnv env(std::make_unique<PerfectBtb>());
     Counter bubble_regions = 0;
     for (int i = 0; i < 30000; ++i) {
-        const BpuResult res = env.bpu.predictNextRegion(i);
+        const BpuResult res = env.bpu.predictNextRegionT<Btb>(i);
         if (res.misfetch)
             ++bubble_regions;
     }
@@ -105,7 +105,7 @@ TEST(Bpu, RegionLengthBounded)
     BpuEnv env(std::make_unique<PerfectBtb>());
     BpuParams params;
     for (int i = 0; i < 20000; ++i) {
-        const BpuResult res = env.bpu.predictNextRegion(i);
+        const BpuResult res = env.bpu.predictNextRegionT<Btb>(i);
         ASSERT_LE(res.region.numInsts, params.maxRegionInsts);
     }
 }
@@ -117,8 +117,8 @@ TEST(Bpu, SmallBtbMissesMoreThanLarge)
     BpuEnv large(std::make_unique<ConventionalBtb>(
         ConventionalBtbParams{16384, 4, 0}));
     for (int i = 0; i < 60000; ++i) {
-        small.bpu.predictNextRegion(i);
-        large.bpu.predictNextRegion(i);
+        small.bpu.predictNextRegionT<Btb>(i);
+        large.bpu.predictNextRegionT<Btb>(i);
     }
     EXPECT_GT(small.bpu.stats().get("btbTakenMisses"),
               2 * large.bpu.stats().get("btbTakenMisses"));
@@ -129,7 +129,7 @@ TEST(Bpu, DeliveryBubblesOnlyOnEvents)
     BpuEnv env(std::make_unique<ConventionalBtb>(
         ConventionalBtbParams{256, 4, 16}));
     for (int i = 0; i < 20000; ++i) {
-        const BpuResult res = env.bpu.predictNextRegion(i);
+        const BpuResult res = env.bpu.predictNextRegionT<Btb>(i);
         if (!res.misfetch && !res.mispredict)
             ASSERT_EQ(res.region.deliveryBubble, 0u);
         else

@@ -36,7 +36,9 @@ measured()
         const WorkloadId wl = WorkloadId::OltpDb2;
 
         auto ipc = [&](FrontendKind k) {
-            return runTiming(k, wl, cfg, scale).metrics.meanIpc();
+            return evaluateSweepPoint({k, wl, scale}, cfg,
+                                      kDefaultCmpSeedBase)
+                .meanIpc();
         };
         const double base = ipc(FrontendKind::Baseline);
         Speedups out;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/bitops.hh"
@@ -110,36 +112,17 @@ TEST(Stats, ScalarBasics)
     set.scalar("a").inc();
     set.scalar("a").inc(4);
     EXPECT_EQ(set.get("a"), 5u);
-    EXPECT_EQ(set.get("missing"), 0u);
-    EXPECT_TRUE(set.has("a"));
-    EXPECT_FALSE(set.has("missing"));
-    set.scalar("b").inc(10);
-    EXPECT_DOUBLE_EQ(set.ratio("a", "b"), 0.5);
     set.resetAll();
     EXPECT_EQ(set.get("a"), 0u);
 }
 
-TEST(Stats, RatioZeroDenominator)
+TEST(Stats, GetDiesOnAnUnregisteredName)
 {
+    // Metrics are read by name; a renamed counter must fail loudly
+    // instead of reading as a silent zero.
     StatSet set("unit");
-    set.scalar("num").inc(3);
-    EXPECT_DOUBLE_EQ(set.ratio("num", "zero"), 0.0);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h(4, 10);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    h.sample(40);  // overflow
-    EXPECT_EQ(h.totalSamples(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflowCount(), 1u);
-    EXPECT_NEAR(h.mean(), (0 + 9 + 10 + 39 + 40) / 5.0, 1e-9);
+    set.scalar("a").inc();
+    EXPECT_DEATH(set.get("missing"), "unit: no stat named \"missing\"");
 }
 
 TEST(Report, RendersAllRows)
@@ -282,5 +265,66 @@ TEST(Strings, ParseUnsignedFlagRejectsSignsSpacesJunkAndOverflow)
         SCOPED_TRACE(text);
         EXPECT_DEATH(parseUnsignedFlag("--workers", text),
                      "--workers needs an unsigned integer");
+    }
+}
+
+TEST(Strings, ParseUint64FlagAcceptsTheWholeRange)
+{
+    EXPECT_EQ(parseUint64Flag("--seed", "0"), 0u);
+    EXPECT_EQ(parseUint64Flag("--seed", "4294967296"), 4294967296u);
+    EXPECT_EQ(parseUint64Flag("--seed", "18446744073709551615"),
+              18446744073709551615u);
+}
+
+TEST(Strings, ParseUint64FlagRejectsSignsSpacesJunkAndOverflow)
+{
+    // strtoull read "abc" as seed 0 and wrapped "-1" to 2^64 - 1.
+    for (const char *text : {"", "abc", "-1", "+5", " 12", "12abc",
+                             "18446744073709551616"}) {
+        SCOPED_TRACE(text);
+        EXPECT_DEATH(parseUint64Flag("--seed", text),
+                     "--seed needs an unsigned integer");
+    }
+}
+
+TEST(Strings, ParseSignedFlagAcceptsTheWholeRange)
+{
+    EXPECT_EQ(parseSignedFlag("--priority", "0"), 0);
+    EXPECT_EQ(parseSignedFlag("--priority", "-7"), -7);
+    EXPECT_EQ(parseSignedFlag("--priority", "9223372036854775807"),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(parseSignedFlag("--priority", "-9223372036854775808"),
+              std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Strings, ParseSignedFlagRejectsPlusSpacesJunkAndOverflow)
+{
+    for (const char *text : {"", "-", "+5", " 12", " -1", "--1", "12abc",
+                             "9223372036854775808",
+                             "-9223372036854775809"}) {
+        SCOPED_TRACE(text);
+        EXPECT_DEATH(parseSignedFlag("--priority", text),
+                     "--priority needs an integer");
+    }
+}
+
+TEST(Strings, ParseDoubleFlagAcceptsDecimals)
+{
+    EXPECT_EQ(parseDoubleFlag("--rate", "0"), 0.0);
+    EXPECT_EQ(parseDoubleFlag("--rate", "0.25"), 0.25);
+    EXPECT_EQ(parseDoubleFlag("--rate", "-1.5"), -1.5);
+    EXPECT_EQ(parseDoubleFlag("--rate", ".5"), 0.5);
+    EXPECT_EQ(parseDoubleFlag("--rate", "25e-2"), 0.25);
+}
+
+TEST(Strings, ParseDoubleFlagRejectsSignsSpacesJunkAndNonFinite)
+{
+    // strtod reads "0.8x" as 0.8, " 1" and "+1" as 1, "abc" as 0, and
+    // takes "inf", "nan" and hex forms.
+    for (const char *text : {"", "abc", "0.8x", " 1", "+1", "-", ".", "1e",
+                             "inf", "-inf", "nan", "0x10", "1e999"}) {
+        SCOPED_TRACE(text);
+        EXPECT_DEATH(parseDoubleFlag("--rate", text),
+                     "--rate needs a finite number");
     }
 }

@@ -1,5 +1,7 @@
 /** @file Tests for the Confluence controller and front-end factory. */
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "confluence/cmp.hh"
@@ -95,6 +97,56 @@ TEST(Confluence, LlcReservations)
     EXPECT_EQ(phantom.cache().capacityBytes(),
               without.cache().capacityBytes() -
                   cfg.phantom.numGroups * kBlockBytes);
+}
+
+TEST(Cmp, TwoCoreLockstepCountersArePinned)
+{
+    // Quick scale runs one core, so no other golden value covers the
+    // lockstep loop that interleaves several cores' LLC traffic cycle
+    // by cycle. One kind per BTB type; both cores' counters, in
+    // CoreMetrics field order.
+    using Counters = std::array<Counter, 11>;
+    struct Golden
+    {
+        FrontendKind kind;
+        std::array<Counters, 2> cores;
+    };
+    const Golden golden[] = {
+        {FrontendKind::Baseline,
+         {{{40001, 47789, 3680, 1198, 1198, 482, 6886, 606, 195, 0, 29772},
+           {40001, 62274, 3727, 1686, 1686, 621, 6920, 644, 267, 0,
+            42171}}}},
+        {FrontendKind::TwoLevelFdp,
+         {{{40002, 43283, 3679, 573, 573, 480, 6866, 451, 294, 2916, 26698},
+           {40002, 57853, 3729, 822, 822, 612, 6906, 634, 320, 3968,
+            40483}}}},
+        {FrontendKind::PhantomFdp,
+         {{{40000, 44678, 3682, 827, 827, 526, 6872, 496, 244, 0, 26905},
+           {40001, 58698, 3727, 1157, 1157, 648, 6898, 593, 312, 0,
+            39908}}}},
+        {FrontendKind::Confluence,
+         {{{40002, 38293, 3680, 506, 506, 782, 6925, 61, 185, 0, 14283},
+           {40002, 49246, 3730, 808, 808, 1001, 6986, 138, 340, 0,
+            25907}}}},
+        {FrontendKind::Ideal,
+         {{{40002, 25771, 3681, 0, 0, 946, 6939, 0, 0, 0, 0},
+           {40001, 26571, 3732, 0, 0, 1249, 7009, 0, 0, 0, 0}}}},
+    };
+    for (const Golden &g : golden) {
+        Cmp cmp(g.kind, WorkloadId::OltpDb2, makeSystemConfig(2));
+        const CmpMetrics m = cmp.run(40000, 40000);
+        ASSERT_EQ(m.cores.size(), 2u);
+        for (unsigned c = 0; c < 2; ++c) {
+            const CoreMetrics &x = m.cores[c];
+            const Counters got = {
+                x.retired,          x.cycles,           x.btbTakenLookups,
+                x.btbTakenMisses,   x.misfetches,       x.condMispredicts,
+                x.l1iDemandFetches, x.l1iDemandMisses,  x.l1iInFlightHits,
+                x.btbL2StallCycles, x.fetchMissStallCycles};
+            EXPECT_EQ(got, g.cores[c])
+                << frontendKindName(g.kind) << " core " << c;
+        }
+    }
 }
 
 TEST(Confluence, BeatsTwoLevelShiftOnBtbMisses)

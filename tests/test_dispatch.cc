@@ -18,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
+#include <unistd.h>
+
 #include "death_test_style.hh"
 #include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
@@ -572,9 +575,22 @@ TEST(LocalBackend, ReportsExitCodesAndEnforcesTimeouts)
     EXPECT_EQ(failed.exitCode, 7);
     EXPECT_FALSE(failed.timedOut);
 
-    const RunStatus slow = backend.run(0, "sleep 30", 1);
+    // The timeout must stop the command, not only the shell: `; true`
+    // makes any shell fork the sleep. The sleep inherits the write end
+    // of a pipe, so the read end sees EOF only once it is gone.
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    const RunStatus slow = backend.run(0, "sleep 30; true", 1);
+    ::close(pipe_fds[1]);
     EXPECT_FALSE(slow.ok());
     EXPECT_TRUE(slow.timedOut);
+    pollfd readable{pipe_fds[0], POLLIN, 0};
+    char byte = 0;
+    const bool eof = ::poll(&readable, 1, 1000) == 1 &&
+                     ::read(pipe_fds[0], &byte, 1) == 0;
+    ::close(pipe_fds[0]);
+    EXPECT_TRUE(eof) << "the timed-out command outlived run() by over "
+                        "a second";
 }
 
 TEST(ShellQuote, PathsWithSpacesAndQuotesSurviveTheShell)

@@ -91,32 +91,3 @@ TEST(Experiment, PaperConfigIsSixteenCores)
     EXPECT_EQ(cfg.numCores, 16u);
     EXPECT_EQ(cfg.llc.numCores, 16u);
 }
-
-TEST(Experiment, TimingPointSanity)
-{
-    RunScale scale;
-    scale.timingWarmupInsts = 30000;
-    scale.timingMeasureInsts = 30000;
-    scale.timingCores = 1;
-    const SystemConfig cfg = makeSystemConfig(1);
-    const TimingPoint p =
-        runTiming(FrontendKind::Baseline, WorkloadId::DssQry, cfg, scale);
-    EXPECT_EQ(p.kind, FrontendKind::Baseline);
-    EXPECT_GT(p.metrics.meanIpc(), 0.0);
-}
-
-TEST(Experiment, ComparisonNormalizesToBaseline)
-{
-    RunScale scale;
-    scale.timingWarmupInsts = 40000;
-    scale.timingMeasureInsts = 40000;
-    scale.timingCores = 1;
-    const SystemConfig cfg = makeSystemConfig(1);
-    const auto rows =
-        runComparison({FrontendKind::Baseline, FrontendKind::Ideal},
-                      {WorkloadId::DssQry}, cfg, scale);
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_DOUBLE_EQ(rows[0].relPerfGeomean, 1.0);
-    EXPECT_GT(rows[1].relPerfGeomean, 1.0);
-    EXPECT_GT(rows[1].perWorkloadSpeedup.at(WorkloadId::DssQry), 1.0);
-}

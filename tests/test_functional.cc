@@ -96,7 +96,7 @@ TEST(Functional, ShiftStudyCutsL1iMisses)
                                          config, quick(), conv_factory);
     const auto shift = runFunctionalStudy(WorkloadId::OltpDb2, with_shift,
                                           config, quick(), conv_factory);
-    EXPECT_LT(shift.result.l1iMpki(), 0.5 * base.result.l1iMpki())
+    EXPECT_LT(shift.l1iMpki(), 0.5 * base.l1iMpki())
         << "SHIFT must eliminate the majority of L1-I misses";
 }
 
@@ -115,6 +115,6 @@ TEST(Functional, AirBtbWithShiftApproachesLargeBtb)
     const auto small =
         runConventionalBtbStudy(WorkloadId::OltpDb2, 1024, 4, 64, true,
                                 quick());
-    EXPECT_LT(air.result.btbMpki(), 0.4 * small.btbMpki())
+    EXPECT_LT(air.btbMpki(), 0.4 * small.btbMpki())
         << "AirBTB+SHIFT must eliminate most baseline BTB misses";
 }

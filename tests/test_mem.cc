@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/assoc.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/llc.hh"
@@ -9,33 +10,34 @@
 
 using namespace cfl;
 
-TEST(SetAssocTags, LruEviction)
+TEST(AssocCache, LruEviction)
 {
-    SetAssocTags tags({4, 2}, 0);  // 2 sets * 2 ways
+    AssocCache<int> tags(2, 2, 0);  // 2 sets * 2 ways
     // Keys 0 and 2 map to set 0 (shift 0, 2 sets): key & 1.
-    EXPECT_FALSE(tags.lookup(0));
-    tags.insert(0);
-    tags.insert(2);
-    EXPECT_TRUE(tags.lookup(0));  // 0 is now MRU
-    const auto evicted = tags.insert(4);
+    EXPECT_EQ(tags.find(0), nullptr);
+    tags.insert(0, 10);
+    tags.insert(2, 12);
+    EXPECT_NE(tags.find(0), nullptr);  // 0 is now MRU
+    const auto evicted = tags.insert(4, 14);
     ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(*evicted, 2u);  // LRU way
-    EXPECT_TRUE(tags.contains(0));
-    EXPECT_TRUE(tags.contains(4));
+    EXPECT_EQ(evicted->first, 2u);  // LRU way, with its payload
+    EXPECT_EQ(evicted->second, 12);
+    EXPECT_NE(tags.peek(0), nullptr);
+    EXPECT_NE(tags.peek(4), nullptr);
 }
 
-TEST(SetAssocTags, InvalidateAndClear)
+TEST(AssocCache, InvalidateAndClear)
 {
-    SetAssocTags tags({8, 4}, 0);
-    tags.insert(1);
-    tags.insert(3);
+    AssocCache<int> tags(2, 4, 0);
+    tags.insert(1, 11);
+    tags.insert(3, 13);
     EXPECT_EQ(tags.size(), 2u);
-    EXPECT_TRUE(tags.invalidate(1));
-    EXPECT_FALSE(tags.invalidate(1));
+    EXPECT_EQ(tags.invalidate(1), 11);
+    EXPECT_FALSE(tags.invalidate(1).has_value());
     EXPECT_EQ(tags.size(), 1u);
     tags.clear();
     EXPECT_EQ(tags.size(), 0u);
-    EXPECT_FALSE(tags.contains(3));
+    EXPECT_EQ(tags.peek(3), nullptr);
 }
 
 TEST(Cache, HitMissAndStats)

@@ -185,15 +185,15 @@ class AirBtbSweepWorkload : public ::testing::TestWithParam<WorkloadId>
         setup.useL1I = true;
         setup.useShift = true;
         const SystemConfig cfg = makeSystemConfig(1);
-        const auto run = runFunctionalStudy(
+        return runFunctionalStudy(
             GetParam(), setup, cfg, fc,
             [&](const Program &program, const Predecoder &pre) {
                 AirBtbParams p;
                 p.branchEntries = branch_entries;
                 p.overflowEntries = overflow;
                 return std::make_unique<AirBtb>(p, program.image, pre);
-            });
-        return run.result.btbMpki();
+            })
+            .btbMpki();
     }
 };
 

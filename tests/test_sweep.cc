@@ -183,7 +183,7 @@ TEST(Sweep, EmptySweepYieldsEmptyResult)
     EXPECT_TRUE(r.workloadsOf(FrontendKind::Baseline).empty());
 }
 
-TEST(Sweep, SinglePointSweepMatchesRunTiming)
+TEST(Sweep, SinglePointSweepMatchesCmpRun)
 {
     SweepEngine engine(2);
     const SystemConfig cfg = makeSystemConfig(1);
@@ -196,13 +196,14 @@ TEST(Sweep, SinglePointSweepMatchesRunTiming)
         sweepPointSeed(FrontendKind::Baseline, WorkloadId::DssQry);
     EXPECT_EQ(r.points[0].seed, seed);
 
-    const TimingPoint direct = runTiming(FrontendKind::Baseline,
-                                         WorkloadId::DssQry, cfg, scale,
-                                         seed);
+    // The sweep steps the Cmp phase by phase; Cmp::run must agree.
+    Cmp direct(FrontendKind::Baseline, WorkloadId::DssQry, cfg, seed);
+    const CmpMetrics m =
+        direct.run(scale.timingWarmupInsts, scale.timingMeasureInsts);
     EXPECT_DOUBLE_EQ(r.ipc(FrontendKind::Baseline, WorkloadId::DssQry),
-                     direct.metrics.meanIpc());
+                     m.meanIpc());
     EXPECT_DOUBLE_EQ(r.btbMpki(FrontendKind::Baseline, WorkloadId::DssQry),
-                     direct.metrics.meanBtbMpki());
+                     m.meanBtbMpki());
 }
 
 TEST(Sweep, SerialAndParallelRunsAreBitIdentical)

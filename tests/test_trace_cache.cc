@@ -367,7 +367,7 @@ TEST(OneStreamPath, BpuRegionWalkTilesTheReference)
         startEngine(t.core.engine(), attached, program, params);
         std::uint64_t pos = 0;
         for (Cycle now = 0; pos < kDriven; ++now) {
-            const BpuResult res = t.core.bpu().predictNextRegion(now);
+            const BpuResult res = t.core.bpu().predictNextRegionT<Btb>(now);
             ASSERT_EQ(res.region.startPc, ref[pos].pc) << "at " << pos;
             unsigned branches = 0;
             for (unsigned i = 0; i < res.region.numInsts; ++i)

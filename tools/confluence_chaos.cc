@@ -777,7 +777,7 @@ main(int argc, char **argv)
         else if (arg == "--schedules")
             opts.schedules = parseUnsignedFlag(arg, value());
         else if (arg == "--seed")
-            opts.seed = std::strtoull(value().c_str(), nullptr, 10);
+            opts.seed = parseUint64Flag(arg, value());
         else if (arg == "--workers")
             opts.workers = parseUnsignedFlag(arg, value());
         else if (arg == "--slots")
@@ -785,7 +785,7 @@ main(int argc, char **argv)
         else if (arg == "--shards")
             opts.shards = parseUnsignedFlag(arg, value());
         else if (arg == "--rate")
-            opts.rate = std::strtod(value().c_str(), nullptr);
+            opts.rate = parseDoubleFlag(arg, value());
         else if (arg == "--lease")
             opts.leaseSec = parseUnsignedFlag(arg, value());
         else if (arg == "--max-restarts")
@@ -793,7 +793,7 @@ main(int argc, char **argv)
         else if (arg == "--timeout")
             opts.timeoutSec = parseUnsignedFlag(arg, value());
         else if (arg == "--replay")
-            replay_seed = std::strtoull(value().c_str(), nullptr, 10);
+            replay_seed = parseUint64Flag(arg, value());
         else if (arg == "--keep")
             opts.keep = true;
         else if (arg == "--status-out")

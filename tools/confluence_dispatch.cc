@@ -86,7 +86,6 @@
  * task is quarantined as poison surfaces exit 6 and is not retried.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -137,31 +136,6 @@ usage(const char *argv0)
         "threshold, 6 task quarantined\n",
         argv0, argv0, argv0, argv0);
     std::exit(kExitUsage);
-}
-
-/** Parse a (possibly negative) integer flag value; fatal() else. */
-std::int64_t
-parseSignedFlag(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-        cfl_fatal("%s needs an integer, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    return v;
-}
-
-/** Parse a decimal flag value; fatal() on anything else. */
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        cfl_fatal("%s needs a number, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    return v;
 }
 
 /** confluence_sweep next to this binary, falling back to $PATH. */
@@ -408,7 +382,7 @@ main(int argc, char **argv)
         else if (arg == "--tag")
             tag = value();
         else if (arg == "--threshold")
-            threshold = parseDouble(arg, value());
+            threshold = parseDoubleFlag(arg, value());
         else
             usage(argv[0]);
     }

@@ -58,7 +58,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -102,29 +101,6 @@ usage(const char *argv0)
         "failed (lost tasks, undrained queue, or unfair service)\n",
         argv0);
     std::exit(kExitUsage);
-}
-
-std::int64_t
-parseSignedFlag(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-        cfl_fatal("%s needs an integer, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    return v;
-}
-
-double
-parseDoubleFlag(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        cfl_fatal("%s needs a number, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    return v;
 }
 
 using Clock = std::chrono::steady_clock;
