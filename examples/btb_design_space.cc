@@ -6,7 +6,8 @@
  * costs — the trade-off a front-end architect would actually study.
  * All design points fan out across the parallel sweep engine.
  *
- * Usage: btb_design_space [workload-slug]
+ * Usage: btb_design_space [workload-slug]   (default web_frontend; an
+ *        unknown slug is fatal)
  */
 
 #include <cstdio>
@@ -22,12 +23,8 @@ using namespace cfl;
 int
 main(int argc, char **argv)
 {
-    WorkloadId workload = WorkloadId::WebFrontend;
-    if (argc > 1) {
-        for (const WorkloadId id : allWorkloads())
-            if (workloadSlug(id) == argv[1])
-                workload = id;
-    }
+    const WorkloadId workload =
+        argc > 1 ? workloadFromSlug(argv[1]) : WorkloadId::WebFrontend;
 
     const RunScale scale = currentScale();
     FunctionalConfig fc = functionalConfigFromScale(scale);

@@ -4,8 +4,9 @@
  * and under Confluence, and print the headline metrics side by side.
  *
  * Build & run:
- *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart [workload-slug]
+ *   cmake -B build -S . && cmake --build build -j
+ *   ./build/quickstart [workload-slug]   (default oltp_db2; an unknown
+ *                                         slug is fatal)
  */
 
 #include <cstdio>
@@ -20,25 +21,8 @@ using namespace cfl;
 int
 main(int argc, char **argv)
 {
-    WorkloadId workload = WorkloadId::OltpDb2;
-    if (argc > 1) {
-        const std::string want = argv[1];
-        bool found = false;
-        for (const WorkloadId id : allWorkloads()) {
-            if (workloadSlug(id) == want) {
-                workload = id;
-                found = true;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown workload '%s'\n", want.c_str());
-            std::fprintf(stderr, "available:");
-            for (const WorkloadId id : allWorkloads())
-                std::fprintf(stderr, " %s", workloadSlug(id).c_str());
-            std::fprintf(stderr, "\n");
-            return 1;
-        }
-    }
+    const WorkloadId workload =
+        argc > 1 ? workloadFromSlug(argv[1]) : WorkloadId::OltpDb2;
 
     const RunScale scale = currentScale();
     const SystemConfig config = makeSystemConfig(scale.timingCores);

@@ -3,13 +3,17 @@
  * Workload & front-end inspector: prints the static properties of a
  * synthetic workload and a detailed stat dump of one timing run.
  *
- * Usage: workload_inspector [workload-slug] [frontend]
- *   frontend: baseline fdp phantom-fdp 2level-fdp phantom-shift
- *             2level-shift idealbtb-shift confluence ideal
+ * Usage: workload_inspector [workload-slug] [frontend-slug]
+ *   workload-slug: dss_qry oltp_db2 oltp_oracle media_streaming
+ *                  web_frontend (default oltp_db2)
+ *   frontend-slug: the kind slugs every tool takes — baseline fdp
+ *                  phantom_fdp two_level_fdp phantom_shift
+ *                  two_level_shift ideal_btb_shift confluence ideal
+ *                  (default baseline)
+ * An unknown slug is fatal (exit 1).
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "sim/experiment.hh"
@@ -18,18 +22,6 @@ using namespace cfl;
 
 namespace
 {
-
-const std::map<std::string, FrontendKind> kKinds = {
-    {"baseline", FrontendKind::Baseline},
-    {"fdp", FrontendKind::Fdp},
-    {"phantom-fdp", FrontendKind::PhantomFdp},
-    {"2level-fdp", FrontendKind::TwoLevelFdp},
-    {"phantom-shift", FrontendKind::PhantomShift},
-    {"2level-shift", FrontendKind::TwoLevelShift},
-    {"idealbtb-shift", FrontendKind::IdealBtbShift},
-    {"confluence", FrontendKind::Confluence},
-    {"ideal", FrontendKind::Ideal},
-};
 
 void
 dumpStats(const char *title, const StatSet &stats)
@@ -46,22 +38,10 @@ dumpStats(const char *title, const StatSet &stats)
 int
 main(int argc, char **argv)
 {
-    WorkloadId workload = WorkloadId::OltpDb2;
-    FrontendKind kind = FrontendKind::Baseline;
-
-    if (argc > 1) {
-        for (const WorkloadId id : allWorkloads())
-            if (workloadSlug(id) == argv[1])
-                workload = id;
-    }
-    if (argc > 2) {
-        const auto it = kKinds.find(argv[2]);
-        if (it == kKinds.end()) {
-            std::fprintf(stderr, "unknown frontend '%s'\n", argv[2]);
-            return 1;
-        }
-        kind = it->second;
-    }
+    const WorkloadId workload =
+        argc > 1 ? workloadFromSlug(argv[1]) : WorkloadId::OltpDb2;
+    const FrontendKind kind =
+        argc > 2 ? frontendKindFromSlug(argv[2]) : FrontendKind::Baseline;
 
     const Program &program = workloadProgram(workload);
     std::printf("workload %s: image %.1fKB, %zu blocks, %zu functions, "

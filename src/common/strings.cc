@@ -13,19 +13,17 @@ namespace cfl
 namespace
 {
 
-/** The digits of @p text from @p from on, as a value <= @p max; false
- *  on no digits, a non-digit, or a value past @p max. */
+/** The digits of @p text as a value <= @p max; false on no digits, a
+ *  non-digit, or a value past @p max. */
 bool
-parseDigits(const std::string &text, std::size_t from, std::uint64_t max,
-            std::uint64_t *out)
+parseDigits(const std::string &text, std::uint64_t max, std::uint64_t *out)
 {
-    if (from >= text.size())
+    if (text.empty())
         return false;
     std::uint64_t v = 0;
-    for (std::size_t i = from; i < text.size(); ++i) {
-        const std::uint64_t digit =
-            static_cast<std::uint64_t>(text[i] - '0');
-        if (text[i] < '0' || text[i] > '9' || v > (max - digit) / 10)
+    for (const char c : text) {
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' || v > (max - digit) / 10)
             return false;
         v = v * 10 + digit;
     }
@@ -58,7 +56,7 @@ unsigned
 parseUnsignedFlag(const std::string &flag, const std::string &text)
 {
     std::uint64_t v = 0;
-    if (!parseDigits(text, 0, std::numeric_limits<unsigned>::max(), &v))
+    if (!parseDigits(text, std::numeric_limits<unsigned>::max(), &v))
         cfl_fatal("%s needs an unsigned integer, got \"%s\"",
                   flag.c_str(), text.c_str());
     return static_cast<unsigned>(v);
@@ -68,29 +66,10 @@ std::uint64_t
 parseUint64Flag(const std::string &flag, const std::string &text)
 {
     std::uint64_t v = 0;
-    if (!parseDigits(text, 0, std::numeric_limits<std::uint64_t>::max(),
-                     &v))
+    if (!parseDigits(text, std::numeric_limits<std::uint64_t>::max(), &v))
         cfl_fatal("%s needs an unsigned integer, got \"%s\"",
                   flag.c_str(), text.c_str());
     return v;
-}
-
-std::int64_t
-parseSignedFlag(const std::string &flag, const std::string &text)
-{
-    const bool negative = !text.empty() && text[0] == '-';
-    // |INT64_MIN| is one more than INT64_MAX.
-    const std::uint64_t max =
-        static_cast<std::uint64_t>(
-            std::numeric_limits<std::int64_t>::max()) +
-        (negative ? 1 : 0);
-    std::uint64_t v = 0;
-    if (!parseDigits(text, negative ? 1 : 0, max, &v))
-        cfl_fatal("%s needs an integer, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    // Unsigned negation wraps, and the conversion is modular: -2^63
-    // comes out exact.
-    return static_cast<std::int64_t>(negative ? 0 - v : v);
 }
 
 double

@@ -29,10 +29,6 @@ unsigned parseUnsignedFlag(const std::string &flag,
 std::uint64_t parseUint64Flag(const std::string &flag,
                               const std::string &text);
 
-/** An optional '-' then ASCII decimal digits, fitting int64_t. */
-std::int64_t parseSignedFlag(const std::string &flag,
-                             const std::string &text);
-
 /** A finite decimal number: an optional '-', digits with an optional
  *  '.', and an optional exponent. No inf, nan or hex form. */
 double parseDoubleFlag(const std::string &flag, const std::string &text);

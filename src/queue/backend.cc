@@ -43,40 +43,11 @@ QueueBackend::run(unsigned worker, const std::string &command,
               runNonce_ + "-a" + std::to_string(attempt);
     task.command = command;
     task.result = shellExtractFlagValue(command, "--out");
-    task.tenant = opts_.tenant;
-    task.priority = opts_.priority;
+    queue_.enqueue(task);
 
     using Clock = std::chrono::steady_clock;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::seconds(timeout_sec);
-    // Quota backpressure: a refused enqueue means this tenant already
-    // has quota-many live tasks, so wait for workers to drain some
-    // instead of overflowing its share of the queue. The submission
-    // itself counts against the same timeout as the wait for results.
-    bool warned_quota = false;
-    while (true) {
-        if (const auto stored = queue_.tryEnqueue(task)) {
-            task = *stored;
-            break;
-        }
-        if (!warned_quota) {
-            cfl_warn("tenant \"%s\" is at its submission quota; "
-                     "waiting for headroom",
-                     task.tenant.empty() ? "default"
-                                         : task.tenant.c_str());
-            warned_quota = true;
-        }
-        queue_.reclaimExpired();
-        if (timeout_sec != 0 && Clock::now() >= deadline) {
-            dispatch::RunStatus status;
-            status.exitCode = 128 + SIGKILL;
-            status.timedOut = true;
-            return status;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.pollMs));
-    }
-
     while (true) {
         if (const auto done = queue_.doneRecord(task.id)) {
             dispatch::RunStatus status;

@@ -12,6 +12,7 @@
  * keeps flowing through the workers; a fresh coordinator resumes from
  * the queue plus the result cache.
  *
+ * Each run() appends one task to the tail of the queue's FIFO.
  * workers() is the number of *coordinator wait slots* (how many tasks
  * the dispatcher keeps enqueued at once), not the worker-daemon count —
  * the daemons are anonymous and scale independently.
@@ -54,12 +55,6 @@ class QueueBackend : public dispatch::WorkerBackend
     {
         unsigned slots = 2;   ///< concurrent enqueue/wait slots
         unsigned pollMs = 50; ///< done-record poll interval
-        /** Tenant the submitted tasks run as ("" = "default"). When
-         *  the tenant has a submission quota, run() waits for
-         *  headroom (polling at pollMs) instead of overflowing it. */
-        std::string tenant;
-        /** Priority of the submitted tasks (higher claims first). */
-        std::int64_t priority = 0;
     };
 
     QueueBackend(WorkQueue &queue, Options opts);

@@ -1,14 +1,12 @@
 #include "queue/queue.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -25,56 +23,39 @@ using sweepio::DoneRecord;
 using sweepio::LeaseRecord;
 using sweepio::QueueLogRecord;
 using sweepio::TaskRecord;
-using sweepio::TenantRecord;
 
 namespace
 {
 
 constexpr const char *kTaskSuffix = ".task";
-constexpr const char *kDefaultTenant = "default";
+constexpr std::size_t kSeqDigits = 12;
 
-/** The scheduling inputs a task file name encodes. */
+/** What a task file name encodes. */
 struct TaskFileInfo
 {
     std::string name; ///< full file name
     std::string id;
-    std::string tenant;
-    std::int64_t priority = 0;
-    std::uint64_t seq = 0;
 };
 
-/**
- * "p<prio key as 5 digits>-<seq as 12 digits>-<tenant>-<id>.task".
- * The priority key is (10000 - priority), so an ascending name sort
- * puts higher priorities first; tenants exclude '-', so the name
- * splits unambiguously even though ids contain dashes.
- */
+/** "<seq as 12 digits>-<id>.task": an ascending name sort is FIFO. */
 std::string
 taskFileName(const TaskRecord &task)
 {
     char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "p%05lld-%012llu-",
-                  static_cast<long long>(10000 - task.priority),
+    std::snprintf(prefix, sizeof(prefix), "%012llu-",
                   static_cast<unsigned long long>(task.seq));
-    return std::string(prefix) + task.tenant + "-" + task.id +
-           kTaskSuffix;
+    return std::string(prefix) + task.id + kTaskSuffix;
 }
 
-bool
-allDigits(const std::string &text, std::size_t pos, std::size_t len)
-{
-    if (pos + len > text.size())
-        return false;
-    for (std::size_t i = pos; i < pos + len; ++i)
-        if (!std::isdigit(static_cast<unsigned char>(text[i])))
-            return false;
-    return true;
-}
-
-/** Decode a task file name (see taskFileName); nullopt for foreign
- *  files. */
+/**
+ * Decode the task file name @p name found in @p dir (see taskFileName);
+ * nullopt for a file that is not a task (no ".task" suffix). A ".task"
+ * name that does not parse — one written by an older build — is fatal:
+ * skipping it would leave a task that is never claimed, counted or
+ * cancelled.
+ */
 std::optional<TaskFileInfo>
-parseTaskFileName(const std::string &name)
+parseTaskFileName(const std::string &dir, const std::string &name)
 {
     const std::size_t suffix_len = std::strlen(kTaskSuffix);
     if (name.size() <= suffix_len ||
@@ -82,28 +63,18 @@ parseTaskFileName(const std::string &name)
                      kTaskSuffix) != 0)
         return std::nullopt;
     const std::string stem = name.substr(0, name.size() - suffix_len);
-
-    if (stem.size() <= 20 || stem[0] != 'p' || stem[6] != '-' ||
-        stem[19] != '-' || !allDigits(stem, 1, 5) ||
-        !allDigits(stem, 7, 12))
-        return std::nullopt;
-    const std::size_t dash = stem.find('-', 20);
-    if (dash == std::string::npos || dash == 20 || dash + 1 >= stem.size())
-        return std::nullopt;
-    TaskFileInfo info;
-    info.name = name;
-    info.priority = 10000 - std::stoll(stem.substr(1, 5));
-    info.seq = std::stoull(stem.substr(7, 12));
-    info.tenant = stem.substr(20, dash - 20);
-    info.id = stem.substr(dash + 1);
-    return info;
+    if (stem.size() <= kSeqDigits + 1 || stem[kSeqDigits] != '-' ||
+        !std::all_of(stem.begin(), stem.begin() + kSeqDigits,
+                     [](char c) { return c >= '0' && c <= '9'; }))
+        cfl_fatal("queue task file \"%s/%s\" is not named "
+                  "<seq>-<id>.task (written by an older build?); drain "
+                  "or delete the queue directory", dir.c_str(),
+                  name.c_str());
+    return TaskFileInfo{name, stem.substr(kSeqDigits + 1)};
 }
 
-/**
- * Every task file under @p dir, in claim-policy base order: priority
- * descending, then seq ascending (FIFO). The weighted-round-robin
- * tenant pick layers on top of this in claim().
- */
+/** Every task file under @p dir, in claim order: the fixed-width seq
+ *  prefix makes that name order. */
 std::vector<TaskFileInfo>
 scanTaskFiles(const std::string &dir)
 {
@@ -111,8 +82,8 @@ scanTaskFiles(const std::string &dir)
     std::error_code ec;
     for (const fs::directory_entry &entry :
          fs::directory_iterator(dir, ec)) {
-        if (std::optional<TaskFileInfo> info =
-                parseTaskFileName(entry.path().filename().string()))
+        if (std::optional<TaskFileInfo> info = parseTaskFileName(
+                dir, entry.path().filename().string()))
             infos.push_back(std::move(*info));
     }
     if (ec)
@@ -120,10 +91,6 @@ scanTaskFiles(const std::string &dir)
                   ec.message().c_str());
     std::sort(infos.begin(), infos.end(),
               [](const TaskFileInfo &a, const TaskFileInfo &b) {
-                  if (a.priority != b.priority)
-                      return a.priority > b.priority;
-                  if (a.seq != b.seq)
-                      return a.seq < b.seq;
                   return a.name < b.name;
               });
     return infos;
@@ -136,7 +103,7 @@ hasTaskFile(const std::string &dir, const std::string &id)
     for (const fs::directory_entry &entry :
          fs::directory_iterator(dir, ec)) {
         const std::optional<TaskFileInfo> info =
-            parseTaskFileName(entry.path().filename().string());
+            parseTaskFileName(dir, entry.path().filename().string());
         if (info && info->id == id)
             return true;
     }
@@ -150,7 +117,7 @@ countTaskFiles(const std::string &dir)
     std::error_code ec;
     for (const fs::directory_entry &entry :
          fs::directory_iterator(dir, ec))
-        if (parseTaskFileName(entry.path().filename().string()))
+        if (parseTaskFileName(dir, entry.path().filename().string()))
             ++count;
     return ec ? 0 : count;
 }
@@ -235,35 +202,10 @@ readFirstLine(const std::string &path)
     return line;
 }
 
-bool
-validNameChars(const std::string &name, bool allow_dash)
-{
-    if (name.empty() || name.size() > 64)
-        return false;
-    for (const char c : name) {
-        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-            c == '.')
-            continue;
-        if (allow_dash && c == '-')
-            continue;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
-WorkQueue::WorkQueue(std::string dir, std::string name)
-    : name_(std::move(name))
+WorkQueue::WorkQueue(std::string dir) : dir_(std::move(dir))
 {
-    if (name_.empty()) {
-        dir_ = std::move(dir);
-    } else {
-        if (!validQueueName(name_))
-            cfl_fatal("invalid queue name \"%s\" (want [A-Za-z0-9_.-], "
-                      "at most 64 chars)", name_.c_str());
-        dir_ = dir + "/queues/" + name_;
-    }
     for (const char *sub : {"", "/pending", "/claimed", "/leases",
                             "/done", "/cancelled", "/quarantine",
                             "/tmp"}) {
@@ -297,22 +239,6 @@ WorkQueue::defaultDir()
     return (dir != nullptr && *dir != '\0') ? dir : ".confluence-queue";
 }
 
-bool
-WorkQueue::validQueueName(const std::string &name)
-{
-    // "." / ".." pass the charset but would escape queues/ as paths.
-    if (name == "." || name == "..")
-        return false;
-    return validNameChars(name, /*allow_dash=*/true);
-}
-
-bool
-WorkQueue::validTenantName(const std::string &tenant)
-{
-    // No '-': it is the task-file-name field separator.
-    return validNameChars(tenant, /*allow_dash=*/false);
-}
-
 std::uint64_t
 WorkQueue::nowMs() const
 {
@@ -341,18 +267,6 @@ WorkQueue::logPath() const
 }
 
 std::string
-WorkQueue::tenantsPath() const
-{
-    return dir_ + "/tenants.jsonl";
-}
-
-std::string
-WorkQueue::statsPath() const
-{
-    return dir_ + "/stats.jsonl";
-}
-
-std::string
 WorkQueue::leasePath(const std::string &id) const
 {
     return dir_ + "/leases/" + id + ".lease";
@@ -376,33 +290,6 @@ WorkQueue::uniqueTmpPath(const std::string &stem)
            "." + std::to_string(n);
 }
 
-bool
-WorkQueue::appendLine(const std::string &path, const std::string &line,
-                      const char *site)
-{
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-        cfl_warn("cannot open \"%s\": %s", path.c_str(),
-                 std::strerror(errno));
-        return false;
-    }
-    const std::string text = line + "\n";
-    const ssize_t written =
-        fault::faultWrite(fd, text.data(), text.size(), site);
-    if (written != static_cast<ssize_t>(text.size())) {
-        cfl_warn("failed appending to \"%s\": %s", path.c_str(),
-                 std::strerror(errno));
-        // Terminate any torn debris so the *next* append parses.
-        if (written > 0 && text[written - 1] != '\n')
-            (void)!::write(fd, "\n", 1);
-        ::close(fd);
-        return false;
-    }
-    return ::close(fd) == 0;
-}
-
 void
 WorkQueue::appendLog(const QueueLogRecord &record)
 {
@@ -411,7 +298,7 @@ WorkQueue::appendLog(const QueueLogRecord &record)
     // One descriptor per run, opened lazily; every record goes down in
     // a single O_APPEND write() so concurrent appenders (coordinator +
     // N worker processes) interleave at line granularity, not byte.
-    // The log is an audit trail plus a seq/strike/served memory; the
+    // The log is an audit trail plus a seq/strike memory; the
     // queue's *state* lives in the task/lease/done files. So append
     // failures degrade (warn, retry the open next time) instead of
     // killing the process — a torn line is skipped on load, a lost
@@ -453,89 +340,10 @@ WorkQueue::readLog() const
     return records;
 }
 
-std::map<std::string, TenantRecord>
-WorkQueue::readTenants() const
-{
-    std::map<std::string, TenantRecord> tenants;
-    sweepio::loadRecords<TenantRecord>(
-        tenantsPath(), "tenant table",
-        [&](TenantRecord &&record, const std::string &) {
-            tenants[record.tenant] = std::move(record); // last wins
-        });
-    return tenants;
-}
-
-void
-WorkQueue::setTenant(const std::string &tenant, std::uint64_t weight,
-                     std::uint64_t quota)
-{
-    if (!validTenantName(tenant))
-        cfl_fatal("invalid tenant id \"%s\" (want [A-Za-z0-9_.], at "
-                  "most 64 chars)", tenant.c_str());
-    if (weight == 0 || weight > 1000000)
-        cfl_fatal("tenant weight must be in [1, 1000000], got %llu",
-                  static_cast<unsigned long long>(weight));
-    TenantRecord record;
-    record.tenant = tenant;
-    record.weight = weight;
-    record.quota = quota;
-    // Config that fails to persist is worse than a crash: a scheduler
-    // silently running with defaults would look like a fairness bug.
-    if (!appendLine(tenantsPath(), sweepio::encode(record),
-                    "queue.tenant.write"))
-        cfl_fatal("failed recording tenant \"%s\" in \"%s\"",
-                  tenant.c_str(), tenantsPath().c_str());
-}
-
-TenantRecord
-WorkQueue::tenantConfig(const std::string &tenant) const
-{
-    const std::map<std::string, TenantRecord> tenants = readTenants();
-    if (const auto it = tenants.find(tenant); it != tenants.end())
-        return it->second;
-    TenantRecord record;
-    record.tenant = tenant;
-    return record; // defaults: weight 1, no quota
-}
-
-void
-WorkQueue::normalizeTask(TaskRecord &task) const
-{
-    cfl_assert(!task.id.empty(), "a task needs an id");
-    if (task.tenant.empty())
-        task.tenant = kDefaultTenant;
-    if (!validTenantName(task.tenant))
-        cfl_fatal("invalid tenant id \"%s\" on task \"%s\" (want "
-                  "[A-Za-z0-9_.], at most 64 chars)",
-                  task.tenant.c_str(), task.id.c_str());
-    if (task.priority < kMinPriority || task.priority > kMaxPriority)
-        cfl_fatal("task \"%s\" priority %lld out of range [%lld, %lld]",
-                  task.id.c_str(),
-                  static_cast<long long>(task.priority),
-                  static_cast<long long>(kMinPriority),
-                  static_cast<long long>(kMaxPriority));
-}
-
 TaskRecord
 WorkQueue::enqueue(TaskRecord task)
 {
-    normalizeTask(task);
-    return enqueueNormalized(std::move(task));
-}
-
-std::optional<TaskRecord>
-WorkQueue::tryEnqueue(TaskRecord task)
-{
-    normalizeTask(task);
-    const TenantRecord config = tenantConfig(task.tenant);
-    if (config.quota != 0 && liveCount(task.tenant) >= config.quota)
-        return std::nullopt;
-    return enqueueNormalized(std::move(task));
-}
-
-TaskRecord
-WorkQueue::enqueueNormalized(TaskRecord task)
-{
+    cfl_assert(!task.id.empty(), "a task needs an id");
     {
         std::lock_guard<std::mutex> lock(mutex_);
         task.seq = nextSeq_++;
@@ -617,23 +425,6 @@ WorkQueue::claimedCount() const
     return countTaskFiles(dir_ + "/claimed");
 }
 
-std::size_t
-WorkQueue::liveCount(const std::string &tenant) const
-{
-    std::size_t count = 0;
-    for (const char *sub : {"/pending", "/claimed"}) {
-        std::error_code ec;
-        for (const fs::directory_entry &entry :
-             fs::directory_iterator(dir_ + sub, ec)) {
-            const std::optional<TaskFileInfo> info =
-                parseTaskFileName(entry.path().filename().string());
-            if (info && info->tenant == tenant)
-                ++count;
-        }
-    }
-    return count;
-}
-
 std::optional<LeaseRecord>
 WorkQueue::readLease(const std::string &id) const
 {
@@ -659,88 +450,11 @@ WorkQueue::stealLease(const std::string &id)
     return true;
 }
 
-std::map<std::string, std::uint64_t>
-WorkQueue::servedCounts() const
-{
-    // "Served" = completed (done log records) + currently claimed.
-    // Counting live claims keeps concurrent workers from all picking
-    // the same starved tenant at once; counting the log keeps the
-    // measure cumulative, so a tenant that got a burst of service
-    // yields to one that waited. Lost log lines (torn appends under
-    // fault injection) only soften fairness, never correctness.
-    std::map<std::string, std::uint64_t> served;
-    for (const QueueLogRecord &record : readLog())
-        if (record.op == "done")
-            ++served[record.done.tenant.empty() ? kDefaultTenant
-                                                : record.done.tenant];
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir_ + "/claimed", ec))
-        if (const std::optional<TaskFileInfo> info =
-                parseTaskFileName(entry.path().filename().string()))
-            ++served[info->tenant];
-    return served;
-}
-
 std::optional<TaskClaim>
 WorkQueue::claim(const std::string &owner, unsigned lease_sec)
 {
     cfl_assert(lease_sec >= 1, "a lease needs a positive duration");
-    std::vector<TaskFileInfo> entries =
-        scanTaskFiles(dir_ + "/pending");
-    // The policy inputs beyond the directory scan are read lazily:
-    // the common cases (empty queue; single tenant) never pay for the
-    // log replay or the tenant config.
-    std::optional<std::map<std::string, std::uint64_t>> served;
-    std::optional<std::map<std::string, TenantRecord>> tenants;
-
-    while (!entries.empty()) {
-        // Tier 1 — strict priority: entries are sorted priority-major,
-        // so the top tier is a prefix.
-        std::size_t tier_end = 1;
-        while (tier_end < entries.size() &&
-               entries[tier_end].priority == entries[0].priority)
-            ++tier_end;
-
-        // Tier 2 — weighted round-robin across the tenants present:
-        // lowest served/weight ratio wins; ties break to the
-        // lexicographically smallest tenant (std::map order). Each
-        // tenant's candidate is its FIFO head (tier 3), i.e. its first
-        // entry in the seq-sorted tier.
-        std::map<std::string, std::size_t> head;
-        for (std::size_t i = 0; i < tier_end; ++i)
-            head.try_emplace(entries[i].tenant, i);
-        std::size_t pick = head.begin()->second;
-        if (head.size() > 1) {
-            if (!served)
-                served = servedCounts();
-            if (!tenants)
-                tenants = readTenants();
-            const std::string *best = nullptr;
-            std::uint64_t best_served = 0, best_weight = 1;
-            for (const auto &[tenant, index] : head) {
-                std::uint64_t s = 0;
-                if (const auto it = served->find(tenant);
-                    it != served->end())
-                    s = it->second;
-                std::uint64_t w = 1;
-                if (const auto it = tenants->find(tenant);
-                    it != tenants->end() && it->second.weight >= 1)
-                    w = it->second.weight;
-                // s/w < best_served/best_weight, cross-multiplied so
-                // the comparison stays exact in integers.
-                if (best == nullptr ||
-                    s * best_weight < best_served * w) {
-                    best = &tenant;
-                    best_served = s;
-                    best_weight = w;
-                    pick = index;
-                }
-            }
-        }
-
-        const TaskFileInfo info = entries[pick];
-        entries.erase(entries.begin() + pick);
+    for (const TaskFileInfo &info : scanTaskFiles(dir_ + "/pending")) {
         const std::string &name = info.name;
         const std::string &id = info.id;
         const std::string lease_path = leasePath(id);
@@ -879,8 +593,6 @@ WorkQueue::complete(const TaskClaim &claim, int exit_code)
         done.owner = claim.owner;
         done.exitCode = static_cast<std::uint64_t>(
             exit_code < 0 ? 255 : exit_code);
-        done.tenant = claim.task.tenant.empty() ? kDefaultTenant
-                                                : claim.task.tenant;
         const std::string tmp =
             uniqueTmpPath("done-" + claim.task.id);
         // A completion that cannot be published is NOT fatal — and,
@@ -1020,15 +732,12 @@ sweepio::QueueStatusRecord
 WorkQueue::status() const
 {
     sweepio::QueueStatusRecord st;
-    st.queue = name_;
     st.atMs = nowMs();
     st.stop = stopRequested();
 
-    const std::vector<TaskFileInfo> pending =
-        scanTaskFiles(dir_ + "/pending");
     const std::vector<TaskFileInfo> claimed =
         scanTaskFiles(dir_ + "/claimed");
-    st.pending = pending.size();
+    st.pending = pendingCount();
     st.claimed = claimed.size();
     st.cancelled = countTaskFiles(dir_ + "/cancelled");
     st.quarantined = quarantinedCount();
@@ -1043,20 +752,6 @@ WorkQueue::status() const
             ++st.done;
     }
 
-    // Pending depth per (tenant, priority), priority-major like the
-    // claim policy, tenants alphabetical within a tier.
-    std::map<std::pair<std::int64_t, std::string>, std::uint64_t>
-        depths;
-    for (const TaskFileInfo &info : pending)
-        ++depths[{-info.priority, info.tenant}];
-    for (const auto &[key, count] : depths) {
-        sweepio::QueueTenantDepth depth;
-        depth.tenant = key.second;
-        depth.priority = -key.first;
-        depth.pending = count;
-        st.depths.push_back(std::move(depth));
-    }
-
     for (const TaskFileInfo &info : claimed) {
         const std::optional<LeaseRecord> lease = readLease(info.id);
         if (!lease)
@@ -1064,37 +759,13 @@ WorkQueue::status() const
         sweepio::QueueLeaseStatus ls;
         ls.id = info.id;
         ls.owner = lease->owner;
-        ls.tenant = info.tenant;
         if (lease->sinceMs != 0 && st.atMs > lease->sinceMs)
             ls.heartbeatAgeMs = st.atMs - lease->sinceMs;
         if (lease->deadlineMs > st.atMs)
             ls.remainingMs = lease->deadlineMs - st.atMs;
         st.leases.push_back(std::move(ls));
     }
-
-    // Newest parseable cache-stats record wins; the file is tiny (one
-    // line per coordinator run).
-    std::ifstream in(statsPath());
-    std::string line;
-    while (in && std::getline(in, line)) {
-        sweepio::QueueCacheStats stats;
-        if (sweepio::tryDecode(line, &stats))
-            st.cache = stats;
-    }
     return st;
-}
-
-void
-WorkQueue::recordCacheStats(std::uint64_t hits, std::uint64_t misses)
-{
-    sweepio::QueueCacheStats stats;
-    stats.hits = hits;
-    stats.misses = misses;
-    stats.atMs = nowMs();
-    // Best-effort: the stats feed status dashboards, not scheduling.
-    (void)appendLine(statsPath(),
-                     sweepio::encode(stats),
-                     "queue.stats.write");
 }
 
 std::size_t

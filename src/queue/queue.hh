@@ -1,6 +1,6 @@
 /**
  * @file
- * Filesystem-backed persistent multi-tenant work queue.
+ * Filesystem-backed persistent FIFO work queue.
  *
  * A queue is a directory (shared between the coordinator and every
  * worker — one machine, or a fleet over a shared filesystem) whose
@@ -11,14 +11,10 @@
  *   tasks.jsonl   append-only audit log (enqueue/cancel/reclaim/done),
  *                 one single-write() JSONL record per event; a torn
  *                 trailing line is skipped with a warning on load
- *   tenants.jsonl append-only tenant config (weight + quota records;
- *                 the last record per tenant wins), written by
- *                 setTenant() and read on every scheduling decision so
- *                 config changes apply without restarting anything
  *   pending/      one task file per claimable task, published by
- *                 tmp-write + rename; the file *name* encodes
- *                 (priority, seq, tenant, id) so every scheduling
- *                 input comes from one directory scan
+ *                 tmp-write + rename; the file name is
+ *                 <seq as 12 digits>-<id>.task, so a name sort is the
+ *                 claim order
  *   leases/       <id>.lease — owner + wall-clock deadline. A claim
  *                 takes the lease with O_CREAT|O_EXCL (two workers can
  *                 never both create it) and then moves the task file
@@ -33,28 +29,13 @@
  *   quarantine/   poison tasks — reclaimed (i.e. they killed or
  *                 stalled their worker) quarantineAfter() times — plus
  *                 an <id>.why file recording the fault context
- *   stats.jsonl   result-cache hit/miss counters coordinators report
- *                 after dispatching, surfaced by status()
  *   stop          marker file: workers drain and exit cleanly
- *   queues/<name>/  named sub-queues, each a full queue of this same
- *                 shape — WorkQueue(dir, name) opens one
  *
- * Claim policy (deterministic given the directory state, so tests pin
- * it exactly):
- *
- *   1. strict priority — the highest pending priority tier wins;
- *   2. weighted round-robin across the tenants present in that tier —
- *      the tenant with the lowest served/weight ratio wins, where
- *      "served" counts the tenant's done log records plus its
- *      currently claimed tasks, and ratio ties break to the
- *      lexicographically smallest tenant;
- *   3. FIFO by enqueue seq within the chosen tenant.
- *
- * Per-tenant submission quotas bound live (pending + claimed) tasks:
- * tryEnqueue() refuses past the quota so a flooding tenant backs up in
- * its own submitter, not in everyone's queue. (The check reads a
- * directory snapshot, so N racing submitters can overshoot by at most
- * N-1 — a bound on burst, not a hard ceiling.)
+ * Claims go in enqueue order (FIFO by seq), a pure function of the
+ * pending/ directory, so any instance claims the same next task. A
+ * file under a task directory whose name ends in ".task" but does not
+ * parse (a directory written by an older build) is fatal: skipping it
+ * would leave a task nobody claims, counts or cancels.
  *
  * A lease past its deadline (its worker died or stalled) is reclaimed:
  * the lease file is atomically stolen (renamed away, so exactly one
@@ -89,7 +70,6 @@
 #define CFL_QUEUE_QUEUE_HH
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -99,11 +79,6 @@
 
 namespace cfl::queue
 {
-
-/** Task priority bounds: the priority embeds in sortable task file
- *  names as a fixed-width key, so the range is clamped symmetric. */
-inline constexpr std::int64_t kMinPriority = -9999;
-inline constexpr std::int64_t kMaxPriority = 9999;
 
 /** A successfully claimed task, the handle for heartbeat/complete. */
 struct TaskClaim
@@ -117,13 +92,8 @@ struct TaskClaim
 class WorkQueue
 {
   public:
-    /**
-     * Open (creating if needed) the queue at @p dir — or, with a
-     * non-empty @p name, the named sub-queue @p dir/queues/@p name.
-     * Named queues are fully independent: separate tasks, tenants,
-     * leases, and stop markers.
-     */
-    explicit WorkQueue(std::string dir, std::string name = "");
+    /** Open (creating if needed) the queue at @p dir. */
+    explicit WorkQueue(std::string dir);
     ~WorkQueue();
 
     WorkQueue(const WorkQueue &) = delete;
@@ -132,45 +102,16 @@ class WorkQueue
     /** $CONFLUENCE_QUEUE_DIR, or ".confluence-queue" when unset. */
     static std::string defaultDir();
 
-    /** Valid queue name: [A-Za-z0-9_.-]+, at most 64 chars. */
-    static bool validQueueName(const std::string &name);
-    /** Valid tenant id: [A-Za-z0-9_.]+ (no '-': task file names use
-     *  '-' as the field separator), at most 64 chars. */
-    static bool validTenantName(const std::string &tenant);
-
-    /** This queue's own directory (the root, or queues/<name>). */
     const std::string &dir() const { return dir_; }
-    /** The queue name; "" for the root queue. */
-    const std::string &name() const { return name_; }
 
     // --- coordinator side -------------------------------------------------
 
     /**
      * Publish @p task (seq is assigned here; the id must not collide
-     * with any live or completed task; an empty tenant becomes
-     * "default"; the tenant id and priority range are validated).
-     * Quotas are NOT enforced here — use tryEnqueue() for that.
-     * Returns the stored record. Thread-safe, like every method on
-     * this class.
+     * with any live or completed task). Returns the stored record.
+     * Thread-safe, like every method on this class.
      */
     sweepio::TaskRecord enqueue(sweepio::TaskRecord task);
-
-    /**
-     * enqueue(), but refused (nullopt, nothing published) when the
-     * task's tenant is at its submission quota — its live (pending +
-     * claimed) task count has reached tenantConfig().quota.
-     */
-    std::optional<sweepio::TaskRecord>
-    tryEnqueue(sweepio::TaskRecord task);
-
-    /** Record (or update) @p tenant's scheduling config: a weighted-
-     *  round-robin @p weight (>= 1) and a submission @p quota (0 =
-     *  unlimited). Appends to tenants.jsonl; the last record wins. */
-    void setTenant(const std::string &tenant, std::uint64_t weight,
-                   std::uint64_t quota);
-    /** @p tenant's current config; defaults (weight 1, quota 0) when
-     *  it was never configured. */
-    sweepio::TenantRecord tenantConfig(const std::string &tenant) const;
 
     /** Withdraw every unclaimed task; returns how many. Tasks already
      *  claimed are untouched (their workers are running). */
@@ -182,18 +123,14 @@ class WorkQueue
 
     std::size_t pendingCount() const;
     std::size_t claimedCount() const;
-    /** Live (pending + claimed) tasks of @p tenant — what quotas
-     *  bound. */
-    std::size_t liveCount(const std::string &tenant) const;
 
     // --- worker side ------------------------------------------------------
 
     /**
-     * Claim the next task per the policy above (priority, then
-     * weighted round-robin across tenants, then FIFO) for
-     * @p lease_sec as @p owner, or nullopt when nothing is claimable.
-     * Also clears expired leases left on pending tasks by claimers
-     * that died mid-claim.
+     * Claim the oldest claimable task (lowest seq) for @p lease_sec as
+     * @p owner, or nullopt when nothing is claimable. Also clears
+     * expired leases left on pending tasks by claimers that died
+     * mid-claim.
      */
     std::optional<TaskClaim> claim(const std::string &owner,
                                    unsigned lease_sec);
@@ -231,18 +168,12 @@ class WorkQueue
     // --- status -----------------------------------------------------------
 
     /**
-     * Point-in-time snapshot: pending depth per (tenant, priority),
-     * active leases with heartbeat age, terminal counts, stop flag,
-     * and the last coordinator-reported cache counters. Built from
+     * Point-in-time snapshot: task counts per state, stop flag, and
+     * active leases with heartbeat age and remaining time. Built from
      * one pass over the directories — racing workers can skew
      * individual numbers by a task, never corrupt them.
      */
     sweepio::QueueStatusRecord status() const;
-
-    /** Report result-cache counters (appended to stats.jsonl; the
-     *  newest record is what status() surfaces). Best-effort: a
-     *  failed append degrades the stats, never the queue. */
-    void recordCacheStats(std::uint64_t hits, std::uint64_t misses);
 
     // --- quarantine -------------------------------------------------------
 
@@ -283,34 +214,18 @@ class WorkQueue
 
   private:
     std::string logPath() const;
-    std::string tenantsPath() const;
-    std::string statsPath() const;
     std::string leasePath(const std::string &id) const;
     std::string donePath(const std::string &id) const;
     std::string uniqueTmpPath(const std::string &stem);
     void appendLog(const sweepio::QueueLogRecord &record);
-    /** Single-write O_APPEND of one line; warns and returns false on
-     *  failure. Site names the fault-injection point. */
-    bool appendLine(const std::string &path, const std::string &line,
-                    const char *site);
     std::optional<sweepio::LeaseRecord>
     readLease(const std::string &id) const;
     /** Atomically take an expired lease out of play; false if raced. */
     bool stealLease(const std::string &id);
     /** How many times task @p id has been reclaimed (from the log). */
     std::size_t reclaimCount(const std::string &id) const;
-    /** Validate + default the caller-settable task fields. */
-    void normalizeTask(sweepio::TaskRecord &task) const;
-    /** Publish an already-normalized task. */
-    sweepio::TaskRecord enqueueNormalized(sweepio::TaskRecord task);
-    /** tenants.jsonl, last record per tenant winning. */
-    std::map<std::string, sweepio::TenantRecord> readTenants() const;
-    /** Completed-or-claimed task count per tenant — the weighted-
-     *  round-robin "served" measure. */
-    std::map<std::string, std::uint64_t> servedCounts() const;
 
     std::string dir_;
-    std::string name_;
     ClockFn clock_ = nullptr;
     unsigned quarantineAfter_ = 3;
     mutable std::mutex mutex_; ///< guards nextSeq_, logFd_, tmpCounter_

@@ -15,7 +15,9 @@ namespace cfl::search
 namespace
 {
 
-/** Parse a strictly-positive decimal axis value. */
+/** Parse a strictly-positive decimal axis value that fits unsigned:
+ *  DesignOverlay::applyTo narrows several axes to unsigned, so a wider
+ *  value would simulate a different design under the same slug. */
 std::uint64_t
 parseValue(const std::string &axis, const std::string &text)
 {
@@ -23,7 +25,8 @@ parseValue(const std::string &axis, const std::string &text)
         text.find_first_not_of("0123456789") != std::string::npos)
         cfl_fatal("axis \"%s\": value \"%s\" is not a decimal integer",
                   axis.c_str(), text.c_str());
-    const std::uint64_t v = std::stoull(text);
+    const std::uint64_t v =
+        parseUnsignedFlag("axis \"" + axis + "\"", text);
     if (v == 0)
         cfl_fatal("axis \"%s\": 0 is reserved for \"unset\"",
                   axis.c_str());

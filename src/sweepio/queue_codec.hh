@@ -8,8 +8,7 @@
  * loaders instead of wedging the store: task files (TaskRecord), lease
  * files (LeaseRecord, wall-clock unix ms so expiry compares across
  * hosts), done files (DoneRecord), the append-only tasks.jsonl audit
- * log (QueueLogRecord), tenants.jsonl (TenantRecord, last record per
- * tenant wins), stats.jsonl (QueueCacheStats), and the snapshot that
+ * log (QueueLogRecord), and the snapshot that
  * `confluence_dispatch --queue-status` prints (QueueStatusRecord).
  *
  * The strings here (shell commands, file paths, owners) are
@@ -34,17 +33,11 @@ namespace cfl::sweepio
 struct TaskRecord
 {
     std::string id;       ///< unique task id (digest + attempt suffix)
-    std::uint64_t seq = 0; ///< enqueue order; ties claim FIFO by seq
+    std::uint64_t seq = 0; ///< enqueue order; tasks are claimed by seq
     std::string command;  ///< shell command the claiming worker runs
     /** Result file (confluence_sweep --out) whose outcomes the worker
      *  appends to the result cache after a clean exit; "" = none. */
     std::string result;
-    /** Submitting tenant ([A-Za-z0-9_.], no '-'); feeds the quota and
-     *  the weighted-round-robin claim policy. */
-    std::string tenant = "default";
-    /** Claim priority: higher claims strictly first (queue.hh clamps
-     *  the range so it can embed in sortable task file names). */
-    std::int64_t priority = 0;
 };
 
 /** Ownership of one claimed task. */
@@ -67,19 +60,6 @@ struct DoneRecord
     std::string id;
     std::string owner;           ///< worker that completed the task
     std::uint64_t exitCode = 0;  ///< command exit; 128+sig for signals
-    std::string tenant = "default"; ///< submitting tenant
-};
-
-/** One tenant's scheduling configuration. */
-struct TenantRecord
-{
-    std::string tenant;
-    /** Weighted-round-robin share: a weight-2 tenant is served twice
-     *  as often as a weight-1 tenant at the same priority. */
-    std::uint64_t weight = 1;
-    /** Max live (pending + claimed) tasks this tenant may have
-     *  enqueued at once; 0 = unlimited. */
-    std::uint64_t quota = 0;
 };
 
 /** One line of the queue's tasks.jsonl audit log. */
@@ -93,38 +73,20 @@ struct QueueLogRecord
     DoneRecord done;
 };
 
-/** Pending depth of one (tenant, priority) bucket. */
-struct QueueTenantDepth
-{
-    std::string tenant;
-    std::int64_t priority = 0;
-    std::uint64_t pending = 0;
-};
-
 /** One active lease, as seen by a status snapshot. */
 struct QueueLeaseStatus
 {
     std::string id;
     std::string owner;
-    std::string tenant;
     /** ms since the lease was last written (claim or heartbeat). */
     std::uint64_t heartbeatAgeMs = 0;
     /** ms until the lease expires; 0 when already reclaim-eligible. */
     std::uint64_t remainingMs = 0;
 };
 
-/** Result-cache counters as last reported by a coordinator. */
-struct QueueCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t atMs = 0; ///< when they were recorded (unix ms)
-};
-
 /** Point-in-time queue snapshot (confluence_dispatch --queue-status). */
 struct QueueStatusRecord
 {
-    std::string queue;      ///< queue name; "" = the root (default) queue
     std::uint64_t atMs = 0; ///< snapshot wall clock, unix ms
     bool stop = false;      ///< stop marker present: workers draining
     std::uint64_t pending = 0;
@@ -132,9 +94,7 @@ struct QueueStatusRecord
     std::uint64_t done = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t quarantined = 0;
-    std::vector<QueueTenantDepth> depths; ///< pending per tenant/priority
     std::vector<QueueLeaseStatus> leases; ///< active (claimed) leases
-    QueueCacheStats cache;
 };
 
 template <>
@@ -146,8 +106,6 @@ struct Schema<TaskRecord>
         Field{"seq", &TaskRecord::seq},
         Field{"command", &TaskRecord::command},
         Field{"result", &TaskRecord::result},
-        Field{"tenant", &TaskRecord::tenant},
-        Field{"priority", &TaskRecord::priority},
     };
 };
 
@@ -171,18 +129,6 @@ struct Schema<DoneRecord>
         Field{"id", &DoneRecord::id},
         Field{"owner", &DoneRecord::owner},
         Field{"exit", &DoneRecord::exitCode},
-        Field{"tenant", &DoneRecord::tenant},
-    };
-};
-
-template <>
-struct Schema<TenantRecord>
-{
-    static constexpr const char *context = "queue record";
-    static constexpr auto fields = std::tuple{
-        Field{"tenant", &TenantRecord::tenant},
-        Field{"weight", &TenantRecord::weight},
-        Field{"quota", &TenantRecord::quota},
     };
 };
 
@@ -209,35 +155,13 @@ struct Schema<QueueLogRecord>
 };
 
 template <>
-struct Schema<QueueTenantDepth>
-{
-    static constexpr auto fields = std::tuple{
-        Field{"tenant", &QueueTenantDepth::tenant},
-        Field{"priority", &QueueTenantDepth::priority},
-        Field{"pending", &QueueTenantDepth::pending},
-    };
-};
-
-template <>
 struct Schema<QueueLeaseStatus>
 {
     static constexpr auto fields = std::tuple{
         Field{"id", &QueueLeaseStatus::id},
         Field{"owner", &QueueLeaseStatus::owner},
-        Field{"tenant", &QueueLeaseStatus::tenant},
         Field{"hb_age_ms", &QueueLeaseStatus::heartbeatAgeMs},
         Field{"remaining_ms", &QueueLeaseStatus::remainingMs},
-    };
-};
-
-template <>
-struct Schema<QueueCacheStats>
-{
-    static constexpr const char *context = "queue record";
-    static constexpr auto fields = std::tuple{
-        Field{"hits", &QueueCacheStats::hits},
-        Field{"misses", &QueueCacheStats::misses},
-        Field{"at_ms", &QueueCacheStats::atMs},
     };
 };
 
@@ -246,7 +170,6 @@ struct Schema<QueueStatusRecord>
 {
     static constexpr const char *context = "queue record";
     static constexpr auto fields = std::tuple{
-        Field{"queue", &QueueStatusRecord::queue},
         Field{"at_ms", &QueueStatusRecord::atMs},
         Field{"stop", &QueueStatusRecord::stop},
         Field{"pending", &QueueStatusRecord::pending},
@@ -254,9 +177,7 @@ struct Schema<QueueStatusRecord>
         Field{"done", &QueueStatusRecord::done},
         Field{"cancelled", &QueueStatusRecord::cancelled},
         Field{"quarantined", &QueueStatusRecord::quarantined},
-        Field{"depths", &QueueStatusRecord::depths},
         Field{"leases", &QueueStatusRecord::leases},
-        Field{"cache", &QueueStatusRecord::cache},
     };
 };
 

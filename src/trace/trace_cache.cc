@@ -1,8 +1,10 @@
 #include "trace/trace_cache.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/strings.hh"
 
 namespace cfl
 {
@@ -25,12 +27,15 @@ budgetFromEnv()
     const char *env = std::getenv("CONFLUENCE_TRACE_CACHE_MB");
     if (env == nullptr)
         return kDefaultMb << 20;
-    char *end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || (end != nullptr && *end != '\0') || v < 0)
-        cfl_fatal("CONFLUENCE_TRACE_CACHE_MB must be a non-negative "
-                  "integer, got \"%s\"", env);
-    return static_cast<std::uint64_t>(v) << 20;
+    const std::uint64_t mb =
+        parseUint64Flag("CONFLUENCE_TRACE_CACHE_MB", env);
+    // Past this many MB the byte count would wrap.
+    constexpr std::uint64_t kMaxMb =
+        std::numeric_limits<std::uint64_t>::max() >> 20;
+    if (mb > kMaxMb)
+        cfl_fatal("CONFLUENCE_TRACE_CACHE_MB=%s is above %llu MB", env,
+                  static_cast<unsigned long long>(kMaxMb));
+    return mb << 20;
 }
 
 } // namespace

@@ -53,10 +53,15 @@ workloadSlug(WorkloadId id)
 WorkloadId
 workloadFromSlug(const std::string &slug)
 {
-    for (const WorkloadId id : allWorkloads())
+    std::string known;
+    for (const WorkloadId id : allWorkloads()) {
         if (workloadSlug(id) == slug)
             return id;
-    cfl_fatal("unknown workload \"%s\"", slug.c_str());
+        known += known.empty() ? "" : ", ";
+        known += workloadSlug(id);
+    }
+    cfl_fatal("unknown workload \"%s\" (expected %s)", slug.c_str(),
+              known.c_str());
 }
 
 WorkloadParams

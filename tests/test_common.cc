@@ -287,27 +287,6 @@ TEST(Strings, ParseUint64FlagRejectsSignsSpacesJunkAndOverflow)
     }
 }
 
-TEST(Strings, ParseSignedFlagAcceptsTheWholeRange)
-{
-    EXPECT_EQ(parseSignedFlag("--priority", "0"), 0);
-    EXPECT_EQ(parseSignedFlag("--priority", "-7"), -7);
-    EXPECT_EQ(parseSignedFlag("--priority", "9223372036854775807"),
-              std::numeric_limits<std::int64_t>::max());
-    EXPECT_EQ(parseSignedFlag("--priority", "-9223372036854775808"),
-              std::numeric_limits<std::int64_t>::min());
-}
-
-TEST(Strings, ParseSignedFlagRejectsPlusSpacesJunkAndOverflow)
-{
-    for (const char *text : {"", "-", "+5", " 12", " -1", "--1", "12abc",
-                             "9223372036854775808",
-                             "-9223372036854775809"}) {
-        SCOPED_TRACE(text);
-        EXPECT_DEATH(parseSignedFlag("--priority", text),
-                     "--priority needs an integer");
-    }
-}
-
 TEST(Strings, ParseDoubleFlagAcceptsDecimals)
 {
     EXPECT_EQ(parseDoubleFlag("--rate", "0"), 0.0);

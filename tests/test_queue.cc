@@ -1,8 +1,9 @@
 /**
  * @file Tests for the persistent work queue: claim mutual exclusion
  * under racing threads (the lease + atomic-rename protocol), FIFO
- * ordering, lease-expiry reclamation on a fake clock, torn-append log
- * recovery, double-completion idempotence, QueueBackend scheduling
+ * ordering across instances, lease-expiry reclamation on a fake clock,
+ * torn-append log recovery, double-completion idempotence, task files
+ * of an older naming being fatal, QueueBackend scheduling and timeouts
  * through real worker loops, and the headline crash contract — a
  * coordinator killed mid-dispatch and restarted merges a result
  * byte-identical to the single-process run with no shard evaluated
@@ -18,11 +19,11 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "death_test_style.hh"
 #include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/result_cache.hh"
@@ -389,79 +390,24 @@ TEST(WorkQueue, TaskCompletedAfterReclaimIsRetiredNotRerun)
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant claim policy: priority, weighted round-robin, FIFO
+// Claim order and status snapshots
 // ---------------------------------------------------------------------------
-
-namespace
-{
-
-sweepio::TaskRecord
-makeTenantTask(const std::string &id, const std::string &tenant,
-               std::int64_t priority)
-{
-    sweepio::TaskRecord task = makeTask(id);
-    task.tenant = tenant;
-    task.priority = priority;
-    return task;
-}
-
-} // namespace
-
-TEST(WorkQueue, ClaimOrderIsPriorityThenWeightedRoundRobinThenFifo)
-{
-    WorkQueue queue(freshDir("policy"));
-    queue.setTenant("a", 1, 0);
-    queue.setTenant("b", 1, 0);
-    queue.setTenant("heavy", 2, 0);
-
-    // Enqueue order deliberately scrambles the expected claim order.
-    queue.enqueue(makeTenantTask("a1", "a", 0));
-    queue.enqueue(makeTenantTask("a2", "a", 0));
-    queue.enqueue(makeTenantTask("h1", "heavy", 0));
-    queue.enqueue(makeTenantTask("h2", "heavy", 0));
-    queue.enqueue(makeTenantTask("h3", "heavy", 0));
-    queue.enqueue(makeTenantTask("b1", "b", 5));
-    queue.enqueue(makeTenantTask("a3", "a", 5));
-
-    // The policy, applied by hand:
-    //   tier 5 first (strict priority): a3 before b1 — both tenants
-    //     unserved, the served/weight tie breaks to the smaller name;
-    //   tier 0: heavy (weight 2) is owed twice the service of a, so
-    //     h1, h2 before the tie at ratio 1 goes to a1, then h3 brings
-    //     heavy to ratio 3/2 > 2/1... no — a is at 2/1 = 2 > 3/2, so
-    //     h3 precedes the final a2.
-    const std::vector<std::string> expected = {"a3", "b1", "h1", "h2",
-                                               "a1", "h3", "a2"};
-    for (const std::string &want : expected) {
-        auto claim = queue.claim("w", 60);
-        ASSERT_TRUE(claim.has_value());
-        EXPECT_EQ(claim->task.id, want);
-        queue.complete(*claim, 0);
-    }
-    EXPECT_EQ(queue.claim("w", 60), std::nullopt);
-}
 
 TEST(WorkQueue, ClaimOrderIsDeterministicAcrossInstances)
 {
-    // The policy is a pure function of the directory state, so a
-    // *fresh* instance (a separate worker process in real life) must
-    // claim the same pinned order the writer's instance would.
+    // FIFO is a pure function of the directory state, so a *fresh*
+    // instance (a separate worker process in real life) claims the
+    // writer's tasks in enqueue order, not in id or name order.
     const std::string dir = freshDir("deterministic");
+    const std::vector<std::string> ids = {"zeta", "alpha", "m-3",
+                                          "m-10", "beta", "0"};
     {
         WorkQueue setup(dir);
-        setup.setTenant("x", 1, 0);
-        setup.setTenant("y", 3, 0);
-        for (int i = 0; i < 4; ++i) {
-            setup.enqueue(makeTenantTask("x" + std::to_string(i), "x", 0));
-            setup.enqueue(makeTenantTask("y" + std::to_string(i), "y", 0));
-        }
+        for (const std::string &id : ids)
+            setup.enqueue(makeTask(id));
     }
-    // Weight 3 earns y three claims per x claim while both have work;
-    // served/weight ties break to the smaller tenant name, so x0 leads.
-    const std::vector<std::string> expected = {"x0", "y0", "y1", "y2",
-                                               "x1", "y3", "x2", "x3"};
     WorkQueue observer(dir);
-    for (const std::string &want : expected) {
+    for (const std::string &want : ids) {
         auto claim = observer.claim("probe", 60);
         ASSERT_TRUE(claim.has_value());
         EXPECT_EQ(claim->task.id, want);
@@ -470,128 +416,25 @@ TEST(WorkQueue, ClaimOrderIsDeterministicAcrossInstances)
     EXPECT_EQ(observer.claim("probe", 60), std::nullopt);
 }
 
-TEST(WorkQueue, QuotaBoundsLiveTasksAndReleasesOnCompletion)
-{
-    WorkQueue queue(freshDir("quota"));
-    queue.setTenant("capped", 1, 2);
-
-    ASSERT_TRUE(queue.tryEnqueue(makeTenantTask("c1", "capped", 0)));
-    ASSERT_TRUE(queue.tryEnqueue(makeTenantTask("c2", "capped", 0)));
-    // Third live task: refused, nothing published.
-    EXPECT_FALSE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-    EXPECT_EQ(queue.pendingCount(), 2u);
-    EXPECT_EQ(queue.liveCount("capped"), 2u);
-
-    // A *claimed* task still counts against the quota...
-    auto claim = queue.claim("w", 60);
-    ASSERT_TRUE(claim.has_value());
-    EXPECT_FALSE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-    // ...a *completed* one does not.
-    queue.complete(*claim, 0);
-    EXPECT_TRUE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-
-    // Unconfigured tenants are unbounded, and enqueue() (the
-    // non-quota path) ignores quotas by contract.
-    EXPECT_TRUE(queue.tryEnqueue(makeTenantTask("free", "other", 0)));
-    queue.enqueue(makeTenantTask("c4", "capped", 0));
-    EXPECT_EQ(queue.liveCount("capped"), 3u);
-}
-
-TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
-{
-    // One tenant floods 24 tasks at the same priority as two small
-    // tenants (3 tasks each, equal weights). Weighted round-robin must
-    // interleave: the small tenants finish well before the flood does,
-    // instead of waiting behind its backlog. (The flood is same-
-    // priority deliberately — at *higher* priority, waiting is the
-    // strict-priority contract, not starvation.)
-    const std::string dir = freshDir("starve");
-    constexpr unsigned kFlood = 24, kSmall = 3, kTotal = kFlood + 2 * kSmall;
-    {
-        WorkQueue setup(dir);
-        for (unsigned i = 0; i < kFlood; ++i)
-            setup.enqueue(
-                makeTenantTask("f" + std::to_string(i), "flood", 0));
-        for (unsigned i = 0; i < kSmall; ++i) {
-            setup.enqueue(
-                makeTenantTask("alice" + std::to_string(i), "alice", 0));
-            setup.enqueue(
-                makeTenantTask("bob" + std::to_string(i), "bob", 0));
-        }
-    }
-
-    // The policy decides the order claims are granted in, so that is the
-    // order recorded: each claim and its push happen under one lock.
-    // (Recording completions instead would race: a worker descheduled
-    // between claim and push lands its task late.)
-    std::mutex mutex;
-    std::vector<std::string> claim_order;
-    std::atomic<unsigned> completed{0};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < 3; ++t) {
-        threads.emplace_back([&, t] {
-            WorkQueue queue(dir);
-            const std::string owner = "w" + std::to_string(t);
-            while (completed.load() < kTotal) {
-                std::optional<TaskClaim> claim;
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    claim = queue.claim(owner, 60);
-                    if (claim)
-                        claim_order.push_back(claim->task.id);
-                }
-                if (!claim) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                queue.complete(*claim, 0);
-                ++completed;
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    ASSERT_EQ(claim_order.size(), kTotal);
-    std::size_t last_small = 0;
-    for (std::size_t i = 0; i < claim_order.size(); ++i)
-        if (claim_order[i][0] != 'f')
-            last_small = i;
-    // Round-robin across three equal tenants grants both small
-    // tenants' claims within roughly the first third. A completion in
-    // flight while a claim is decided can count its task twice (logged
-    // and still claimed), which shifts a few slots at most, so they
-    // must land well inside the first half, not behind the flood's
-    // 24-task backlog.
-    EXPECT_LT(last_small, kTotal / 2)
-        << "a small tenant starved behind the flooding tenant";
-}
-
-// ---------------------------------------------------------------------------
-// Status snapshots and named queues
-// ---------------------------------------------------------------------------
-
-TEST(WorkQueue, StatusSnapshotReportsDepthsLeasesAndCounts)
+TEST(WorkQueue, StatusSnapshotReportsCountsStopAndLeases)
 {
     const std::string dir = freshDir("status");
     g_fakeNowMs = 1'000'000;
     WorkQueue queue(dir);
     queue.setClockForTesting(&fakeNow);
 
-    queue.enqueue(makeTenantTask("s1", "a", 0));
-    queue.enqueue(makeTenantTask("s2", "a", 0));
-    queue.enqueue(makeTenantTask("s3", "b", 5));
-    queue.enqueue(makeTenantTask("s4", "b", 0));
+    queue.enqueue(makeTask("s1"));
+    queue.enqueue(makeTask("s2"));
+    queue.enqueue(makeTask("s3"));
+    queue.enqueue(makeTask("s4"));
 
-    auto claim = queue.claim("w1", 60); // s3: highest priority
+    auto claim = queue.claim("w1", 60); // s1: first enqueued
     ASSERT_TRUE(claim.has_value());
-    ASSERT_EQ(claim->task.id, "s3");
+    ASSERT_EQ(claim->task.id, "s1");
     ASSERT_TRUE(queue.cancelTask("s4"));
     g_fakeNowMs += 2'000;
-    queue.recordCacheStats(10, 5);
 
     sweepio::QueueStatusRecord st = queue.status();
-    EXPECT_EQ(st.queue, "");
     EXPECT_EQ(st.atMs, g_fakeNowMs.load());
     EXPECT_FALSE(st.stop);
     EXPECT_EQ(st.pending, 2u);
@@ -599,18 +442,11 @@ TEST(WorkQueue, StatusSnapshotReportsDepthsLeasesAndCounts)
     EXPECT_EQ(st.done, 0u);
     EXPECT_EQ(st.cancelled, 1u);
     EXPECT_EQ(st.quarantined, 0u);
-    ASSERT_EQ(st.depths.size(), 1u); // one (tenant, priority) bucket left
-    EXPECT_EQ(st.depths[0].tenant, "a");
-    EXPECT_EQ(st.depths[0].priority, 0);
-    EXPECT_EQ(st.depths[0].pending, 2u);
     ASSERT_EQ(st.leases.size(), 1u);
-    EXPECT_EQ(st.leases[0].id, "s3");
+    EXPECT_EQ(st.leases[0].id, "s1");
     EXPECT_EQ(st.leases[0].owner, "w1");
-    EXPECT_EQ(st.leases[0].tenant, "b");
     EXPECT_EQ(st.leases[0].heartbeatAgeMs, 2'000u);
     EXPECT_EQ(st.leases[0].remainingMs, 58'000u);
-    EXPECT_EQ(st.cache.hits, 10u);
-    EXPECT_EQ(st.cache.misses, 5u);
 
     // Heartbeats refresh the lease age the snapshot reports.
     ASSERT_TRUE(queue.heartbeat(*claim, 60));
@@ -633,35 +469,41 @@ TEST(WorkQueue, StatusSnapshotReportsDepthsLeasesAndCounts)
     EXPECT_EQ(sweepio::encode(wire), sweepio::encode(st));
 }
 
-TEST(WorkQueue, NamedQueuesAreIndependent)
+TEST(WorkQueue, TaskFileOfAnOlderNamingIsFatal)
 {
-    const std::string dir = freshDir("named");
-    WorkQueue root(dir);
-    WorkQueue nightly(dir, "nightly-batch");
-    EXPECT_EQ(nightly.name(), "nightly-batch");
-    EXPECT_EQ(nightly.dir(), dir + "/queues/nightly-batch");
+    // A task file in the naming an older build used (a sort-key
+    // prefix before the seq, a submitter field after it) must not be
+    // silently skipped: nothing would ever claim, count or cancel it.
+    // Each death-test child re-runs this setup from scratch, so the
+    // queue is opened afresh inside every statement.
+    const std::string dir = freshDir("old_name");
+    WorkQueue(dir).enqueue(makeTask("fresh"));
+    const std::string old_name = "p09990-000000000001-default-legacy.task";
+    std::ofstream(dir + "/pending/" + old_name)
+        << R"({"id":"legacy","seq":1,"command":"true","result":""})"
+        << '\n';
+    // Files without the .task suffix stay foreign and ignored.
+    std::ofstream(dir + "/pending/notes.txt") << "not a task\n";
 
-    nightly.enqueue(makeTask("n1"));
-    EXPECT_EQ(root.pendingCount(), 0u); // invisible to the root queue
-    EXPECT_EQ(nightly.pendingCount(), 1u);
-    EXPECT_EQ(root.claim("w", 60), std::nullopt);
+    const std::string message = "pending/" + old_name +
+                                ".* drain or delete the queue directory";
+    EXPECT_EXIT(WorkQueue(dir).claim("w", 60),
+                ::testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(WorkQueue(dir).pendingCount(),
+                ::testing::ExitedWithCode(1), message);
+    EXPECT_EXIT(WorkQueue(dir).status(), ::testing::ExitedWithCode(1),
+                message);
+    EXPECT_EXIT(WorkQueue(dir).cancelPending(),
+                ::testing::ExitedWithCode(1), message);
 
-    // Stop markers are per-queue too.
-    root.requestStop();
-    EXPECT_FALSE(nightly.stopRequested());
-
-    auto claim = nightly.claim("w", 60);
+    // Rid of the stray file, the queue works again.
+    fs::remove(dir + "/pending/" + old_name);
+    WorkQueue queue(dir);
+    EXPECT_EQ(queue.pendingCount(), 1u);
+    auto claim = queue.claim("w", 60);
     ASSERT_TRUE(claim.has_value());
-    EXPECT_EQ(claim->task.id, "n1");
-    nightly.complete(*claim, 0);
-
-    EXPECT_TRUE(WorkQueue::validQueueName("nightly-batch"));
-    EXPECT_FALSE(WorkQueue::validQueueName("no/slashes"));
-    EXPECT_FALSE(WorkQueue::validQueueName(""));
-    EXPECT_FALSE(WorkQueue::validQueueName(".."));
-    EXPECT_TRUE(WorkQueue::validTenantName("team_a.prod"));
-    EXPECT_FALSE(WorkQueue::validTenantName("no-dashes"));
-    EXPECT_FALSE(WorkQueue::validTenantName(""));
+    EXPECT_EQ(claim->task.id, "fresh");
+    queue.complete(*claim, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -821,49 +663,26 @@ TEST(QueueBackend, DispatchesRetriesAndReportsExitCodesThroughTheQueue)
     EXPECT_EQ(runs[2].attempts, 2u);
 }
 
-TEST(QueueBackend, StampsTasksWithTenantAndPriorityAndHonorsQuota)
+TEST(QueueBackend, UnclaimedTaskTimesOutAndIsCancelled)
 {
-    const std::string dir = freshDir("backend_tenant");
+    // No worker serves the queue: run() gives up at its timeout,
+    // withdraws the still-pending task and reports a SIGKILL-style exit.
+    const std::string dir = freshDir("backend_timeout");
     WorkQueue queue(dir);
-    queue.setTenant("svc", 2, 4);
-
     QueueBackend::Options qopts;
-    qopts.slots = 2;
+    qopts.slots = 1;
     qopts.pollMs = 5;
-    qopts.tenant = "svc";
-    qopts.priority = 3;
     QueueBackend backend(queue, qopts);
 
-    {
-        WorkerLoop worker(dir, "w1");
-        const dispatch::RunStatus status = backend.run(0, "true", 30);
-        EXPECT_EQ(status.exitCode, 0);
-    }
-
-    // The submitted task carried the backend's tenant and priority all
-    // the way to its records.
-    bool saw_enqueue = false;
-    for (const sweepio::QueueLogRecord &record : queue.readLog()) {
-        if (record.op != "enqueue")
-            continue;
-        saw_enqueue = true;
-        EXPECT_EQ(record.task.tenant, "svc");
-        EXPECT_EQ(record.task.priority, 3);
-    }
-    EXPECT_TRUE(saw_enqueue);
-
-    // And the quota wait path gives up at the timeout instead of
-    // overflowing: with no worker left, saturating the quota pins the
-    // tenant at its cap for the whole wait.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(queue.tryEnqueue(
-            makeTenantTask("fill" + std::to_string(i), "svc", -1)));
     const auto t0 = std::chrono::steady_clock::now();
-    const dispatch::RunStatus blocked = backend.run(0, "true", 1);
-    EXPECT_TRUE(blocked.timedOut);
+    const dispatch::RunStatus status = backend.run(0, "true", 1);
     EXPECT_GE(std::chrono::steady_clock::now() - t0,
               std::chrono::milliseconds(900));
-    queue.cancelPending();
+    EXPECT_TRUE(status.timedOut);
+    EXPECT_EQ(status.exitCode, 137);
+    EXPECT_EQ(queue.pendingCount(), 0u);
+    EXPECT_EQ(queue.claimedCount(), 0u);
+    EXPECT_EQ(queue.status().cancelled, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,13 @@ TEST(SearchSpace, ParseRejectsMalformedSpecs)
     dies("btb_entries=512", "has no kinds= entry");
     dies("kinds=fdp;btb_entries=512x", "is not a decimal integer");
     dies("kinds=fdp;btb_entries=0", "0 is reserved for \"unset\"");
+    // Values must fit unsigned: DesignOverlay::applyTo narrows
+    // btb_ways, so 2^32 + 1 would simulate a 1-way BTB.
+    dies("kinds=baseline;btb_entries=99999999999999999999",
+         "axis \"btb_entries\" needs an unsigned integer");
+    dies("kinds=baseline;btb_ways=4294967297",
+         "axis \"btb_ways\" needs an unsigned integer, got "
+         "\"4294967297\"");
     dies("kinds=fdp,fdp", "duplicate kind");
     dies("kinds=fdp;btb_banana=512", "unknown search axis");
     dies("kinds=fdp;btb_entries=512;btb_entries=1024", "duplicate axis");

@@ -251,9 +251,8 @@ TEST(SweepioCodec, NarrowedFieldsAreRangeCheckedOnDecode)
         R"("functional_measure":5000000}})";
     // stop is a bool: 2 is not a flag, and must not re-encode as 1.
     const std::string stop =
-        R"({"queue":"","at_ms":0,"stop":2,"pending":0,"claimed":0,)"
-        R"("done":0,"cancelled":0,"quarantined":0,"depths":[],)"
-        R"("leases":[],"cache":{"hits":0,"misses":0,"at_ms":0}})";
+        R"({"at_ms":0,"stop":2,"pending":0,"claimed":0,"done":0,)"
+        R"("cancelled":0,"quarantined":0,"leases":[]})";
 
     SweepPoint point;
     EXPECT_FALSE(tryDecode(cores, &point));
@@ -333,59 +332,18 @@ TEST(SweepioQueueCodec, RecordsRoundTripIncludingEscapedStrings)
                 ::testing::ExitedWithCode(1), "control byte");
 }
 
-TEST(SweepioQueueCodec, MultiTenantFieldsRoundTrip)
-{
-    // The multi-tenant fields, including signed-priority extremes.
-    for (const std::int64_t priority : {-9999ll, -1ll, 0ll, 9999ll}) {
-        TaskRecord task;
-        task.id = "feedface-r0-a1";
-        task.seq = 3;
-        task.command = "true";
-        task.tenant = "team_a.prod";
-        task.priority = priority;
-        const TaskRecord back = decode<TaskRecord>(encode(task));
-        EXPECT_EQ(back.tenant, task.tenant);
-        EXPECT_EQ(back.priority, priority);
-    }
-
-    DoneRecord done{"feedface-r0-a1", "w:9", 0, "team_a.prod"};
-    const DoneRecord done_back = decode<DoneRecord>(encode(done));
-    EXPECT_EQ(done_back.tenant, "team_a.prod");
-
-    LeaseRecord lease{"feedface-r0-a1", "w:9", 170000000123ull,
-                      170000000001ull};
-    const LeaseRecord lease_back = decode<LeaseRecord>(encode(lease));
-    EXPECT_EQ(lease_back.sinceMs, 170000000001ull);
-
-    TenantRecord tenant{"team_a.prod", 7, 64};
-    const TenantRecord tenant_back = decode<TenantRecord>(encode(tenant));
-    EXPECT_EQ(tenant_back.tenant, tenant.tenant);
-    EXPECT_EQ(tenant_back.weight, 7u);
-    EXPECT_EQ(tenant_back.quota, 64u);
-
-    QueueCacheStats stats{123, 456, 1700000000000ull};
-    const QueueCacheStats stats_back =
-        decode<QueueCacheStats>(encode(stats));
-    EXPECT_EQ(stats_back.hits, 123u);
-    EXPECT_EQ(stats_back.misses, 456u);
-    EXPECT_EQ(stats_back.atMs, 1700000000000ull);
-}
-
 TEST(SweepioQueueCodec, QueueStatusRoundTrips)
 {
-    // Empty snapshot: a fresh queue with no tenants or leases.
+    // Empty snapshot: a fresh queue with no leases.
     QueueStatusRecord empty;
-    empty.queue = "";
     empty.atMs = 1700000000000ull;
     const QueueStatusRecord empty_back =
         decode<QueueStatusRecord>(encode(empty));
-    EXPECT_EQ(empty_back.queue, "");
-    EXPECT_TRUE(empty_back.depths.empty());
+    EXPECT_EQ(empty_back.atMs, empty.atMs);
     EXPECT_TRUE(empty_back.leases.empty());
 
-    // Fully populated, with a negative priority in a depth bucket.
+    // Fully populated.
     QueueStatusRecord st;
-    st.queue = "nightly-batch";
     st.atMs = 1700000000123ull;
     st.stop = true;
     st.pending = 5;
@@ -393,14 +351,10 @@ TEST(SweepioQueueCodec, QueueStatusRoundTrips)
     st.done = 100;
     st.cancelled = 3;
     st.quarantined = 1;
-    st.depths.push_back({"team_a", 10, 4});
-    st.depths.push_back({"team_b", -5, 1});
-    st.leases.push_back({"cafe-r0-a0", "w\"1", "team_a", 1500, 58500});
-    st.leases.push_back({"cafe-r0-a1", "w:2", "team_b", 0, 0});
-    st.cache = {12, 34, 1700000000100ull};
+    st.leases.push_back({"cafe-r0-a0", "w\"1", 1500, 58500});
+    st.leases.push_back({"cafe-r0-a1", "w:2", 0, 0});
     const QueueStatusRecord back =
         decode<QueueStatusRecord>(encode(st));
-    EXPECT_EQ(back.queue, st.queue);
     EXPECT_EQ(back.atMs, st.atMs);
     EXPECT_EQ(back.stop, true);
     EXPECT_EQ(back.pending, 5u);
@@ -408,16 +362,10 @@ TEST(SweepioQueueCodec, QueueStatusRoundTrips)
     EXPECT_EQ(back.done, 100u);
     EXPECT_EQ(back.cancelled, 3u);
     EXPECT_EQ(back.quarantined, 1u);
-    ASSERT_EQ(back.depths.size(), 2u);
-    EXPECT_EQ(back.depths[1].tenant, "team_b");
-    EXPECT_EQ(back.depths[1].priority, -5);
-    EXPECT_EQ(back.depths[1].pending, 1u);
     ASSERT_EQ(back.leases.size(), 2u);
     EXPECT_EQ(back.leases[0].owner, "w\"1");
     EXPECT_EQ(back.leases[0].heartbeatAgeMs, 1500u);
     EXPECT_EQ(back.leases[0].remainingMs, 58500u);
-    EXPECT_EQ(back.cache.hits, 12u);
-    EXPECT_EQ(back.cache.misses, 34u);
     // Stable encoding: re-encoding the decoded record reproduces the
     // bytes, so snapshot artifacts diff cleanly.
     EXPECT_EQ(encode(back), encode(st));
@@ -558,8 +506,6 @@ struct GoldenRecords
     TaskRecord task;
     LeaseRecord lease;
     DoneRecord done;
-    TenantRecord tenant;
-    QueueCacheStats stats;
     QueueStatusRecord emptyStatus, fullStatus;
     std::vector<QueueLogRecord> logs;
     std::vector<SearchRecord> search;
@@ -612,18 +558,13 @@ goldenRecords()
     s.task.command = "'/bin/x' --points '/spec dir/it'\\''s.jsonl' "
                      "--out 'o\"u\\t.jsonl'";
     s.task.result = "o\"u\\t.jsonl";
-    s.task.tenant = "team_a.prod";
-    s.task.priority = -42;
 
     s.lease = {s.task.id, "host:42", 1700000060000ull, 1700000000000ull};
-    s.done = {s.task.id, "worker\"2", 137, "team_a.prod"};
-    s.tenant = {"team_a.prod", 3, 16};
-    s.stats = {12, 34, 1700000000100ull};
+    s.done = {s.task.id, "worker\"2", 137};
 
     s.emptyStatus.atMs = 1700000000000ull;
 
     QueueStatusRecord &st = s.fullStatus;
-    st.queue = "nightly-batch";
     st.atMs = 1700000000123ull;
     st.stop = true;
     st.pending = 5;
@@ -631,10 +572,8 @@ goldenRecords()
     st.done = 100;
     st.cancelled = 3;
     st.quarantined = 1;
-    st.depths = {{"team_a", 10, 4}, {"team_b", -5, 1}};
-    st.leases = {{"cafe-r0-a0", "w\"1", "team_a", 1500, 58500},
-                 {"cafe-r0-a1", "w:2", "team_b", 0, 0}};
-    st.cache = s.stats;
+    st.leases = {{"cafe-r0-a0", "w\"1", 1500, 58500},
+                 {"cafe-r0-a1", "w:2", 0, 0}};
 
     for (const char *op :
          {"enqueue", "cancel", "reclaim", "quarantine", "done"}) {
@@ -786,38 +725,27 @@ goldenLines()
         golden("task", r.task,
              R"({"id":"0123456789abcdef-r11223344-a2","seq":42,)"
              R"("command":"'/bin/x' --points '/spec dir/it'\\''s.jsonl' --ou)"
-             R"(t 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl",)"
-             R"("tenant":"team_a.prod","priority":-42})"),
+             R"(t 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl"})"),
         golden("lease", r.lease,
              R"({"id":"0123456789abcdef-r11223344-a2","owner":"host:42",)"
              R"("deadline_ms":1700000060000,"since_ms":1700000000000})"),
         golden("done", r.done,
              R"({"id":"0123456789abcdef-r11223344-a2","owner":"worker\"2",)"
-             R"("exit":137,"tenant":"team_a.prod"})"),
-        golden("tenant", r.tenant,
-             R"({"tenant":"team_a.prod","weight":3,"quota":16})"),
-        golden("cache stats", r.stats,
-             R"({"hits":12,"misses":34,"at_ms":1700000000100})"),
+             R"("exit":137})"),
         golden("empty status", r.emptyStatus,
-             R"({"queue":"","at_ms":1700000000000,"stop":0,"pending":0,)"
-             R"("claimed":0,"done":0,"cancelled":0,"quarantined":0,)"
-             R"("depths":[],"leases":[],"cache":{"hits":0,"misses":0,)"
-             R"("at_ms":0}})"),
+             R"({"at_ms":1700000000000,"stop":0,"pending":0,"claimed":0,)"
+             R"("done":0,"cancelled":0,"quarantined":0,"leases":[]})"),
         golden("status", r.fullStatus,
-             R"({"queue":"nightly-batch","at_ms":1700000000123,"stop":1,)"
-             R"("pending":5,"claimed":2,"done":100,"cancelled":3,)"
-             R"("quarantined":1,"depths":[{"tenant":"team_a","priority":10,)"
-             R"("pending":4},{"tenant":"team_b","priority":-5,"pending":1}],)"
+             R"({"at_ms":1700000000123,"stop":1,"pending":5,"claimed":2,)"
+             R"("done":100,"cancelled":3,"quarantined":1,)"
              R"("leases":[{"id":"cafe-r0-a0","owner":"w\"1",)"
-             R"("tenant":"team_a","hb_age_ms":1500,"remaining_ms":58500},)"
-             R"({"id":"cafe-r0-a1","owner":"w:2","tenant":"team_b",)"
-             R"("hb_age_ms":0,"remaining_ms":0}],"cache":{"hits":12,)"
-             R"("misses":34,"at_ms":1700000000100}})"),
+             R"("hb_age_ms":1500,"remaining_ms":58500},)"
+             R"({"id":"cafe-r0-a1","owner":"w:2","hb_age_ms":0,)"
+             R"("remaining_ms":0}]})"),
         golden("log enqueue", r.logs[0],
              R"({"op":"enqueue","task":{"id":"0123456789abcdef-r11223344-a2")"
              R"(,"seq":42,"command":"'/bin/x' --points '/spec dir/it'\\''s.j)"
-             R"(sonl' --out 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl",)"
-             R"("tenant":"team_a.prod","priority":-42}})"),
+             R"(sonl' --out 'o\"u\\t.jsonl'","result":"o\"u\\t.jsonl"}})"),
         golden("log cancel", r.logs[1],
              R"({"op":"cancel","id":"0123456789abcdef-r11223344-a2"})"),
         golden("log reclaim", r.logs[2],
@@ -826,7 +754,7 @@ goldenLines()
              R"({"op":"quarantine","id":"0123456789abcdef-r11223344-a2"})"),
         golden("log done", r.logs[4],
              R"({"op":"done","done":{"id":"0123456789abcdef-r11223344-a2",)"
-             R"("owner":"worker\"2","exit":137,"tenant":"team_a.prod"}})"),
+             R"("owner":"worker\"2","exit":137}})"),
         golden("search header", r.search[0],
              R"({"type":"header","strategy":"halving","seed":7,)"
              R"("space":"kinds=fdp,confluence;btb_entries=512,1024",)"
@@ -899,9 +827,8 @@ struct RecordTypes
 
 using StoreRecordTypes =
     RecordTypes<SweepPoint, SweepOutcome, CacheEntry, TaskRecord,
-                LeaseRecord, DoneRecord, TenantRecord, QueueCacheStats,
-                QueueStatusRecord, QueueLogRecord, SearchRecord,
-                HistoryEntry, ParetoDump>;
+                LeaseRecord, DoneRecord, QueueStatusRecord,
+                QueueLogRecord, SearchRecord, HistoryEntry, ParetoDump>;
 
 } // namespace
 

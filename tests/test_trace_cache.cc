@@ -10,10 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "confluence/factory.hh"
+#include "death_test_style.hh"
 #include "mem/llc.hh"
 #include "reference_stream.hh"
 #include "sim/presets.hh"
@@ -489,6 +494,42 @@ TEST(TraceCache, ZeroBudgetBypasses)
     EXPECT_EQ(cache.bypasses(), 1u);
     EXPECT_EQ(cache.lookups(), 1u);
     EXPECT_EQ(cache.cachedBytes(), 0u);
+}
+
+TEST(TraceCache, BudgetKnobIsStrictAndCannotWrap)
+{
+    // traceCache() reads CONFLUENCE_TRACE_CACHE_MB once, on first use.
+    // Each death-test child re-executes the binary, so its cache is
+    // built fresh from the value set just before the statement; this
+    // process's value is restored at the end.
+    const char *saved = std::getenv("CONFLUENCE_TRACE_CACHE_MB");
+    const std::optional<std::string> restore =
+        saved ? std::optional<std::string>(saved) : std::nullopt;
+    const std::pair<const char *, const char *> bad[] = {
+        {" 64", "CONFLUENCE_TRACE_CACHE_MB needs an unsigned integer"},
+        {"+64", "CONFLUENCE_TRACE_CACHE_MB needs an unsigned integer"},
+        // 2^44 MB is 2^64 bytes: it wrapped to a budget of 0.
+        {"17592186044416", "is above 17592186044415 MB"},
+        // Past 64 bits: strtoll saturated it to 2^63 - 1 MB, which wrapped.
+        {"99999999999999999999",
+         "CONFLUENCE_TRACE_CACHE_MB needs an unsigned integer"},
+    };
+    for (const auto &[value, message] : bad) {
+        ::setenv("CONFLUENCE_TRACE_CACHE_MB", value, 1);
+        EXPECT_EXIT(traceCache(), ::testing::ExitedWithCode(1), message)
+            << '"' << value << '"';
+    }
+    // The largest budget that fits is taken as given.
+    ::setenv("CONFLUENCE_TRACE_CACHE_MB", "17592186044415", 1);
+    EXPECT_EXIT(std::exit(traceCache().budgetBytes() ==
+                                  (~std::uint64_t{0} >> 20 << 20)
+                              ? 0
+                              : 2),
+                ::testing::ExitedWithCode(0), "");
+    if (restore)
+        ::setenv("CONFLUENCE_TRACE_CACHE_MB", restore->c_str(), 1);
+    else
+        ::unsetenv("CONFLUENCE_TRACE_CACHE_MB");
 }
 
 TEST(TraceCache, CountersPartitionLookups)

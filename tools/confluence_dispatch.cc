@@ -16,10 +16,8 @@
  *
  *   confluence_dispatch --points spec.jsonl --out merged.jsonl
  *       [--backend local|queue] [--workers N]
- *       [--queue-dir DIR] [--queue-name NAME]
- *       [--tenant ID] [--priority N] [--tenant-weight W]
- *       [--tenant-quota Q] [--shards M]
- *       [--timeout SEC] [--retries K] [--backoff-ms MS]
+ *       [--queue-dir DIR] [--shards M] [--timeout SEC]
+ *       [--retries K] [--backoff-ms MS]
  *       [--sweep-bin PATH] [--cache FILE | --no-cache]
  *       [--code-version TAG] [--work-dir DIR]
  *     Dispatch the spec and write the merged result. Failed shards
@@ -36,26 +34,16 @@
  *     cancels unclaimed tasks from a dead predecessor and waits out
  *     claimed ones (their outcomes land in the result cache) — so a
  *     SIGKILLed coordinator can simply be rerun and produces the same
- *     merged bytes without re-evaluating a single shard.
- *     --queue-name targets a named sub-queue; --tenant / --priority
- *     tag the submitted tasks for the queue's fair-share claim policy
- *     (priority first, then weighted round-robin across tenants, then
- *     FIFO); --tenant-weight / --tenant-quota record the tenant's
- *     scheduling config in the queue before dispatching. After a
- *     queue dispatch the coordinator reports its cache hit/miss
- *     counters into the queue's stats.jsonl for --queue-status.
+ *     merged bytes without re-evaluating a single shard. Workers claim
+ *     the queue's tasks in enqueue order.
  *
  *   confluence_dispatch --queue-status [--queue-dir DIR]
- *       [--queue-name NAME] [--serve SEC] [--serve-max N]
  *     Print a machine-readable queue snapshot (one QueueStatusRecord
- *     JSONL line: depth per tenant/priority, active leases with
- *     heartbeat age, quarantine count, cache hit rate) to stdout and
- *     a human-readable summary to stderr. With --serve SEC, refresh
- *     every SEC seconds until the queue's stop marker appears (or
- *     --serve-max N snapshots were printed, for bounded CI runs).
+ *     JSONL line: task counts per state, the stop flag, and active
+ *     leases with heartbeat age and remaining time) to stdout and a
+ *     human-readable summary to stderr.
  *
- *   confluence_dispatch --queue-dir DIR [--queue-name NAME]
- *       --stop-workers
+ *   confluence_dispatch --queue-dir DIR --stop-workers
  *     Drop the queue's stop marker: every worker daemon drains and
  *     exits 0.
  *
@@ -87,7 +75,6 @@
  */
 
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -121,15 +108,12 @@ usage(const char *argv0)
         "usage:\n"
         "  %s --points spec.jsonl --out merged.jsonl\n"
         "     [--backend local|queue] [--workers N] [--queue-dir DIR]\n"
-        "     [--queue-name NAME] [--tenant ID] [--priority N]\n"
-        "     [--tenant-weight W] [--tenant-quota Q]\n"
         "     [--shards M] [--timeout SEC] [--retries K]\n"
         "     [--backoff-ms MS] [--sweep-bin PATH]\n"
         "     [--cache FILE | --no-cache]\n"
         "     [--code-version TAG] [--work-dir DIR]\n"
-        "  %s --queue-status [--queue-dir DIR] [--queue-name NAME]\n"
-        "     [--serve SEC] [--serve-max N]\n"
-        "  %s --queue-dir DIR [--queue-name NAME] --stop-workers\n"
+        "  %s --queue-status [--queue-dir DIR]\n"
+        "  %s --queue-dir DIR --stop-workers\n"
         "  %s --history history.jsonl --result merged.jsonl --tag TAG\n"
         "     [--threshold FRAC]\n"
         "exit codes: 0 ok, 1 fatal, 2 usage, 5 regression over "
@@ -186,78 +170,35 @@ historyMode(const std::string &history_path,
     return 0;
 }
 
-void
-printStatusHuman(const sweepio::QueueStatusRecord &st,
-                 const std::string &dir)
+/**
+ * One QueueStatusRecord JSONL line on stdout (the machine-readable
+ * contract), a summary on stderr.
+ */
+int
+queueStatusMode(const std::string &queue_dir)
 {
+    queue::WorkQueue wq(queue_dir);
+    const sweepio::QueueStatusRecord st = wq.status();
+    std::printf("%s\n", sweepio::encode(st).c_str());
     std::fprintf(stderr,
-                 "queue %s (%s): pending=%llu claimed=%llu done=%llu "
+                 "queue %s: pending=%llu claimed=%llu done=%llu "
                  "cancelled=%llu quarantined=%llu stop=%d\n",
-                 st.queue.empty() ? "(root)" : st.queue.c_str(),
-                 dir.c_str(),
+                 wq.dir().c_str(),
                  static_cast<unsigned long long>(st.pending),
                  static_cast<unsigned long long>(st.claimed),
                  static_cast<unsigned long long>(st.done),
                  static_cast<unsigned long long>(st.cancelled),
                  static_cast<unsigned long long>(st.quarantined),
                  st.stop ? 1 : 0);
-    for (const sweepio::QueueTenantDepth &depth : st.depths)
-        std::fprintf(stderr,
-                     "  depth tenant=%s priority=%lld pending=%llu\n",
-                     depth.tenant.c_str(),
-                     static_cast<long long>(depth.priority),
-                     static_cast<unsigned long long>(depth.pending));
     for (const sweepio::QueueLeaseStatus &lease : st.leases)
         std::fprintf(stderr,
-                     "  lease id=%s owner=%s tenant=%s hb_age_ms=%llu "
+                     "  lease id=%s owner=%s hb_age_ms=%llu "
                      "remaining_ms=%llu\n",
                      lease.id.c_str(), lease.owner.c_str(),
-                     lease.tenant.c_str(),
                      static_cast<unsigned long long>(
                          lease.heartbeatAgeMs),
                      static_cast<unsigned long long>(
                          lease.remainingMs));
-    const std::uint64_t lookups = st.cache.hits + st.cache.misses;
-    std::fprintf(stderr,
-                 "  cache hits=%llu misses=%llu hit_rate=%.1f%%\n",
-                 static_cast<unsigned long long>(st.cache.hits),
-                 static_cast<unsigned long long>(st.cache.misses),
-                 lookups == 0 ? 0.0
-                              : 100.0 * static_cast<double>(
-                                            st.cache.hits) /
-                                    static_cast<double>(lookups));
-}
-
-/**
- * One QueueStatusRecord JSONL line per snapshot on stdout (the
- * machine-readable contract), a summary on stderr. --serve keeps
- * refreshing until the queue is told to stop; --serve-max bounds the
- * snapshot count so CI can run the serve loop without wedging.
- */
-int
-queueStatusMode(const std::string &queue_dir,
-                const std::string &queue_name, unsigned serve_sec,
-                unsigned serve_max)
-{
-    queue::WorkQueue wq(queue_dir, queue_name);
-    unsigned printed = 0;
-    while (true) {
-        const sweepio::QueueStatusRecord st = wq.status();
-        std::printf("%s\n", sweepio::encode(st).c_str());
-        std::fflush(stdout);
-        printStatusHuman(st, wq.dir());
-        ++printed;
-        if (serve_sec == 0)
-            break; // one-shot
-        if (serve_max != 0 && printed >= serve_max)
-            break;
-        if (st.stop) {
-            std::fprintf(stderr, "queue-status: stop marker present, "
-                         "exiting serve loop\n");
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::seconds(serve_sec));
-    }
     return 0;
 }
 
@@ -301,12 +242,7 @@ main(int argc, char **argv)
     std::string backend_name = "local";
     unsigned workers = 2;
     std::string queue_dir = queue::WorkQueue::defaultDir();
-    std::string queue_name, tenant;
-    std::int64_t priority = 0;
-    unsigned tenant_weight = 0, tenant_quota = 0;
-    bool tenant_weight_set = false, tenant_quota_set = false;
     bool queue_status = false;
-    unsigned serve_sec = 0, serve_max = 0;
     bool stop_workers = false;
     unsigned shards = 0, timeout_sec = 0, retries = 2;
     unsigned backoff_ms = 100;
@@ -337,24 +273,8 @@ main(int argc, char **argv)
             workers = parseUnsignedFlag(arg, value());
         else if (arg == "--queue-dir")
             queue_dir = value();
-        else if (arg == "--queue-name")
-            queue_name = value();
-        else if (arg == "--tenant")
-            tenant = value();
-        else if (arg == "--priority")
-            priority = parseSignedFlag(arg, value());
-        else if (arg == "--tenant-weight") {
-            tenant_weight = parseUnsignedFlag(arg, value());
-            tenant_weight_set = true;
-        } else if (arg == "--tenant-quota") {
-            tenant_quota = parseUnsignedFlag(arg, value());
-            tenant_quota_set = true;
-        } else if (arg == "--queue-status")
+        else if (arg == "--queue-status")
             queue_status = true;
-        else if (arg == "--serve")
-            serve_sec = parseUnsignedFlag(arg, value());
-        else if (arg == "--serve-max")
-            serve_max = parseUnsignedFlag(arg, value());
         else if (arg == "--stop-workers")
             stop_workers = true;
         else if (arg == "--shards")
@@ -391,13 +311,12 @@ main(int argc, char **argv)
         if (!points_path.empty() || !history_path.empty() ||
             stop_workers)
             usage(argv[0]);
-        return queueStatusMode(queue_dir, queue_name, serve_sec,
-                               serve_max);
+        return queueStatusMode(queue_dir);
     }
     if (stop_workers) {
         if (!points_path.empty() || !history_path.empty())
             usage(argv[0]);
-        queue::WorkQueue wq(queue_dir, queue_name);
+        queue::WorkQueue wq(queue_dir);
         wq.requestStop();
         std::fprintf(stderr, "stop marker dropped in %s; workers will "
                      "drain and exit\n", wq.dir().c_str());
@@ -420,7 +339,7 @@ main(int argc, char **argv)
     } else if (backend_name == "queue") {
         if (workers == 0)
             cfl_fatal("--workers must be >= 1");
-        wq = std::make_unique<queue::WorkQueue>(queue_dir, queue_name);
+        wq = std::make_unique<queue::WorkQueue>(queue_dir);
         // A stale stop marker from a drained earlier run would make
         // fresh workers exit mid-dispatch; this run wants them alive.
         wq->clearStop();
@@ -428,23 +347,8 @@ main(int argc, char **argv)
         // previous coordinator's in-flight tasks produce is visible to
         // this run's cache lookups.
         reconcileQueue(*wq);
-        // Record this tenant's scheduling config before submitting
-        // under it; unspecified fields keep their recorded values.
-        if (tenant_weight_set || tenant_quota_set) {
-            const std::string effective =
-                tenant.empty() ? "default" : tenant;
-            sweepio::TenantRecord config =
-                wq->tenantConfig(effective);
-            if (tenant_weight_set)
-                config.weight = tenant_weight;
-            if (tenant_quota_set)
-                config.quota = tenant_quota;
-            wq->setTenant(effective, config.weight, config.quota);
-        }
         queue::QueueBackend::Options qopts;
         qopts.slots = workers;
-        qopts.tenant = tenant;
-        qopts.priority = priority;
         backend = std::make_unique<queue::QueueBackend>(*wq, qopts);
     } else {
         cfl_fatal("unknown backend \"%s\" (local|queue)",
@@ -456,8 +360,7 @@ main(int argc, char **argv)
     if (!work_dir.empty())
         opts.workDir = work_dir;
     else if (backend_name == "queue")
-        opts.workDir = wq->dir() + "/work"; // shared with the workers,
-                                            // per named queue
+        opts.workDir = wq->dir() + "/work"; // shared with the workers
     else
         opts.workDir = out_path + ".work";
     opts.shards = shards;
@@ -480,12 +383,6 @@ main(int argc, char **argv)
     const SweepResult merged = dispatch::runDispatchedSweep(
         points, *backend, opts, cache.get(), &stats);
     sweepio::writeResult(out_path, merged);
-
-    // Feed the queue's status view: --queue-status reports the cache
-    // hit rate from the newest coordinator-recorded counters.
-    if (wq != nullptr)
-        wq->recordCacheStats(cache ? cache->hits() : 0,
-                             cache ? cache->misses() : 0);
 
     for (const dispatch::ShardRun &run : stats.shardRuns)
         if (run.attempts > 1)

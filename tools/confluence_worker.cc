@@ -3,12 +3,13 @@
  * Pull-based sweep worker daemon.
  *
  * Where confluence_dispatch *pushes* commands at workers, this daemon
- * *pulls*: it claims tasks from a persistent work queue (src/queue) —
- * taking each task's lease exclusively and moving its file with an
- * atomic rename, so no two workers ever run the same shard — executes
- * the task's command (a `confluence_sweep --points` shard), heartbeats
- * the lease while the command runs, folds the shard's outcomes into
- * the content-addressed result cache, and records completion. Because
+ * *pulls*: it claims tasks from a persistent FIFO work queue
+ * (src/queue), oldest first — taking each task's lease exclusively
+ * and moving its file with an atomic rename, so no two workers ever
+ * run the same shard — executes the task's command (a
+ * `confluence_sweep --points` shard), heartbeats the lease while the
+ * command runs, folds the shard's outcomes into the content-addressed
+ * result cache, and records completion. Because
  * completed work lands in the cache *before* the completion record, a
  * coordinator can be SIGKILLed at any moment and a restarted one
  * resumes from the queue + cache without re-evaluating anything.
@@ -18,15 +19,12 @@
  * — an expired lease is reclaimed by whichever worker next looks.
  *
  * Usage:
- *   confluence_worker [--queue DIR] [--queue-name NAME] [--owner NAME]
- *                     [--lease SEC] [--poll-ms MS] [--idle-exit SEC]
- *                     [--max-tasks N] [--cache FILE | --no-cache]
- *                     [--code-version TAG]
+ *   confluence_worker [--queue DIR] [--owner NAME] [--lease SEC]
+ *                     [--poll-ms MS] [--idle-exit SEC] [--max-tasks N]
+ *                     [--cache FILE | --no-cache] [--code-version TAG]
  *
  *   --queue DIR     queue directory (default $CONFLUENCE_QUEUE_DIR or
  *                   ".confluence-queue")
- *   --queue-name N  serve the named sub-queue DIR/queues/N instead of
- *                   the root queue; one daemon serves one queue
  *   --owner NAME    lease owner identity (default host:pid)
  *   --lease SEC     lease duration per claim/heartbeat (default 60);
  *                   heartbeats fire every SEC/3, so only a dead or
@@ -78,8 +76,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage:\n"
-        "  %s [--queue DIR] [--queue-name NAME] [--owner NAME]\n"
-        "     [--lease SEC] [--poll-ms MS] [--idle-exit SEC]\n"
+        "  %s [--queue DIR] [--owner NAME] [--lease SEC]\n"
+        "     [--poll-ms MS] [--idle-exit SEC]\n"
         "     [--max-tasks N] [--cache FILE | --no-cache]\n"
         "     [--code-version TAG]\n"
         "exit codes: 0 clean shutdown (stop marker, --idle-exit,\n"
@@ -102,7 +100,6 @@ int
 main(int argc, char **argv)
 {
     std::string queue_dir = queue::WorkQueue::defaultDir();
-    std::string queue_name;
     std::string owner = defaultOwner();
     unsigned lease_sec = 60, poll_ms = 200, idle_exit_sec = 0;
     unsigned max_tasks = 0;
@@ -120,8 +117,6 @@ main(int argc, char **argv)
         };
         if (arg == "--queue")
             queue_dir = value();
-        else if (arg == "--queue-name")
-            queue_name = value();
         else if (arg == "--owner")
             owner = value();
         else if (arg == "--lease")
@@ -146,7 +141,7 @@ main(int argc, char **argv)
     if (poll_ms == 0)
         cfl_fatal("--poll-ms must be >= 1");
 
-    queue::WorkQueue queue(queue_dir, queue_name);
+    queue::WorkQueue queue(queue_dir);
     // One cache open per daemon run — every completed task reuses this
     // instance (and its single append descriptor) instead of reopening
     // the store per completion.
@@ -166,12 +161,8 @@ main(int argc, char **argv)
     while (true) {
         if (std::optional<queue::TaskClaim> claim =
                 queue.claim(owner, lease_sec)) {
-            std::fprintf(stderr,
-                         "worker %s: claimed task %s (tenant %s, "
-                         "priority %lld)\n",
-                         owner.c_str(), claim->task.id.c_str(),
-                         claim->task.tenant.c_str(),
-                         static_cast<long long>(claim->task.priority));
+            std::fprintf(stderr, "worker %s: claimed task %s\n",
+                         owner.c_str(), claim->task.id.c_str());
             // Death point for chaos runs: dying here leaves the claim
             // held and the command unrun — pure lease-expiry recovery.
             fault::checkpoint("worker.task.claimed");
