@@ -23,9 +23,13 @@ using namespace cfl;
 int
 main(int argc, char **argv)
 {
-    WorkloadId workload = WorkloadId::OltpDb2;
-    if (argc > 1 && std::string(argv[1]) == "oracle")
-        workload = WorkloadId::OltpOracle;
+    const std::string which = argc > 1 ? argv[1] : "db2";
+    if (argc > 2 || (which != "db2" && which != "oracle")) {
+        std::fprintf(stderr, "usage: oltp_frontend_study [db2|oracle]\n");
+        return 1;
+    }
+    const WorkloadId workload =
+        which == "oracle" ? WorkloadId::OltpOracle : WorkloadId::OltpDb2;
 
     const RunScale scale = currentScale();
     const SystemConfig config = makeSystemConfig(scale.timingCores);

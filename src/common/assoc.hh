@@ -7,15 +7,29 @@
  *
  * Keys are opaque 64-bit values (block addresses, branch PCs, region
  * numbers); the set index is the key's low bits above index_shift.
- * Victim choice is the set's first invalid way, else its least
- * recently used one, by a use clock private to each array.
+ * Each way has a use stamp from a clock private to the array; the
+ * clock is pre-incremented, so a valid way's stamp is >= 1 and a stamp
+ * of 0 marks the way invalid. The victim is the set's first way with
+ * the lowest stamp: its first invalid way, else its least recently
+ * used one.
+ *
+ * Keys, stamps and payloads are separate arrays (an empty payload type
+ * stores none). Keys and stamps come zeroed from calloc, so a large
+ * array costs no memory traffic until a probe reaches a set: an
+ * untouched set reads as all-invalid from zero pages the kernel maps
+ * on first use. Every operation scans its set once.
  */
 
 #ifndef CFL_COMMON_ASSOC_HH
 #define CFL_COMMON_ASSOC_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -45,32 +59,33 @@ class AssocCache
      *  @param index_shift low key bits skipped when computing the set */
     AssocCache(std::size_t sets, unsigned ways, unsigned index_shift = 0)
         : sets_(sets), ways_(ways), indexShift_(index_shift),
-          entries_(sets * ways)
+          values_(kTagOnly ? 0 : sets * ways)
     {
         cfl_assert(sets > 0 && isPowerOfTwo(sets),
                    "AssocCache sets must be a power of two");
         cfl_assert(ways > 0, "AssocCache needs >= 1 way");
+        keys_ = zeroedWords(capacity());
+        stamps_ = zeroedWords(capacity());
     }
 
     /** Find @p key; returns payload pointer or nullptr. Promotes LRU. */
     Value *
     find(std::uint64_t key, bool update_lru = true)
     {
-        Entry *e = findEntry(key);
-        if (e == nullptr)
+        const std::size_t slot = lookup(key);
+        if (slot == kNone)
             return nullptr;
         if (update_lru)
-            e->lastUse = ++useClock_;
-        return &e->value;
+            stamps_[slot] = ++useClock_;
+        return valueAt(slot);
     }
 
     /** Const probe without LRU update. */
     const Value *
     peek(std::uint64_t key) const
     {
-        const Entry *e =
-            const_cast<AssocCache *>(this)->findEntry(key);
-        return e == nullptr ? nullptr : &e->value;
+        const std::size_t slot = lookup(key);
+        return slot == kNone ? nullptr : valueAt(slot);
     }
 
     /**
@@ -80,58 +95,36 @@ class AssocCache
     std::optional<std::pair<std::uint64_t, Value>>
     insert(std::uint64_t key, Value value)
     {
-        Entry *existing = findEntry(key);
-        if (existing != nullptr) {
-            existing->value = std::move(value);
-            existing->lastUse = ++useClock_;
+        const auto [match, victim] = scan(key);
+        if (match != kNone) {
+            *valueAt(match) = std::move(value);
+            stamps_[match] = ++useClock_;
             return std::nullopt;
         }
-
-        Entry *base = &entries_[setIndex(key) * ways_];
-        Entry *victim = nullptr;
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (!base[w].valid) {
-                victim = &base[w];
-                break;
-            }
-            if (victim == nullptr || base[w].lastUse < victim->lastUse)
-                victim = &base[w];
-        }
-
-        std::optional<std::pair<std::uint64_t, Value>> evicted;
-        if (victim->valid)
-            evicted = std::make_pair(victim->key, std::move(victim->value));
-        else
-            ++validCount_;
-        victim->key = key;
-        victim->value = std::move(value);
-        victim->valid = true;
-        victim->lastUse = ++useClock_;
-        return evicted;
+        return place(victim, key, std::move(value));
     }
 
     /** Remove @p key; returns its payload if it was present. */
     std::optional<Value>
     invalidate(std::uint64_t key)
     {
-        Entry *e = findEntry(key);
-        if (e == nullptr)
+        const std::size_t slot = lookup(key);
+        if (slot == kNone)
             return std::nullopt;
-        e->valid = false;
+        stamps_[slot] = 0;
         --validCount_;
-        return std::move(e->value);
+        return std::move(*valueAt(slot));
     }
 
     void
     clear()
     {
-        for (Entry &e : entries_)
-            e.valid = false;
+        std::memset(stamps_.get(), 0, capacity() * sizeof(Word));
         validCount_ = 0;
     }
 
     std::size_t size() const { return validCount_; }
-    std::size_t capacity() const { return entries_.size(); }
+    std::size_t capacity() const { return sets_ * ways_; }
     std::size_t numSets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
@@ -141,36 +134,107 @@ class AssocCache
     void
     forEach(Fn &&fn) const
     {
-        for (const Entry &e : entries_) {
-            if (e.valid)
-                fn(e.key, e.value);
+        for (std::size_t slot = 0; slot < capacity(); ++slot) {
+            if (stamps_[slot] != 0)
+                fn(keys_[slot], *valueAt(slot));
         }
     }
 
   private:
-    struct Entry
+    using Word = std::uint64_t;
+
+    struct FreeWords
     {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        Value value{};
-        bool valid = false;
+        void operator()(Word *words) const { std::free(words); }
+    };
+    using Words = std::unique_ptr<Word[], FreeWords>;
+
+    /** A tag-only array (empty payload) keeps no payload storage. */
+    static constexpr bool kTagOnly = std::is_empty_v<Value>;
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** @p count zeroed words from calloc: a large block arrives as
+     *  untouched zero pages. */
+    static Words
+    zeroedWords(std::size_t count)
+    {
+        Word *words = static_cast<Word *>(std::calloc(count, sizeof(Word)));
+        if (words == nullptr)
+            throw std::bad_alloc();
+        return Words(words);
+    }
+
+    struct Scan
+    {
+        std::size_t match;  ///< slot holding the key, or kNone
+        std::size_t victim; ///< the set's first lowest-stamp slot
     };
 
     std::size_t
-    setIndex(std::uint64_t key) const
+    setBase(std::uint64_t key) const
     {
-        return (key >> indexShift_) & (sets_ - 1);
+        return ((key >> indexShift_) & (sets_ - 1)) * ways_;
     }
 
-    Entry *
-    findEntry(std::uint64_t key)
+    std::size_t
+    lookup(std::uint64_t key) const
     {
-        Entry *base = &entries_[setIndex(key) * ways_];
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (base[w].valid && base[w].key == key)
-                return &base[w];
+        const std::size_t base = setBase(key);
+        for (std::size_t slot = base; slot < base + ways_; ++slot) {
+            // Stamp first: an invalid way's key is never read, so an
+            // untouched keys page is first touched by the insert that
+            // writes it.
+            if (stamps_[slot] != 0 && keys_[slot] == key)
+                return slot;
         }
-        return nullptr;
+        return kNone;
+    }
+
+    /** One pass over @p key's set: where it is, and which way a new
+     *  key would take. */
+    Scan
+    scan(std::uint64_t key) const
+    {
+        const std::size_t base = setBase(key);
+        Scan out{kNone, base};
+        for (std::size_t slot = base; slot < base + ways_; ++slot) {
+            if (stamps_[slot] != 0 && keys_[slot] == key)
+                out.match = slot;
+            if (stamps_[slot] < stamps_[out.victim])
+                out.victim = slot;
+        }
+        return out;
+    }
+
+    std::optional<std::pair<std::uint64_t, Value>>
+    place(std::size_t slot, std::uint64_t key, Value value)
+    {
+        std::optional<std::pair<std::uint64_t, Value>> evicted;
+        if (stamps_[slot] != 0)
+            evicted = std::make_pair(keys_[slot], std::move(*valueAt(slot)));
+        else
+            ++validCount_;
+        keys_[slot] = key;
+        *valueAt(slot) = std::move(value);
+        stamps_[slot] = ++useClock_;
+        return evicted;
+    }
+
+    Value *
+    valueAt(std::size_t slot)
+    {
+        if constexpr (kTagOnly) {
+            static Value none;
+            return &none;
+        } else {
+            return &values_[slot];
+        }
+    }
+
+    const Value *
+    valueAt(std::size_t slot) const
+    {
+        return const_cast<AssocCache *>(this)->valueAt(slot);
     }
 
     std::size_t sets_;
@@ -178,7 +242,9 @@ class AssocCache
     unsigned indexShift_;
     std::uint64_t useClock_ = 0;
     std::size_t validCount_ = 0;
-    std::vector<Entry> entries_;
+    Words keys_;
+    Words stamps_;  ///< 0 = invalid, else the way's last use
+    std::vector<Value> values_;
 };
 
 } // namespace cfl

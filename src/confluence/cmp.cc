@@ -128,8 +128,7 @@ Cmp::Cmp(FrontendKind kind, WorkloadId workload, const SystemConfig &config,
     const Program &program = workloadProgram(workload);
     const WorkloadParams wparams = workloadParams(workload);
 
-    llc_ = std::make_unique<Llc>(config.llc);
-    applyLlcReservations(kind, config_, *llc_);
+    llc_ = std::make_unique<Llc>(config.llc, llcReservedBytes(kind, config_));
 
     // Latency-dependent metadata parameters derive from the actual LLC.
     config_.phantom.llcLatency = llc_->hitLatency();

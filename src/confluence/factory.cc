@@ -86,16 +86,15 @@ usesPhantom(FrontendKind kind)
            kind == FrontendKind::PhantomShift;
 }
 
-void
-applyLlcReservations(FrontendKind kind, const SystemConfig &config, Llc &llc)
+std::uint64_t
+llcReservedBytes(FrontendKind kind, const SystemConfig &config)
 {
     std::uint64_t bytes = 0;
     if (usesShift(kind))
         bytes += config.shift.historyLlcBytes();
     if (usesPhantom(kind))
         bytes += config.phantom.numGroups * kBlockBytes;
-    if (bytes > 0)
-        llc.reserveMetadata(bytes);
+    return bytes;
 }
 
 std::unique_ptr<Btb>

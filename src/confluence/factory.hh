@@ -149,12 +149,10 @@ class CoreSim
     std::unique_ptr<Frontend> frontend_;
 };
 
-/**
- * Apply a design point's LLC metadata reservations (SHIFT history,
- * PhantomBTB temporal groups) to a fresh LLC. Must run before any access.
- */
-void applyLlcReservations(FrontendKind kind, const SystemConfig &config,
-                          Llc &llc);
+/** LLC bytes a design point reserves for virtualized metadata (SHIFT
+ *  history, PhantomBTB temporal groups); the Llc is built with them. */
+std::uint64_t llcReservedBytes(FrontendKind kind,
+                               const SystemConfig &config);
 
 /** Build a Btb instance of the given design point (shared helpers for
  *  coverage studies that bypass CoreSim). */

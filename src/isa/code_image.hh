@@ -28,6 +28,12 @@ class CodeImage
     /** Append one instruction word; returns its address. */
     Addr append(InstWord word);
 
+    /** Append @p count copies of @p word. */
+    void appendRun(InstWord word, std::size_t count)
+    {
+        words_.insert(words_.end(), count, word);
+    }
+
     /** Make room for @p insts instructions without reallocating. */
     void reserve(std::size_t insts) { words_.reserve(insts); }
 

@@ -31,7 +31,8 @@ class Cache
     using EvictHook = Delegate<void(Addr)>;
 
     /** @param name stat prefix
-     *  @param capacity_bytes total data capacity
+     *  @param capacity_bytes data capacity; the set count is the
+     *         capacity's blocks per way rounded down to a power of two
      *  @param ways associativity */
     Cache(std::string name, std::uint64_t capacity_bytes, unsigned ways);
 
@@ -41,23 +42,20 @@ class Cache
     /** Probe without stats or LRU update. */
     bool contains(Addr block_addr) const;
 
-    /** Insert a block; fires the evict hook for any victim. */
+    /** Insert a block the caller has just found absent (access() or
+     *  contains() said so); fires the evict hook for any victim.
+     *  Inserting a present block is a fatal error, in every build. */
     void insert(Addr block_addr);
 
     /** Remove a block if present. */
     bool invalidate(Addr block_addr);
 
-    /**
-     * Shrink the effective capacity by @p bytes, modeling LLC space
-     * reserved for virtualized predictor metadata (Section 3.4). Must be
-     * called before any insertion.
-     */
-    void reserveBytes(std::uint64_t bytes);
-
     void setEvictHook(EvictHook hook) { evictHook_ = hook; }
 
     std::uint64_t capacityBytes() const { return capacityBytes_; }
     std::uint64_t numBlocks() const { return tags_.size(); }
+    std::size_t numSets() const { return tags_.numSets(); }
+    unsigned ways() const { return tags_.ways(); }
     const StatSet &stats() const { return stats_; }
     StatSet &stats() { return stats_; }
 
@@ -65,23 +63,17 @@ class Cache
     struct Present {};  ///< empty payload: a valid entry is the block
     using Tags = AssocCache<Present>;
 
-    Tags buildTags() const;
-
     std::string name_;
     std::uint64_t capacityBytes_;
-    unsigned ways_;
     StatSet stats_;
-    Tags tags_;  ///< value member: tag storage lives inline and is fully
-                 ///< reserved at construction
+    Tags tags_;
     EvictHook evictHook_;
-    bool touched_ = false;
 
     // Counters resolved once; StatSet map nodes are stable.
     Stat *hitsStat_;
     Stat *missesStat_;
     Stat *fillsStat_;
     Stat *evictionsStat_;
-    Stat *reservedBytesStat_;
 };
 
 } // namespace cfl

@@ -1,12 +1,29 @@
 #include "mem/llc.hh"
 
+#include "common/logging.hh"
+
 namespace cfl
 {
 
-Llc::Llc(const LlcParams &params)
+namespace
+{
+
+std::uint64_t
+unreservedBytes(const LlcParams &params, std::uint64_t reserved_bytes)
+{
+    const std::uint64_t nominal = params.perCoreBytes * params.numCores;
+    cfl_assert(reserved_bytes < nominal,
+               "llc: reservation of %llu bytes exceeds capacity",
+               static_cast<unsigned long long>(reserved_bytes));
+    return nominal - reserved_bytes;
+}
+
+} // namespace
+
+Llc::Llc(const LlcParams &params, std::uint64_t reserved_bytes)
     : params_(params),
       noc_(params.numCores, params.nocCyclesPerHop),
-      cache_("llc", params.perCoreBytes * params.numCores, params.ways),
+      cache_("llc", unreservedBytes(params, reserved_bytes), params.ways),
       roundTrip_(noc_.averageRoundTrip() + params.bankHitLatency)
 {
 }
@@ -23,12 +40,6 @@ Llc::access(Addr block_addr)
         cache_.insert(block_addr);
     }
     return out;
-}
-
-void
-Llc::reserveMetadata(std::uint64_t bytes)
-{
-    cache_.reserveBytes(bytes);
 }
 
 } // namespace cfl

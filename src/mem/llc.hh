@@ -9,8 +9,8 @@
  * all others — the effect SHIFT's shared history piggybacks on.
  *
  * Virtualized predictor metadata (SHIFT's history buffer, PhantomBTB's
- * temporal groups) reserves LLC capacity via reserveMetadata() and pays
- * the LLC round-trip latency (hitLatency()) for metadata reads.
+ * temporal groups) reserves LLC capacity, fixed when the LLC is built,
+ * and pays the LLC round-trip latency (hitLatency()) for metadata reads.
  */
 
 #ifndef CFL_MEM_LLC_HH
@@ -42,7 +42,9 @@ struct LlcParams
 class Llc
 {
   public:
-    explicit Llc(const LlcParams &params);
+    /** @param reserved_bytes capacity reserved for virtualized
+     *         predictor metadata; the tag array models the rest */
+    explicit Llc(const LlcParams &params, std::uint64_t reserved_bytes = 0);
 
     /** Outcome of an LLC access. */
     struct Access
@@ -56,9 +58,6 @@ class Llc
      * install the block).
      */
     Access access(Addr block_addr);
-
-    /** Reserve capacity for virtualized metadata; call before first use. */
-    void reserveMetadata(std::uint64_t bytes);
 
     /** Average LLC hit latency (NoC round trip + bank access). */
     Cycle hitLatency() const { return roundTrip_; }

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -595,17 +596,17 @@ WorkQueue::complete(const TaskClaim &claim, int exit_code)
             exit_code < 0 ? 255 : exit_code);
         const std::string tmp =
             uniqueTmpPath("done-" + claim.task.id);
-        // A completion that cannot be published is NOT fatal — and,
-        // critically, must not release the claim: with the task still
-        // claimed and the lease left to expire, reclaim re-pends it
-        // and another worker re-runs the (deterministic) command. The
-        // only cost of a failed publish is repeated work.
+        // A completion that cannot be published is NOT fatal, and it
+        // must not simply release the claim: the task goes back to
+        // pending/ at once (repend()) and another worker re-runs the
+        // (deterministic) command. The only cost of a failed publish
+        // is repeated work.
         if (!tryWriteFile(tmp, sweepio::encode(done) + "\n",
                           "queue.done.write")) {
             cfl_warn("cannot record completion of task \"%s\"; "
-                     "leaving it claimed for lease-expiry retry",
-                     claim.task.id.c_str());
+                     "re-pending it", claim.task.id.c_str());
             ::unlink(tmp.c_str());
+            repend(claim);
             return;
         }
         // Atomic publish; if a twin completion (reclaimed lease, both
@@ -613,9 +614,9 @@ WorkQueue::complete(const TaskClaim &claim, int exit_code)
         // record is a valid terminal state for a deterministic task.
         if (!faultTryRename(tmp, done_path, "queue.done.rename")) {
             cfl_warn("lost completion rename for task \"%s\"; "
-                     "leaving it claimed for lease-expiry retry",
-                     claim.task.id.c_str());
+                     "re-pending it", claim.task.id.c_str());
             ::unlink(tmp.c_str());
+            repend(claim);
             return;
         }
         QueueLogRecord record;
@@ -647,10 +648,36 @@ WorkQueue::doneRecord(const std::string &id) const
     return done;
 }
 
+void
+WorkQueue::repend(const TaskClaim &claim)
+{
+    // Logged as a reclaim, so the strike count advances as if the
+    // lease had run out. The log is read before the lease check, so
+    // that, as in heartbeat(), nothing slow sits between the check and
+    // requeue()'s rename.
+    const std::string &id = claim.task.id;
+    const std::size_t strikes = reclaimCounts()[id] + 1;
+    // Only while the lease is ours and live: an unexpired lease cannot
+    // be stolen, so no reclaimer or later claimant races the moves
+    // below. Otherwise the task belongs to lease expiry or to its new
+    // owner, as after a worker death.
+    const std::optional<LeaseRecord> lease = readLease(id);
+    if (!lease || lease->owner != claim.owner ||
+        lease->deadlineMs <= nowMs())
+        return;
+    // A failed move leaves the lease to expire.
+    if (requeue(claim.fileName, id, strikes, claim.owner) !=
+        Requeued::None)
+        ::unlink(leasePath(id).c_str());
+}
+
 std::size_t
 WorkQueue::reclaimExpired()
 {
     std::size_t count = 0;
+    // Each task's reclaims so far, from one read of the log, taken
+    // when this pass first finds an expired claim.
+    std::optional<std::map<std::string, std::size_t>> reclaims;
     for (const TaskFileInfo &info : scanTaskFiles(dir_ + "/claimed")) {
         const std::string &name = info.name;
         const std::string &id = info.id;
@@ -671,61 +698,72 @@ WorkQueue::reclaimExpired()
         if (lease && !stealLease(id))
             continue; // a heartbeat or another reclaimer raced us
 
-        // Poison-task quarantine: this reclaim is the task's Nth
-        // strike — each one means a worker died or stalled holding it.
-        // Past the budget, park it in quarantine/ with its context
-        // instead of feeding it to (and killing) workers forever.
-        const std::size_t strikes = reclaimCount(id) + 1;
-        if (quarantineAfter_ != 0 && strikes >= quarantineAfter_) {
-            if (!faultTryRename(dir_ + "/claimed/" + name,
-                                dir_ + "/quarantine/" + name,
-                                "queue.quarantine.rename"))
-                continue; // raced or injected: a later pass retries
-            std::string why =
-                "task " + id + " quarantined after " +
-                std::to_string(strikes) +
-                " reclaims (each one a worker death or stall)\n" +
-                "last owner: " +
-                (lease ? lease->owner : "<no lease: mid-claim crash>") +
-                "\n";
-            if (const std::optional<std::string> line = readFirstLine(
-                    dir_ + "/quarantine/" + name))
-                why += "task record: " + *line + "\n";
-            // Context is best-effort: losing the .why file never loses
-            // the quarantine itself (that is the rename above).
-            (void)tryWriteFile(dir_ + "/quarantine/" + id + ".why",
-                               why, "queue.quarantine.write");
-            QueueLogRecord record;
-            record.op = "quarantine";
-            record.task.id = id;
-            appendLog(record);
-            cfl_warn("quarantined poison task \"%s\" after %zu "
-                     "reclaims (see %s/quarantine/%s.why)", id.c_str(),
-                     strikes, dir_.c_str(), id.c_str());
-            continue; // quarantine is not a re-pend; not counted
-        }
-
-        if (!faultTryRename(dir_ + "/claimed/" + name,
-                            dir_ + "/pending/" + name,
-                            "queue.reclaim.rename"))
-            continue;
-        QueueLogRecord record;
-        record.op = "reclaim";
-        record.task.id = id;
-        appendLog(record);
-        ++count;
+        if (!reclaims)
+            reclaims = reclaimCounts();
+        if (requeue(name, id, (*reclaims)[id] + 1,
+                    lease ? lease->owner
+                          : "<no lease: mid-claim crash>") ==
+            Requeued::Pending)
+            ++count;
     }
     return count;
 }
 
-std::size_t
-WorkQueue::reclaimCount(const std::string &id) const
+WorkQueue::Requeued
+WorkQueue::requeue(const std::string &name, const std::string &id,
+                   std::size_t strikes, const std::string &last_owner)
 {
-    std::size_t count = 0;
+    // Poison-task quarantine: this is the task's Nth strike — each one
+    // means a worker died, stalled or could not publish holding it.
+    // Past the budget, park it in quarantine/ with its context instead
+    // of feeding it to (and killing) workers forever.
+    if (quarantineAfter_ != 0 && strikes >= quarantineAfter_) {
+        // A failed move (raced or injected) leaves it for a later pass.
+        if (!faultTryRename(dir_ + "/claimed/" + name,
+                            dir_ + "/quarantine/" + name,
+                            "queue.quarantine.rename"))
+            return Requeued::None;
+        std::string why = "task " + id + " quarantined after " +
+                          std::to_string(strikes) +
+                          " reclaims (each one a worker death, a stall "
+                          "or a failed completion)\n" +
+                          "last owner: " + last_owner + "\n";
+        if (const std::optional<std::string> line =
+                readFirstLine(dir_ + "/quarantine/" + name))
+            why += "task record: " + *line + "\n";
+        // Context is best-effort: losing the .why file never loses
+        // the quarantine itself (that is the rename above).
+        (void)tryWriteFile(dir_ + "/quarantine/" + id + ".why", why,
+                           "queue.quarantine.write");
+        QueueLogRecord record;
+        record.op = "quarantine";
+        record.task.id = id;
+        appendLog(record);
+        cfl_warn("quarantined poison task \"%s\" after %zu "
+                 "reclaims (see %s/quarantine/%s.why)", id.c_str(),
+                 strikes, dir_.c_str(), id.c_str());
+        return Requeued::Quarantine;
+    }
+
+    if (!faultTryRename(dir_ + "/claimed/" + name,
+                        dir_ + "/pending/" + name,
+                        "queue.reclaim.rename"))
+        return Requeued::None;
+    QueueLogRecord record;
+    record.op = "reclaim";
+    record.task.id = id;
+    appendLog(record);
+    return Requeued::Pending;
+}
+
+std::map<std::string, std::size_t>
+WorkQueue::reclaimCounts() const
+{
+    std::map<std::string, std::size_t> counts;
     for (const QueueLogRecord &record : readLog())
-        if (record.op == "reclaim" && record.task.id == id)
-            ++count;
-    return count;
+        if (record.op == "reclaim")
+            ++counts[record.task.id];
+    return counts;
 }
 
 sweepio::QueueStatusRecord

@@ -54,8 +54,8 @@
  * Every durability-critical write and rename here runs through the
  * fault-injection layer (fault/fault.hh) under a stable "queue.*"
  * site name, and injected failures take the *soft* path wherever one
- * exists: a failed done-record write leaves the claim held (lease
- * expiry re-runs the task), a failed log append degrades the audit
+ * exists: a failed done-record write re-pends the task at once (as a
+ * reclaim, one strike), a failed log append degrades the audit
  * trail but never the queue, a failed lease write abandons that claim
  * attempt. See the chaos harness (tools/confluence_chaos) for the
  * invariants this buys.
@@ -70,6 +70,7 @@
 #define CFL_QUEUE_QUEUE_HH
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -148,6 +149,9 @@ class WorkQueue
      * release the claim. Idempotent: if the task is already done (a
      * double completion after a lease was reclaimed), nothing is
      * recorded again and only this claim's lease state is cleaned up.
+     * If the done record cannot be published while the lease is still
+     * ours and live, the task goes back to pending/ at once, logged as
+     * a reclaim (one strike), and the lease is dropped.
      */
     void complete(const TaskClaim &claim, int exit_code);
 
@@ -222,8 +226,23 @@ class WorkQueue
     readLease(const std::string &id) const;
     /** Atomically take an expired lease out of play; false if raced. */
     bool stealLease(const std::string &id);
-    /** How many times task @p id has been reclaimed (from the log). */
-    std::size_t reclaimCount(const std::string &id) const;
+
+    /** Where requeue() moved a claimed task. */
+    enum class Requeued
+    {
+        None,       ///< the move failed; the task is still claimed
+        Pending,
+        Quarantine,
+    };
+    /** Move claimed task file @p name back to pending/ with a reclaim
+     *  log record, or to quarantine/ when @p strikes reaches
+     *  quarantineAfter(); @p last_owner goes into the .why file. */
+    Requeued requeue(const std::string &name, const std::string &id,
+                     std::size_t strikes, const std::string &last_owner);
+    /** Give back a claim whose completion could not be published. */
+    void repend(const TaskClaim &claim);
+    /** Each task id's reclaim records in the log. */
+    std::map<std::string, std::size_t> reclaimCounts() const;
 
     std::string dir_;
     ClockFn clock_ = nullptr;

@@ -38,9 +38,8 @@ runFunctionalStudy(WorkloadId workload, const FunctionalSetup &setup,
     std::unique_ptr<ShiftEngine> shift;
 
     if (setup.useL1I) {
-        llc = std::make_unique<Llc>(config.llc);
-        if (setup.useShift)
-            llc->reserveMetadata(config.shift.historyLlcBytes());
+        llc = std::make_unique<Llc>(
+            config.llc, setup.useShift ? config.shift.historyLlcBytes() : 0);
         mem = std::make_unique<InstMemory>(config.instMem, *llc);
         if (setup.useShift) {
             ShiftParams sp = config.shift;

@@ -50,13 +50,11 @@ struct GenState
             builder.emitStraight(take);
             remaining -= take;
             if (remaining > 1 && rng.nextBool(params.guardProb)) {
-                const auto skip = builder.newLabel();
-                builder.emitCondTo(skip, params.guardBias);
                 const unsigned body = std::min(
                     remaining,
                     static_cast<unsigned>(rng.nextRange(1, 2)));
+                builder.emitCondSkip(body, params.guardBias);
                 builder.emitStraight(body);
-                builder.bind(skip);
                 remaining -= body;
             }
         }

@@ -46,8 +46,7 @@ ProgramBuilder::here() const
 void
 ProgramBuilder::emitStraight(unsigned count)
 {
-    for (unsigned i = 0; i < count; ++i)
-        program_.image.append(encodeAlu());
+    program_.image.appendRun(encodeAlu(), count);
 }
 
 std::uint32_t
@@ -76,6 +75,18 @@ ProgramBuilder::emitCondTo(Label label, double bias)
     info.kind = BranchKind::Cond;
     info.bias = bias;
     fixups_.push_back({recordBranch(pc, info), label});
+}
+
+void
+ProgramBuilder::emitCondSkip(unsigned count, double bias)
+{
+    const Addr pc = here();
+    program_.image.append(encodeDirect(BranchKind::Cond, count + 1));
+    BranchInfo info;
+    info.kind = BranchKind::Cond;
+    info.target = pc + (count + 1) * kInstBytes;
+    info.bias = bias;
+    recordBranch(pc, info);
 }
 
 void
@@ -200,18 +211,23 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     program_.handlers = std::move(handlers);
     program_.numRequestTypes = num_request_types;
 
-    // The branch-at-or-after table, in one backward pass.
+    // The branch-at-or-after table, in one forward pass: each branch's
+    // id covers the slots from just past the previous branch up to it.
+    // The ranges average a few slots, too short for a bulk fill to pay
+    // for its call, so slots are appended one by one.
     const Addr base = program_.image.base();
     const std::uint32_t num_branches =
         static_cast<std::uint32_t>(branches.size());
-    program_.firstBranch.resize(program_.image.numInsts());
-    std::uint32_t next = num_branches;
-    for (std::size_t slot = program_.firstBranch.size(); slot-- > 0;) {
-        if (next > 0 && branches[next - 1].pc == base + slot * kInstBytes)
-            --next;
-        program_.firstBranch[slot] = next;
+    std::vector<std::uint32_t> &first = program_.firstBranch;
+    first.reserve(program_.image.numInsts());
+    for (const BranchInfo &info : branches) {
+        const std::size_t slot = (info.pc - base) / kInstBytes;
+        cfl_assert(slot >= first.size(), "branches out of address order");
+        while (first.size() <= slot)
+            first.push_back(info.id);
     }
-    cfl_assert(next == 0, "branches out of address order");
+    while (first.size() < program_.image.numInsts())
+        first.push_back(num_branches);
 
     // Control flow must not run off the image: every place it can land
     // (entry, direct and indirect targets, a fall-through) reaches a

@@ -126,8 +126,10 @@ struct Program
 /**
  * Incremental program builder used by the workload generator.
  *
- * The builder emits instructions sequentially and resolves forward
- * branch targets with labels + fixups.
+ * The builder emits instructions sequentially. A forward branch whose
+ * displacement is known when it is emitted (a guard skipping the next
+ * few instructions) is written once; other forward targets resolve
+ * through labels + fixups.
  */
 class ProgramBuilder
 {
@@ -151,6 +153,10 @@ class ProgramBuilder
 
     /** Emit a conditional branch to @p label with taken-bias @p bias. */
     void emitCondTo(Label label, double bias);
+
+    /** Emit a conditional branch with taken-bias @p bias that skips the
+     *  next @p count instructions. */
+    void emitCondSkip(unsigned count, double bias);
 
     /** Emit a conditional loop backedge to an already-bound address. */
     void emitLoopBack(Addr head, std::uint8_t trip_base,

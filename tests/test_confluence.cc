@@ -85,18 +85,40 @@ TEST(Confluence, SyncInvariantHoldsDuringSimulation)
 TEST(Confluence, LlcReservations)
 {
     const SystemConfig cfg = makeSystemConfig(1);
-    Llc with(cfg.llc);
-    applyLlcReservations(FrontendKind::Confluence, cfg, with);
-    Llc without(cfg.llc);
-    applyLlcReservations(FrontendKind::Baseline, cfg, without);
+    Llc with(cfg.llc, llcReservedBytes(FrontendKind::Confluence, cfg));
+    Llc without(cfg.llc, llcReservedBytes(FrontendKind::Baseline, cfg));
     EXPECT_LT(with.cache().capacityBytes(),
               without.cache().capacityBytes());
 
-    Llc phantom(cfg.llc);
-    applyLlcReservations(FrontendKind::PhantomFdp, cfg, phantom);
+    Llc phantom(cfg.llc, llcReservedBytes(FrontendKind::PhantomFdp, cfg));
     EXPECT_EQ(phantom.cache().capacityBytes(),
               without.cache().capacityBytes() -
                   cfg.phantom.numGroups * kBlockBytes);
+}
+
+TEST(Confluence, LlcGeometryIsPinned)
+{
+    // The modelled LLC array, sets x ways, per kind. capacityBytes()
+    // is the nominal 8 MB minus the reservation, but the set count
+    // rounds down to a power of two, so a SHIFT (204 KB) or Phantom
+    // (256 KB) reservation leaves a 4 MB array (ROADMAP item 2).
+    const std::pair<FrontendKind, std::size_t> pins[] = {
+        {FrontendKind::Baseline, 8192},
+        {FrontendKind::Fdp, 8192},
+        {FrontendKind::PhantomFdp, 4096},
+        {FrontendKind::TwoLevelFdp, 8192},
+        {FrontendKind::PhantomShift, 4096},
+        {FrontendKind::TwoLevelShift, 4096},
+        {FrontendKind::IdealBtbShift, 4096},
+        {FrontendKind::Confluence, 4096},
+        {FrontendKind::Ideal, 8192},
+    };
+    const SystemConfig cfg = makeSystemConfig(1);
+    for (const auto &[kind, sets] : pins) {
+        Cmp cmp(kind, WorkloadId::DssQry, cfg);
+        EXPECT_EQ(cmp.llc().cache().numSets(), sets) << frontendKindName(kind);
+        EXPECT_EQ(cmp.llc().cache().ways(), 16u) << frontendKindName(kind);
+    }
 }
 
 TEST(Cmp, TwoCoreLockstepCountersArePinned)

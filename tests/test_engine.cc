@@ -116,8 +116,9 @@ TEST(Engine, ControlFlowIsConsistent)
         ASSERT_EQ(inst.pc, expected_next)
             << "discontinuity at step " << i;
         ASSERT_TRUE(p.image.contains(inst.pc));
-        if (inst.isBranch() && inst.taken)
+        if (inst.isBranch() && inst.taken) {
             ASSERT_TRUE(p.image.contains(inst.target));
+        }
         expected_next = inst.nextPc();
     }
 }

@@ -456,34 +456,70 @@ TEST(FaultQueue, TornLogAppendNeverWedgesTheQueue)
     EXPECT_EQ(ids, (std::vector<std::string>{"task-a", "task-c"}));
 }
 
-TEST(FaultQueue, DoneWriteFailureRecoversThroughLeaseExpiry)
+TEST(FaultQueue, FailedCompletionPublishRependsAtOnce)
 {
+    // Neither a failed done-record write nor a failed rename loses the
+    // task or holds it for a lease: while the lease is ours, the task
+    // goes back to pending/ at once, logged as one reclaim (strike).
+    const std::pair<const char *, Kind> faults[] = {
+        {"queue.done.write", Kind::Eio},
+        {"queue.done.rename", Kind::RenameFail},
+    };
+    for (const auto &[site, kind] : faults) {
+        SCOPED_TRACE(site);
+        g_fakeNowMs = 1'000'000;
+        const std::string dir = tmpPath(std::string("done_fail_") + site);
+        WorkQueue queue(dir);
+        queue.setClockForTesting(&fakeNow);
+        queue.enqueue(makeTask("task-a"));
+
+        auto claim = queue.claim("w1", 10);
+        ASSERT_TRUE(claim.has_value());
+        {
+            ScopedPlanForTesting scoped(pinPlan(site, 0, kind));
+            queue.complete(*claim, 0);
+        }
+        EXPECT_FALSE(queue.doneRecord("task-a").has_value());
+        EXPECT_EQ(queue.claimedCount(), 0u);
+
+        // Claimable again with no clock advance.
+        auto again = queue.claim("w2", 10);
+        ASSERT_TRUE(again.has_value());
+        queue.complete(*again, 0);
+        const auto done = queue.doneRecord("task-a");
+        ASSERT_TRUE(done.has_value());
+        EXPECT_EQ(done->owner, "w2");
+        std::size_t reclaims = 0;
+        for (const sweepio::QueueLogRecord &record : queue.readLog())
+            reclaims += record.op == "reclaim";
+        EXPECT_EQ(reclaims, 1u);
+    }
+}
+
+TEST(FaultQueue, FailedCompletionPublishLeavesALostLeaseAlone)
+{
+    // w1's lease ran out and w2 holds the task now: w1's failed
+    // publish must leave w2's claim and lease as they are.
     g_fakeNowMs = 1'000'000;
-    WorkQueue queue(tmpPath("done_fail"));
+    WorkQueue queue(tmpPath("done_fail_lost_lease"));
     queue.setClockForTesting(&fakeNow);
     queue.enqueue(makeTask("task-a"));
-
-    auto claim = queue.claim("w1", 10);
-    ASSERT_TRUE(claim.has_value());
+    auto stale = queue.claim("w1", 10);
+    ASSERT_TRUE(stale.has_value());
+    g_fakeNowMs += 11'000;
+    EXPECT_EQ(queue.reclaimExpired(), 1u);
+    auto fresh = queue.claim("w2", 10);
+    ASSERT_TRUE(fresh.has_value());
     {
         ScopedPlanForTesting scoped(
-            pinPlan("queue.done.write", 0, Kind::Eio));
-        queue.complete(*claim, 0);
+            pinPlan("queue.done.rename", 0, Kind::RenameFail));
+        queue.complete(*stale, 0);
     }
-    // The completion didn't land — and the claim must still be held,
-    // so the lease protocol (not a lost task) owns recovery.
-    EXPECT_FALSE(queue.doneRecord("task-a").has_value());
     EXPECT_EQ(queue.claimedCount(), 1u);
-    EXPECT_EQ(queue.claim("w2", 10), std::nullopt);
-
-    g_fakeNowMs += 11'000; // lease expires
-    EXPECT_EQ(queue.reclaimExpired(), 1u);
-    auto again = queue.claim("w2", 10);
-    ASSERT_TRUE(again.has_value());
-    queue.complete(*again, 0);
-    const auto done = queue.doneRecord("task-a");
-    ASSERT_TRUE(done.has_value());
-    EXPECT_EQ(done->owner, "w2");
+    EXPECT_EQ(queue.pendingCount(), 0u);
+    EXPECT_TRUE(queue.heartbeat(*fresh, 10));
+    queue.complete(*fresh, 0);
+    EXPECT_EQ(queue.doneRecord("task-a")->owner, "w2");
 }
 
 TEST(FaultQueue, RepeatedlyReclaimedTaskIsQuarantined)

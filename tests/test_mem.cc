@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
+#include <vector>
+
 #include "common/assoc.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/llc.hh"
@@ -40,6 +46,199 @@ TEST(AssocCache, InvalidateAndClear)
     EXPECT_EQ(tags.peek(3), nullptr);
 }
 
+namespace
+{
+
+/**
+ * Reference model of AssocCache's replacement, written the naive way:
+ * each set keeps its ways in position order plus a recency list (front
+ * = most recent). A new key takes the set's first empty way, else the
+ * way of the list's least recent key.
+ */
+class LruListModel
+{
+  public:
+    using Pair = std::pair<std::uint64_t, int>;
+
+    LruListModel(std::size_t sets, unsigned ways, unsigned shift)
+        : shift_(shift), ways_(sets, std::vector<std::optional<Pair>>(ways)),
+          recency_(sets)
+    {
+    }
+
+    std::optional<int>
+    find(std::uint64_t key, bool update_lru)
+    {
+        std::optional<Pair> *way = wayOf(key);
+        if (way == nullptr)
+            return std::nullopt;
+        if (update_lru)
+            promote(key);
+        return (*way)->second;
+    }
+
+    void
+    set(std::uint64_t key, int value)
+    {
+        (*wayOf(key))->second = value;
+    }
+
+    std::optional<Pair>
+    insert(std::uint64_t key, int value)
+    {
+        if (std::optional<Pair> *way = wayOf(key)) {
+            (*way)->second = value;
+            promote(key);
+            return std::nullopt;
+        }
+        std::vector<std::optional<Pair>> &ways = ways_[setOf(key)];
+        std::list<std::uint64_t> &order = recency_[setOf(key)];
+        std::optional<Pair> evicted;
+        auto slot = std::find(ways.begin(), ways.end(), std::nullopt);
+        if (slot == ways.end()) {
+            const std::uint64_t lru = order.back();
+            order.pop_back();
+            slot = std::find_if(ways.begin(), ways.end(),
+                                [&](const auto &w) { return w->first == lru; });
+            evicted = *slot;
+        } else {
+            ++size_;
+        }
+        *slot = Pair{key, value};
+        order.push_front(key);
+        return evicted;
+    }
+
+    std::optional<int>
+    invalidate(std::uint64_t key)
+    {
+        std::optional<Pair> *way = wayOf(key);
+        if (way == nullptr)
+            return std::nullopt;
+        const int value = (*way)->second;
+        way->reset();
+        recency_[setOf(key)].remove(key);
+        --size_;
+        return value;
+    }
+
+    void
+    clear()
+    {
+        for (auto &ways : ways_)
+            std::fill(ways.begin(), ways.end(), std::nullopt);
+        for (auto &order : recency_)
+            order.clear();
+        size_ = 0;
+    }
+
+    std::size_t size() const { return size_; }
+
+    /** Every valid (key, value), set by set in way order. */
+    std::vector<Pair>
+    contents() const
+    {
+        std::vector<Pair> out;
+        for (const auto &ways : ways_)
+            for (const std::optional<Pair> &way : ways)
+                if (way)
+                    out.push_back(*way);
+        return out;
+    }
+
+  private:
+    std::size_t
+    setOf(std::uint64_t key) const
+    {
+        return (key >> shift_) % ways_.size();
+    }
+
+    std::optional<Pair> *
+    wayOf(std::uint64_t key)
+    {
+        for (std::optional<Pair> &way : ways_[setOf(key)])
+            if (way && way->first == key)
+                return &way;
+        return nullptr;
+    }
+
+    void
+    promote(std::uint64_t key)
+    {
+        std::list<std::uint64_t> &order = recency_[setOf(key)];
+        order.remove(key);
+        order.push_front(key);
+    }
+
+    unsigned shift_;
+    std::vector<std::vector<std::optional<Pair>>> ways_;
+    std::vector<std::list<std::uint64_t>> recency_;
+    std::size_t size_ = 0;
+};
+
+} // namespace
+
+TEST(AssocCache, MatchesANaiveLruListModel)
+{
+    // Random find (with and without the LRU update), peek, insert,
+    // invalidate and clear over keys that collide in every set; every
+    // returned payload, every evicted pair and size() must agree, and
+    // every 1000 operations so must the contents in way order. Keys
+    // include 0, and sit above a 6-bit index shift like block addresses.
+    constexpr unsigned kShift = 6;
+    const std::pair<std::size_t, unsigned> geometries[] = {
+        {1, 1}, {1, 64}, {16, 4}, {256, 4}, {8, 16}};
+    for (const auto &[sets, ways] : geometries) {
+        SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways));
+        AssocCache<int> cache(sets, ways, kShift);
+        LruListModel model(sets, ways, kShift);
+        Rng rng(sets * 131 + ways);
+        const std::uint64_t key_range = sets * ways * 3;
+        for (int op = 0; op < 40000; ++op) {
+            const std::uint64_t key = rng.nextBelow(key_range) << kShift;
+            const int value = static_cast<int>(rng.nextBelow(1000));
+            const std::uint64_t dice = rng.nextBelow(10000);
+            if (dice < 3000) {
+                const bool update = dice < 2000;
+                int *got = cache.find(key, update);
+                const std::optional<int> want = model.find(key, update);
+                ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
+                if (got == nullptr)
+                    continue;
+                ASSERT_EQ(*got, *want) << "op " << op;
+                if (dice % 4 == 0) {  // write through the payload pointer
+                    *got = value;
+                    model.set(key, value);
+                }
+            } else if (dice < 4000) {
+                const int *got = cache.peek(key);
+                const std::optional<int> want = model.find(key, false);
+                ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
+                if (got != nullptr) {
+                    ASSERT_EQ(*got, *want) << "op " << op;
+                }
+            } else if (dice < 9000) {
+                ASSERT_EQ(cache.insert(key, value), model.insert(key, value))
+                    << "op " << op;
+            } else if (dice < 9998) {
+                ASSERT_EQ(cache.invalidate(key), model.invalidate(key))
+                    << "op " << op;
+            } else {
+                cache.clear();
+                model.clear();
+            }
+            ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+            if (op % 1000 == 999) {  // which way each key took, too
+                std::vector<LruListModel::Pair> got;
+                cache.forEach([&](std::uint64_t k, const int &v) {
+                    got.emplace_back(k, v);
+                });
+                ASSERT_EQ(got, model.contents()) << "op " << op;
+            }
+        }
+    }
+}
+
 TEST(Cache, HitMissAndStats)
 {
     Cache cache("t", 4 * kBlockBytes, 2);
@@ -48,6 +247,15 @@ TEST(Cache, HitMissAndStats)
     EXPECT_TRUE(cache.access(0x1000));
     EXPECT_EQ(cache.stats().get("hits"), 1u);
     EXPECT_EQ(cache.stats().get("misses"), 1u);
+}
+
+TEST(Cache, InsertOfAPresentBlockIsFatal)
+{
+    // Callers insert only what they have just missed; a present block
+    // would be refreshed in place and count a fill it never was.
+    Cache cache("t", 4 * kBlockBytes, 2);
+    cache.insert(0x1000);
+    EXPECT_DEATH(cache.insert(0x1000), "t: insert of present block 0x1000");
 }
 
 TEST(Cache, EvictHookFires)
@@ -61,14 +269,6 @@ TEST(Cache, EvictHookFires)
     cache.insert(0x0080);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0], 0x0000u);  // LRU victim
-}
-
-TEST(Cache, ReserveBytesShrinksCapacity)
-{
-    Cache cache("t", 64 * 1024, 16);
-    const auto before = cache.capacityBytes();
-    cache.reserveBytes(16 * 1024);
-    EXPECT_EQ(cache.capacityBytes(), before - 16 * 1024);
 }
 
 TEST(MeshNoc, HopsAndAverages)
@@ -95,6 +295,15 @@ TEST(Llc, LatenciesMatchTable1)
     Llc llc(params);
     EXPECT_EQ(llc.hitLatency(), 22u);   // 16 NoC round trip + 6 bank
     EXPECT_EQ(llc.missLatency(), 157u); // + 135 memory (45ns @ 3GHz)
+}
+
+TEST(Llc, ReservationShrinksCapacity)
+{
+    const LlcParams params;
+    Llc whole(params);
+    Llc reserved(params, 16 * 1024);
+    EXPECT_EQ(reserved.cache().capacityBytes(),
+              whole.cache().capacityBytes() - 16 * 1024);
 }
 
 TEST(Llc, MissesFillAndSubsequentHits)

@@ -259,6 +259,54 @@ TEST(WorkQueue, ExpiredLeaseIsReclaimedAndReclaimable)
     EXPECT_EQ(queue.doneRecord("slow-task")->owner, "healthy-worker");
 }
 
+TEST(WorkQueue, ReclaimPassReadsTheLogOnce)
+{
+    // One torn log line and three expired claims: the pass reads the
+    // log once, so the torn line is warned about once, and every
+    // strike count (and the quarantine it decides) comes from that read.
+    const std::string dir = freshDir("reclaim_once");
+    g_fakeNowMs = 1'000'000;
+    WorkQueue queue(dir);
+    queue.setClockForTesting(&fakeNow);
+    queue.setQuarantineAfter(3);
+    for (const char *id : {"a", "b", "c"})
+        queue.enqueue(makeTask(id));
+    // Earlier strikes: a twice, b once, c never.
+    for (const std::size_t claims : {2, 1}) {
+        for (std::size_t i = 0; i < claims; ++i)
+            ASSERT_TRUE(queue.claim("dead", 10).has_value());
+        g_fakeNowMs += 11'000;
+        EXPECT_EQ(queue.reclaimExpired(), claims);
+    }
+    {
+        std::ofstream log(dir + "/tasks.jsonl", std::ios::app);
+        log << "{\"op\":\"recl\n";
+    }
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(queue.claim("dead", 10).has_value());
+    g_fakeNowMs += 11'000;
+
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(queue.reclaimExpired(), 2u);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("skipping unparseable line");
+         at != std::string::npos;
+         at = err.find("skipping unparseable line", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+
+    // a's third strike quarantines it; b and c go back with 2 and 1.
+    EXPECT_TRUE(queue.isQuarantined("a"));
+    EXPECT_EQ(queue.pendingCount(), 2u);
+    std::map<std::string, std::size_t> strikes;
+    for (const sweepio::QueueLogRecord &record : queue.readLog())
+        if (record.op == "reclaim")
+            ++strikes[record.task.id];
+    EXPECT_EQ(strikes, (std::map<std::string, std::size_t>{
+                           {"a", 2}, {"b", 2}, {"c", 1}}));
+}
+
 TEST(WorkQueue, TornLeaseIsStolenOnceALeaseDurationOld)
 {
     // A claimer that died between creating its lease (O_EXCL) and

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "workloads/generator.hh"
 #include "workloads/program.hh"
 #include "workloads/suite.hh"
@@ -19,6 +21,8 @@ TEST(ProgramBuilder, LabelsAndFixups)
     b.emitStraight(1);
     const Addr call_site_target = b.here();
     b.emitStraight(1);
+    b.emitCondSkip(2, 0.25);
+    b.emitStraight(2);
     b.emitReturn();
 
     Program p = b.finish(0x10000, 0x10000, {call_site_target}, 1);
@@ -29,6 +33,17 @@ TEST(ProgramBuilder, LabelsAndFixups)
     EXPECT_EQ(info->kind, BranchKind::Cond);
     EXPECT_EQ(info->target, 0x10000u + 6 * kInstBytes);
     EXPECT_EQ(directTarget(cond_pc, p.image.at(cond_pc)), info->target);
+
+    // The skip at inst index 8 jumps over the next two instructions
+    // to the return.
+    const Addr skip_pc = 0x10000 + 8 * kInstBytes;
+    const BranchInfo *skip = p.branchAt(skip_pc);
+    ASSERT_NE(skip, nullptr);
+    EXPECT_EQ(skip->kind, BranchKind::Cond);
+    EXPECT_EQ(skip->bias, 0.25);
+    EXPECT_EQ(skip->target, skip_pc + 3 * kInstBytes);
+    EXPECT_EQ(directTarget(skip_pc, p.image.at(skip_pc)), skip->target);
+    EXPECT_EQ(skip->targetBranch, skip->id + 1);
 }
 
 TEST(ProgramBuilder, LoopBackAndJumpBack)
@@ -194,6 +209,83 @@ TEST(Suite, BranchTableMatchesTheImage)
         EXPECT_EQ(p.branchAt(p.image.base() - kInstBytes), nullptr) << name;
         EXPECT_EQ(p.branchAt(0), nullptr) << name;
         EXPECT_EQ(p.branchAt(p.image.limit()), nullptr) << name;
+    }
+}
+
+namespace
+{
+
+/** FNV-1a over every table of a finished program, each value fed as
+ *  its 8 little-endian bytes. */
+std::uint64_t
+programDigest(const Program &p)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    const auto add = [&](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    add(p.image.numInsts());
+    for (Addr pc = p.image.base(); pc < p.image.limit(); pc += kInstBytes)
+        add(p.image.at(pc));
+    add(p.branches.size());
+    for (const BranchInfo &b : p.branches) {
+        add(b.pc);
+        add(b.target);
+        add(b.id);
+        add(b.targetBranch);
+        add(static_cast<std::uint64_t>(b.kind));
+        add(b.isLoopBack);
+        add(b.tripBase);
+        add(b.tripRange);
+        add(b.indirectSet);
+        add(std::bit_cast<std::uint64_t>(b.bias));
+    }
+    add(p.firstBranch.size());
+    for (const std::uint32_t id : p.firstBranch)
+        add(id);
+    add(p.indirectSets.size());
+    for (const std::vector<Addr> &set : p.indirectSets) {
+        add(set.size());
+        for (const Addr target : set)
+            add(target);
+    }
+    add(p.entry);
+    add(p.dispatchCallPc);
+    add(p.handlers.size());
+    for (const Addr handler : p.handlers)
+        add(handler);
+    add(p.numRequestTypes);
+    add(p.functions.size());
+    for (const FunctionInfo &f : p.functions) {
+        add(f.entry);
+        add(f.limit);
+        add(f.layer);
+    }
+    return hash;
+}
+
+} // namespace
+
+TEST(Suite, ProgramsArePinned)
+{
+    // Every table of every preset, bit for bit: the image, each
+    // BranchInfo field (bias by its bit pattern), firstBranch, the
+    // indirect sets, the handlers and the functions. Synthesis may get
+    // faster, but any change to what it builds moves every golden.
+    const std::pair<WorkloadId, std::uint64_t> pins[] = {
+        {WorkloadId::OltpDb2, 0x047fbed2297cb505ull},
+        {WorkloadId::OltpOracle, 0xacb21fe72b0f1998ull},
+        {WorkloadId::DssQry, 0xdeda61567a1a715cull},
+        {WorkloadId::MediaStreaming, 0x64129356d9b6f43eull},
+        {WorkloadId::WebFrontend, 0xd41875da81fd28a8ull},
+    };
+    for (const auto &[id, digest] : pins) {
+        const std::uint64_t got = programDigest(workloadProgram(id));
+        EXPECT_EQ(got, digest)
+            << workloadName(id) << std::hex << " digest 0x" << got;
     }
 }
 
