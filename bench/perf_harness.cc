@@ -3,30 +3,33 @@
  * End-to-end simulator performance harness.
  *
  * Times the Figure-6 comparison sweep — the workhorse experiment every
- * figure bench, calibration test, and sharded run is built from — and
- * records the repo's perf trajectory in a small JSON file
- * (BENCH_sweep.json). Two phases are measured:
+ * figure bench, calibration test, and sharded run is built from — on
+ * warmed shared traces, and gates what no other tool measures. perfbench
+ * times the cold generate-then-replay sweep and the dispatch path with
+ * quartiles; this harness answers four questions and writes the answers
+ * to a small JSON file (BENCH_sweep.json):
  *
- *   live    — the trace cache shares nothing (budget 0): every
- *             sweep point generates its oracle stream into a private,
- *             unshared trace and replays it;
- *   cached  — the trace cache is enabled and warmed: points replay
- *             shared immutable traces (the steady state for repeated
- *             sweeps, figure benches, and calibration runs).
+ *   cached   — points/s of the steady-state sweep. A first run warms
+ *              the trace cache; it is the reference every later run and
+ *              phase must equal byte for byte (sweepio::encodeResult),
+ *              so a harness that made the simulator faster but wrong
+ *              fails loudly;
+ *   allocs   — heap allocations (a global operator new hook) per
+ *              thousand simulated instructions over the last cached
+ *              run; a replay path that allocates per instruction shows
+ *              up in the hundreds instead of near 1;
+ *   sampled  — (--sampled) the same grid under SMARTS sampling;
+ *   queued   — (--queue) the same sweep pulled through the persistent
+ *              work queue, the only measurement of its overhead.
  *
- * The harness also counts heap allocations (a global operator new hook)
- * over the final timed iteration, reporting allocations per thousand
- * simulated instructions; a steady-state replay path that allocates per
- * instruction shows up here as a number in the hundreds instead of the
- * single digits.
+ * With --sampled a run does 2N+1 in-process sweeps (N = --iters): the
+ * warming run, N timed cached runs and N timed sampled runs.
  *
  * Usage:
- *   perf_harness [--smoke] [--sampled] [--iters N]
- *                [--out PATH]
- *                [--compare BASELINE [--min-ratio R] [--strict]]
- *                [--min-sampled-speedup S]
- *                [--dispatch SWEEP_BIN [--dispatch-workers N]]
- *                [--queue WORKER_BIN [--queue-workers N]]
+ *   perf_harness [--smoke] [--sampled] [--min-sampled-speedup S]
+ *                [--iters N] [--out PATH]
+ *                [--compare BASELINE [--min-ratio R]]
+ *                [--queue WORKER_BIN]
  *
  *   --smoke     small point grid and budgets (CI-sized)
  *   --sampled   extra timed phase: the same grid with SMARTS sampling
@@ -37,27 +40,19 @@
  *               exact one
  *   --min-sampled-speedup  fail unless sampled points/s is at least
  *               S x cached points/s (CI's sampled-speedup gate)
- *   --iters     timing iterations per phase, best-of-N (default 3)
+ *   --iters     timed runs per phase, best-of-N (default 3, at least 1)
  *   --out       JSON output path (default BENCH_sweep.json)
- *   --compare   fail (exit 1) if cached points/sec drops below
- *               R x the baseline file's value (default R = 0.8); phases
- *               measured here but absent from the baseline print a
- *               "not gated" warning — with --strict that warning is an
- *               error, so CI cannot silently lose a gate
- *   --dispatch  third timed phase: the same sweep through the shard
- *               dispatcher (src/dispatch) on a local subprocess pool
- *               running SWEEP_BIN, verified bit-identical against the
- *               in-process result — the multi-process overhead figure
- *   --queue     fourth timed phase (needs --dispatch for the sweep
- *               binary): the same sweep through the persistent work
- *               queue (src/queue) — N confluence_worker daemons
- *               (WORKER_BIN) pull the shards the coordinator enqueues
- *               — verified bit-identical; queue-vs-dispatch is the
- *               pull-model overhead figure
- *
- * Results are checked bit-identical across the two phases before
- * anything is written: a harness that made the simulator faster but
- * wrong must fail loudly.
+ *   --compare   fail (exit 1) if cached points/sec — and, with
+ *               --sampled, sampled points/sec — drops below R x the
+ *               baseline file's value (default R = 0.8). The baseline
+ *               must be recorded on this run's grid (same "points" and
+ *               "sim_insts_per_point") and hold a section for every
+ *               gated phase, or the run exits 1 before timing anything
+ *   --queue     the same sweep through the persistent work queue
+ *               (src/queue): two confluence_worker daemons (WORKER_BIN)
+ *               pull the shards the coordinator enqueues and run the
+ *               confluence_sweep beside WORKER_BIN; the merge must equal
+ *               the reference byte for byte
  */
 
 #include <algorithm>
@@ -66,7 +61,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <new>
@@ -142,28 +136,19 @@ namespace
 using namespace cfl;
 using Clock = std::chrono::steady_clock;
 
-struct PhaseResult
-{
-    double seconds = 0.0;
-    double pointsPerSec = 0.0;
-    double minstsPerSec = 0.0;
-    double geomean = 0.0;  ///< Confluence-vs-Baseline identity check
-};
+/** Pull-worker daemons the queue phase starts. */
+constexpr unsigned kQueueWorkers = 2;
 
 struct HarnessConfig
 {
     bool smoke = false;
     bool sampled = false;
-    bool strict = false;
     double minSampledSpeedup = 0.0; ///< 0 = no floor
     unsigned iters = 3;
     std::string outPath = "BENCH_sweep.json";
     std::string comparePath;
     double minRatio = 0.8;
-    std::string dispatchSweepBin; ///< "" = skip the dispatched phase
-    unsigned dispatchWorkers = 3;
     std::string queueWorkerBin;   ///< "" = skip the queue phase
-    unsigned queueWorkers = 2;
 };
 
 std::vector<SweepPoint>
@@ -197,25 +182,49 @@ buildPoints(const HarnessConfig &cfg, RunScale &scale_out)
     return points;
 }
 
-double
-runOnce(const std::vector<SweepPoint> &points, const SystemConfig &config,
-        SweepEngine &engine, double *geomean_out)
+/** Repeated runs of one sweep, each checked against the first. */
+struct Phase
 {
-    const auto start = Clock::now();
-    const SweepResult result = runTimingSweep(points, config, engine);
-    const std::chrono::duration<double> elapsed = Clock::now() - start;
-    if (geomean_out != nullptr)
-        *geomean_out = result.geomeanSpeedup(FrontendKind::Confluence,
-                                             FrontendKind::Baseline);
-    return elapsed.count();
-}
+    SweepResult first;            ///< the result every run encoded to
+    std::vector<double> seconds;  ///< wall time of each run, in order
+    std::uint64_t lastAllocs = 0; ///< heap allocations in the last run
 
-void
-setTraceCacheEnabled(bool enabled)
+    /** Best of runs [from, end): the least scheduler noise. */
+    double
+    best(std::size_t from) const
+    {
+        return *std::min_element(seconds.begin() + from, seconds.end());
+    }
+};
+
+Phase
+runPhase(const char *name, unsigned runs,
+         const std::vector<SweepPoint> &points, const SystemConfig &config,
+         SweepEngine &engine)
 {
-    // 0 shares nothing; otherwise restore a budget comfortably above
-    // the harness working set so the cached phase never evicts.
-    traceCache().setBudgetBytes(enabled ? (1ull << 30) : 0);
+    Phase phase;
+    std::string first_bytes;
+    for (unsigned i = 0; i < runs; ++i) {
+        const std::uint64_t allocs_before =
+            g_allocCount.load(std::memory_order_relaxed);
+        const auto start = Clock::now();
+        SweepResult result = runTimingSweep(points, config, engine);
+        const std::chrono::duration<double> elapsed = Clock::now() - start;
+        phase.lastAllocs =
+            g_allocCount.load(std::memory_order_relaxed) - allocs_before;
+        phase.seconds.push_back(elapsed.count());
+
+        std::string bytes = sweepio::encodeResult(result);
+        if (i == 0) {
+            first_bytes = std::move(bytes);
+            phase.first = std::move(result);
+        } else {
+            cfl_assert(bytes == first_bytes,
+                       "%s sweep run %u differs from its first run", name,
+                       i);
+        }
+    }
+    return phase;
 }
 
 /** First "model name" from /proc/cpuinfo, JSON-safe; "unknown" when
@@ -247,19 +256,73 @@ hostCpuModel()
     return "unknown";
 }
 
-/** Minimal extractor: the number following "key": inside the object
- *  after the first occurrence of "\"section\"". */
-double
-extractNumber(const std::string &text, const std::string &section,
-              const std::string &key)
+/** Points/s floors from a --compare baseline. */
+struct Baseline
 {
-    const std::size_t sec = text.find("\"" + section + "\"");
-    cfl_assert(sec != std::string::npos, "baseline JSON lacks \"%s\"",
-               section.c_str());
-    const std::size_t pos = text.find("\"" + key + "\":", sec);
-    cfl_assert(pos != std::string::npos, "baseline JSON lacks \"%s\"",
-               key.c_str());
-    return std::strtod(text.c_str() + pos + key.size() + 3, nullptr);
+    double cached = 0.0;
+    double sampled = 0.0; ///< read only with --sampled
+};
+
+/** The number after "key": in @p text, searched for from the object
+ *  named @p section ("" = the top level). The baseline is outside
+ *  input: a missing section, key or number is fatal. */
+double
+baselineNumber(const std::string &path, const std::string &text,
+               const std::string &section, const std::string &key)
+{
+    std::size_t from = 0;
+    if (!section.empty()) {
+        from = text.find("\"" + section + "\"");
+        if (from == std::string::npos)
+            cfl_fatal("baseline %s has no \"%s\" section to gate that "
+                      "phase against", path.c_str(), section.c_str());
+    }
+    const std::string quoted = "\"" + key + "\":";
+    const std::size_t pos = text.find(quoted, from);
+    if (pos == std::string::npos)
+        cfl_fatal("baseline %s lacks \"%s\"", path.c_str(), key.c_str());
+    const char *begin = text.c_str() + pos + quoted.size();
+    char *end = nullptr;
+    const double value = std::strtod(begin, &end);
+    if (end == begin || !std::isfinite(value))
+        cfl_fatal("baseline %s: \"%s\" is not a number", path.c_str(),
+                  key.c_str());
+    return value;
+}
+
+/** Read @p cfg.comparePath before anything is timed: a baseline from
+ *  another grid, or one that cannot gate a phase this run measures,
+ *  is fatal. */
+Baseline
+readBaseline(const HarnessConfig &cfg, std::size_t points,
+             double sim_insts_per_point)
+{
+    const std::string &path = cfg.comparePath;
+    std::ifstream in(path);
+    if (!in)
+        cfl_fatal("cannot read baseline %s", path.c_str());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+
+    // Points/s is comparable only on the same grid: a 4-point smoke
+    // record must not gate a 35-point full-grid run.
+    const double base_points = baselineNumber(path, text, "", "points");
+    const double base_insts =
+        baselineNumber(path, text, "", "sim_insts_per_point");
+    if (base_points != static_cast<double>(points) ||
+        base_insts != sim_insts_per_point)
+        cfl_fatal("baseline %s was recorded on another grid (%.17g "
+                  "points of %.17g insts; this run has %zu of %.17g)",
+                  path.c_str(), base_points, base_insts, points,
+                  sim_insts_per_point);
+
+    Baseline base;
+    base.cached = baselineNumber(path, text, "cached", "points_per_sec");
+    if (cfg.sampled)
+        base.sampled =
+            baselineNumber(path, text, "sampled", "points_per_sec");
+    return base;
 }
 
 int
@@ -277,85 +340,42 @@ harnessMain(const HarnessConfig &cfg)
     const double total_minsts =
         sim_insts_per_point * points.size() / 1e6;
 
+    const Baseline baseline =
+        cfg.comparePath.empty()
+            ? Baseline{}
+            : readBaseline(cfg, points.size(), sim_insts_per_point);
+
     std::fprintf(stderr,
                  "perf_harness: %zu points, %.1fM simulated insts per "
                  "sweep, %u workers, %u iters per phase\n",
                  points.size(), total_minsts, engine.jobs(), cfg.iters);
 
-    // Warm one-time process state (workload program synthesis, allocator
-    // arenas) outside both timed phases so live and cached measurements
-    // compare like for like.
-    for (const WorkloadId wl : allWorkloads())
-        (void)workloadProgram(wl);
+    // A budget far above the harness working set, whatever
+    // CONFLUENCE_TRACE_CACHE_MB says, so the cached phase never evicts.
+    traceCache().setBudgetBytes(1ull << 30);
 
-    // Phase 1: a private trace per point (trace cache budget 0).
-    // Best-of-N, same as the cached phase, for a fair comparison.
-    setTraceCacheEnabled(false);
-    PhaseResult live;
-    live.seconds = 1e300;
-    for (unsigned i = 0; i < cfg.iters; ++i) {
-        double geomean = 0.0;
-        const double s = runOnce(points, config, engine, &geomean);
-        if (i > 0)
-            cfl_assert(geomean == live.geomean, "live sweep not stable");
-        live.geomean = geomean;
-        if (s < live.seconds)
-            live.seconds = s;
-    }
-    live.pointsPerSec = points.size() / live.seconds;
-    live.minstsPerSec = total_minsts / live.seconds;
-    std::fprintf(stderr, "  live   : %7.2fs  %6.2f points/s  %7.2f "
-                 "Minsts/s\n", live.seconds, live.pointsPerSec,
-                 live.minstsPerSec);
-
-    // Phase 2: cached replay. The first run warms the cache (miss cost),
-    // then the timed iterations measure the shared-trace steady state.
-    setTraceCacheEnabled(true);
-    double warm_geomean = 0.0;
-    const double warm_seconds =
-        runOnce(points, config, engine, &warm_geomean);
-    cfl_assert(warm_geomean == live.geomean,
-               "cached sweep diverged from live sweep");
-
-    PhaseResult cached;
-    cached.seconds = 1e300;
-    std::uint64_t steady_allocs = 0;
-    for (unsigned i = 0; i < cfg.iters; ++i) {
-        const std::uint64_t allocs_before =
-            g_allocCount.load(std::memory_order_relaxed);
-        double geomean = 0.0;
-        const double s = runOnce(points, config, engine, &geomean);
-        steady_allocs = g_allocCount.load(std::memory_order_relaxed) -
-                        allocs_before;
-        cfl_assert(geomean == live.geomean,
-                   "cached sweep diverged from live sweep");
-        if (s < cached.seconds)
-            cached.seconds = s;  // best-of-N: least scheduler noise
-    }
-    cached.geomean = live.geomean;
-    cached.pointsPerSec = points.size() / cached.seconds;
-    cached.minstsPerSec = total_minsts / cached.seconds;
+    // Cached phase. The first run warms the trace cache (its time is the
+    // miss cost) and is the reference for every later run and phase.
+    const Phase cached =
+        runPhase("cached", 1 + cfg.iters, points, config, engine);
+    const SweepResult &reference = cached.first;
+    const double warm_seconds = cached.seconds.front();
+    const double cached_seconds = cached.best(1);
+    const double cached_pps = points.size() / cached_seconds;
+    const double cached_mips = total_minsts / cached_seconds;
     const double allocs_per_kinst =
-        steady_allocs / (total_minsts * 1000.0);
+        cached.lastAllocs / (total_minsts * 1000.0);
     std::fprintf(stderr, "  cached : %7.2fs  %6.2f points/s  %7.2f "
                  "Minsts/s  (warm %.2fs, %.1f allocs/kinst)\n",
-                 cached.seconds, cached.pointsPerSec, cached.minstsPerSec,
-                 warm_seconds, allocs_per_kinst);
-
-    // One in-process scalar reference serves the sampled and
-    // multi-process phases: the harness has already asserted results
-    // are run-to-run identical.
-    SweepResult reference;
-    if (cfg.sampled || !cfg.dispatchSweepBin.empty() ||
-        !cfg.queueWorkerBin.empty())
-        reference = runTimingSweep(points, config, engine);
+                 cached_seconds, cached_pps, cached_mips, warm_seconds,
+                 allocs_per_kinst);
 
     // Sampled phase (opt-in): the same grid with SMARTS sampling.
     // Sampled results are not bit-comparable to exact ones — the gates
     // are statistical: run-to-run determinism, per-metric CI coverage
     // of the exact value, and a bounded geomean-speedup error.
-    PhaseResult sampled;
-    bool have_sampled = false;
+    double sampled_seconds = 0.0;
+    double sampled_pps = 0.0;
     double sampled_max_ipc_err = 0.0;
     double sampled_geo_err = 0.0;
     std::uint64_t sampled_intervals = 0;
@@ -364,22 +384,11 @@ harnessMain(const HarnessConfig &cfg)
         for (SweepPoint &p : spoints)
             p.sampling = defaultSamplingSpec(p.scale);
 
-        SweepResult sampled_ref;
-        sampled.seconds = 1e300;
-        for (unsigned i = 0; i < cfg.iters; ++i) {
-            const auto start = Clock::now();
-            SweepResult r = runTimingSweep(spoints, config, engine);
-            const std::chrono::duration<double> elapsed =
-                Clock::now() - start;
-            if (i == 0)
-                sampled_ref = std::move(r);
-            else
-                cfl_assert(sweepio::encodeResult(r) ==
-                               sweepio::encodeResult(sampled_ref),
-                           "sampled sweep not run-to-run deterministic");
-            if (elapsed.count() < sampled.seconds)
-                sampled.seconds = elapsed.count();
-        }
+        const Phase sampled =
+            runPhase("sampled", cfg.iters, spoints, config, engine);
+        const SweepResult &sampled_ref = sampled.first;
+        sampled_seconds = sampled.best(0);
+        sampled_pps = points.size() / sampled_seconds;
 
         // Coverage gate. Each estimator's CI is a per-metric 95%
         // interval; this loop tests ~100 of them simultaneously, so an
@@ -478,16 +487,12 @@ harnessMain(const HarnessConfig &cfg)
                          : 0.0;
         const double geo_limit = 0.02 + 1.96 * geo_rel_se;
 
-        sampled.geomean = geo_sampled;
-        sampled.pointsPerSec = points.size() / sampled.seconds;
-        sampled.minstsPerSec = total_minsts / sampled.seconds;
-        have_sampled = true;
         std::fprintf(stderr,
                      "  sampled: %7.2fs  %6.2f points/s  (%.1fx vs "
                      "cached; %llu intervals/point, max IPC err %.2f%%, "
                      "geomean err %.2f%%)\n",
-                     sampled.seconds, sampled.pointsPerSec,
-                     sampled.pointsPerSec / cached.pointsPerSec,
+                     sampled_seconds, sampled_pps,
+                     sampled_pps / cached_pps,
                      static_cast<unsigned long long>(sampled_intervals),
                      sampled_max_ipc_err * 100.0,
                      sampled_geo_err * 100.0);
@@ -507,56 +512,29 @@ harnessMain(const HarnessConfig &cfg)
             return 1;
         }
         if (cfg.minSampledSpeedup > 0.0 &&
-            sampled.pointsPerSec <
-                cfg.minSampledSpeedup * cached.pointsPerSec) {
+            sampled_pps < cfg.minSampledSpeedup * cached_pps) {
             std::fprintf(stderr,
                          "FAIL: sampled speedup %.2fx below the "
                          "--min-sampled-speedup floor %.2fx\n",
-                         sampled.pointsPerSec / cached.pointsPerSec,
+                         sampled_pps / cached_pps,
                          cfg.minSampledSpeedup);
             return 1;
         }
     }
 
-    // Phase 3 (opt-in): the same sweep through the shard dispatcher on
-    // a local subprocess pool — the fleet path. Untimed correctness
-    // first: the merged result must be byte-identical to in-process.
-    PhaseResult dispatched;
-    bool have_dispatched = false;
-    if (!cfg.dispatchSweepBin.empty()) {
-        dispatch::LocalBackend backend(cfg.dispatchWorkers);
-        dispatch::DispatchOptions opts;
-        opts.sweepBin = cfg.dispatchSweepBin;
-        opts.workDir = cfg.outPath + ".dispatch";
-
-        const auto start = Clock::now();
-        const SweepResult merged = dispatch::runDispatchedSweep(
-            points, backend, opts, nullptr, nullptr);
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-
-        cfl_assert(sweepio::encodeResult(merged) ==
-                       sweepio::encodeResult(reference),
-                   "dispatched sweep diverged from in-process sweep");
-        dispatched.seconds = elapsed.count();
-        dispatched.pointsPerSec = points.size() / dispatched.seconds;
-        dispatched.minstsPerSec = total_minsts / dispatched.seconds;
-        have_dispatched = true;
-        std::fprintf(stderr, "  dispatch: %6.2fs  %6.2f points/s  "
-                     "%7.2f Minsts/s  (%u subprocess workers)\n",
-                     dispatched.seconds, dispatched.pointsPerSec,
-                     dispatched.minstsPerSec, cfg.dispatchWorkers);
-    }
-
-    // Phase 4 (opt-in): the same sweep pulled through the persistent
-    // work queue by confluence_worker daemons. Correctness first, as
-    // above; queue-vs-dispatch is the pull-model overhead.
-    PhaseResult queued;
-    bool have_queued = false;
+    // Queue phase (opt-in): the same sweep pulled through the persistent
+    // work queue by confluence_worker daemons. Correctness first: the
+    // merge must equal the reference byte for byte.
+    double queued_seconds = 0.0;
     if (!cfg.queueWorkerBin.empty()) {
-        if (cfg.dispatchSweepBin.empty())
-            cfl_fatal("--queue needs --dispatch SWEEP_BIN for the "
-                      "shard commands");
+        // The shard binary sits beside the worker: the rule
+        // confluence_dispatch's default --sweep-bin follows.
+        const std::size_t slash = cfg.queueWorkerBin.rfind('/');
+        const std::string sweep_bin =
+            (slash == std::string::npos
+                 ? std::string()
+                 : cfg.queueWorkerBin.substr(0, slash + 1)) +
+            "confluence_sweep";
         const std::string qdir = cfg.outPath + ".queue";
         std::filesystem::remove_all(qdir);
         queue::WorkQueue wq(qdir);
@@ -564,7 +542,7 @@ harnessMain(const HarnessConfig &cfg)
         // Real worker daemons, one subprocess each, pulling until the
         // stop marker drops.
         std::vector<std::thread> daemons;
-        for (unsigned w = 0; w < cfg.queueWorkers; ++w)
+        for (unsigned w = 0; w < kQueueWorkers; ++w)
             daemons.emplace_back([&, w] {
                 const dispatch::RunStatus status =
                     dispatch::runLocalCommand(
@@ -579,11 +557,11 @@ harnessMain(const HarnessConfig &cfg)
             });
 
         queue::QueueBackend::Options qbopts;
-        qbopts.slots = cfg.queueWorkers;
+        qbopts.slots = kQueueWorkers;
         qbopts.pollMs = 20;
         queue::QueueBackend qbackend(wq, qbopts);
         dispatch::DispatchOptions qopts;
-        qopts.sweepBin = cfg.dispatchSweepBin;
+        qopts.sweepBin = sweep_bin;
         qopts.workDir = qdir + "/work";
         qopts.cacheWriteBack = false;
         // The harness owns its daemons; if they fail to start (bad
@@ -604,14 +582,11 @@ harnessMain(const HarnessConfig &cfg)
         cfl_assert(sweepio::encodeResult(merged) ==
                        sweepio::encodeResult(reference),
                    "queued sweep diverged from in-process sweep");
-        queued.seconds = elapsed.count();
-        queued.pointsPerSec = points.size() / queued.seconds;
-        queued.minstsPerSec = total_minsts / queued.seconds;
-        have_queued = true;
+        queued_seconds = elapsed.count();
         std::fprintf(stderr, "  queue   : %6.2fs  %6.2f points/s  "
                      "%7.2f Minsts/s  (%u pull workers)\n",
-                     queued.seconds, queued.pointsPerSec,
-                     queued.minstsPerSec, cfg.queueWorkers);
+                     queued_seconds, points.size() / queued_seconds,
+                     total_minsts / queued_seconds, kQueueWorkers);
     }
 
     const std::uint64_t cache_lookups = traceCache().lookups();
@@ -634,33 +609,25 @@ harnessMain(const HarnessConfig &cfg)
          << std::thread::hardware_concurrency() << "},\n"
          << "  \"jobs\": " << engine.jobs() << ",\n"
          << "  \"iterations\": " << cfg.iters << ",\n"
-         << "  \"geomean_speedup\": " << live.geomean << ",\n"
-         << "  \"live\": {\"seconds\": " << live.seconds
-         << ", \"points_per_sec\": " << live.pointsPerSec
-         << ", \"minsts_per_sec\": " << live.minstsPerSec << "},\n"
-         << "  \"cached\": {\"seconds\": " << cached.seconds
-         << ", \"points_per_sec\": " << cached.pointsPerSec
-         << ", \"minsts_per_sec\": " << cached.minstsPerSec << "},\n"
-         << "  \"cache_speedup\": "
-         << cached.pointsPerSec / live.pointsPerSec << ",\n";
-    if (have_sampled)
-        json << "  \"sampled\": {\"seconds\": " << sampled.seconds
-             << ", \"points_per_sec\": " << sampled.pointsPerSec
-             << ", \"speedup_vs_cached\": "
-             << sampled.pointsPerSec / cached.pointsPerSec
+         << "  \"geomean_speedup\": "
+         << reference.geomeanSpeedup(FrontendKind::Confluence,
+                                     FrontendKind::Baseline)
+         << ",\n"
+         << "  \"cached\": {\"seconds\": " << cached_seconds
+         << ", \"points_per_sec\": " << cached_pps
+         << ", \"minsts_per_sec\": " << cached_mips << "},\n";
+    if (cfg.sampled)
+        json << "  \"sampled\": {\"seconds\": " << sampled_seconds
+             << ", \"points_per_sec\": " << sampled_pps
+             << ", \"speedup_vs_cached\": " << sampled_pps / cached_pps
              << ", \"intervals_per_point\": " << sampled_intervals
              << ", \"max_rel_ipc_err\": " << sampled_max_ipc_err
              << ", \"geomean_rel_err\": " << sampled_geo_err << "},\n";
-    if (have_dispatched)
-        json << "  \"dispatched\": {\"seconds\": " << dispatched.seconds
-             << ", \"points_per_sec\": " << dispatched.pointsPerSec
-             << ", \"minsts_per_sec\": " << dispatched.minstsPerSec
-             << ", \"workers\": " << cfg.dispatchWorkers << "},\n";
-    if (have_queued)
-        json << "  \"queued\": {\"seconds\": " << queued.seconds
-             << ", \"points_per_sec\": " << queued.pointsPerSec
-             << ", \"minsts_per_sec\": " << queued.minstsPerSec
-             << ", \"workers\": " << cfg.queueWorkers << "},\n";
+    if (!cfg.queueWorkerBin.empty())
+        json << "  \"queued\": {\"seconds\": " << queued_seconds
+             << ", \"points_per_sec\": " << points.size() / queued_seconds
+             << ", \"minsts_per_sec\": " << total_minsts / queued_seconds
+             << ", \"workers\": " << kQueueWorkers << "},\n";
     json
          << "  \"warm_seconds\": " << warm_seconds << ",\n"
          << "  \"allocs_per_kinst\": " << allocs_per_kinst << ",\n"
@@ -689,60 +656,25 @@ harnessMain(const HarnessConfig &cfg)
     }
 
     if (!cfg.comparePath.empty()) {
-        std::ifstream in(cfg.comparePath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         cfg.comparePath.c_str());
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const std::string baseline = buf.str();
-
-        // Every phase measured here is gated when the baseline has its
-        // section. A missing section warns loudly — and is an error
-        // under --strict — instead of silently dropping the gate.
-        bool ungated = false;
-        const auto gate = [&](const char *phase, bool measured_here,
-                              double measured) {
-            if (!measured_here)
-                return true;
-            if (baseline.find("\"" + std::string(phase) + "\"") ==
-                std::string::npos) {
-                std::fprintf(stderr,
-                             "WARNING: phase %s not gated (no "
-                             "baseline)\n", phase);
-                ungated = true;
-                return true;
-            }
-            const double base =
-                extractNumber(baseline, phase, "points_per_sec");
+        const auto gate = [&](const char *phase, double measured,
+                              double base) {
             const double floor = base * cfg.minRatio;
             std::fprintf(stderr,
                          "compare %s: %.2f points/s vs baseline %.2f "
                          "(floor %.2f)\n",
                          phase, measured, base, floor);
-            if (measured < floor) {
-                std::fprintf(stderr,
-                             "FAIL: %s throughput regressed more than "
-                             "%.0f%% vs %s\n", phase,
-                             (1.0 - cfg.minRatio) * 100.0,
-                             cfg.comparePath.c_str());
-                return false;
-            }
-            return true;
-        };
-
-        if (!gate("cached", true, cached.pointsPerSec))
-            return 1;
-        if (!gate("sampled", have_sampled, sampled.pointsPerSec))
-            return 1;
-        if (ungated && cfg.strict) {
+            if (measured >= floor)
+                return true;
             std::fprintf(stderr,
-                         "FAIL: --strict and at least one measured "
-                         "phase has no baseline section\n");
+                         "FAIL: %s throughput regressed more than %.0f%% "
+                         "vs %s\n", phase, (1.0 - cfg.minRatio) * 100.0,
+                         cfg.comparePath.c_str());
+            return false;
+        };
+        if (!gate("cached", cached_pps, baseline.cached))
             return 1;
-        }
+        if (cfg.sampled && !gate("sampled", sampled_pps, baseline.sampled))
+            return 1;
     }
     return 0;
 }
@@ -764,8 +696,6 @@ main(int argc, char **argv)
             cfg.smoke = true;
         else if (arg == "--sampled")
             cfg.sampled = true;
-        else if (arg == "--strict")
-            cfg.strict = true;
         else if (arg == "--min-sampled-speedup")
             cfg.minSampledSpeedup = parseDoubleFlag(arg, value());
         else if (arg == "--iters")
@@ -776,18 +706,12 @@ main(int argc, char **argv)
             cfg.comparePath = value();
         else if (arg == "--min-ratio")
             cfg.minRatio = parseDoubleFlag(arg, value());
-        else if (arg == "--dispatch")
-            cfg.dispatchSweepBin = value();
-        else if (arg == "--dispatch-workers")
-            cfg.dispatchWorkers = parseUnsignedFlag(arg, value());
         else if (arg == "--queue")
             cfg.queueWorkerBin = value();
-        else if (arg == "--queue-workers")
-            cfg.queueWorkers = parseUnsignedFlag(arg, value());
         else
             cfl_fatal("unknown flag \"%s\"", arg.c_str());
     }
     if (cfg.iters == 0)
-        cfg.iters = 1;
+        cfl_fatal("--iters must be >= 1");
     return harnessMain(cfg);
 }

@@ -4,9 +4,10 @@
  * overrides, faultWrite's short/torn/ENOSPC semantics, and — the part
  * that matters — the degraded-not-dead behaviour of every instrumented
  * durability path: the result cache and regression history surviving
- * write failures, the queue log skipping torn records, completion
- * failures recovering through lease expiry, poison tasks landing in
- * quarantine, and injected clock skew flowing into lease deadlines.
+ * write failures, the queue log skipping torn records, a failed
+ * completion publish re-pending its task at once as one strike, poison
+ * tasks landing in quarantine, and injected clock skew flowing into
+ * lease deadlines.
  */
 
 #include <gtest/gtest.h>

@@ -23,6 +23,7 @@
 #include "reference_stream.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "sweepio/codec.hh"
 #include "trace/trace_cache.hh"
 
 using namespace cfl;
@@ -653,10 +654,10 @@ TEST(TraceCache, ChargesEachBufferItsActualBytes)
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity against the golden pins: the same quick-scale sweep that
-// tests/test_calibration.cc pins must produce identical numbers whether
-// every point replays a shared cached trace or, at budget 0, generates
-// its own unshared one.
+// Bit-identity against the golden pins: every fig06 kind on the two
+// quick-scale workloads tests/test_calibration.cc pins must encode to the
+// same bytes whether every point replays a shared cached trace or, at
+// budget 0, generates its own unshared one.
 // ---------------------------------------------------------------------------
 
 namespace
@@ -671,7 +672,9 @@ goldenQuickSweep()
     scale.timingCores = 1;
     SweepEngine engine(2);
     return runTimingSweep(
-        {FrontendKind::Baseline, FrontendKind::Confluence},
+        {FrontendKind::Baseline, FrontendKind::Fdp, FrontendKind::PhantomFdp,
+         FrontendKind::TwoLevelFdp, FrontendKind::TwoLevelShift,
+         FrontendKind::Confluence, FrontendKind::Ideal},
         {WorkloadId::DssQry, WorkloadId::WebFrontend},
         makeSystemConfig(1), scale, engine);
 }
@@ -690,21 +693,8 @@ TEST(TraceCacheGolden, CachedSweepIsBitIdenticalToLive)
 
     traceCache().setBudgetBytes(saved);
 
-    ASSERT_EQ(live.points.size(), cached.points.size());
-    for (std::size_t i = 0; i < live.points.size(); ++i) {
-        const CmpMetrics &a = live.points[i].metrics;
-        const CmpMetrics &b = cached.points[i].metrics;
-        ASSERT_EQ(a.cores.size(), b.cores.size());
-        for (std::size_t c = 0; c < a.cores.size(); ++c) {
-            EXPECT_EQ(a.cores[c].retired, b.cores[c].retired);
-            EXPECT_EQ(a.cores[c].cycles, b.cores[c].cycles);
-            EXPECT_EQ(a.cores[c].btbTakenMisses, b.cores[c].btbTakenMisses);
-            EXPECT_EQ(a.cores[c].l1iDemandMisses,
-                      b.cores[c].l1iDemandMisses);
-            EXPECT_EQ(a.cores[c].fetchMissStallCycles,
-                      b.cores[c].fetchMissStallCycles);
-        }
-    }
+    // Every counter of every fig06 kind, byte for byte.
+    EXPECT_EQ(sweepio::encodeResult(live), sweepio::encodeResult(cached));
 
     // And both must still sit exactly on the pre-cache golden geomean
     // (tests/test_calibration.cc pins the same value).
