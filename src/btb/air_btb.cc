@@ -14,7 +14,7 @@ AirBtb::AirBtb(const AirBtbParams &params, const CodeImage &image,
       // Keyed by block address; skip the 6 block-offset bits.
       bundleStore_(assocSets(params.bundles, params.ways), params.ways,
                    floorLog2(kBlockBytes)),
-      overflow_(1, std::max(1u, params.overflowEntries), 0)
+      overflow_(std::max(1u, params.overflowEntries))
 {
     cfl_assert(params.branchEntries >= 1 && params.branchEntries <= 8,
                "branchEntries out of supported range");

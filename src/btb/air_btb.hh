@@ -96,6 +96,8 @@ class AirBtb final : public Btb
         BranchKind kind = BranchKind::None;
         Addr target = 0;
         bool valid = false;
+
+        bool operator==(const BranchEntry &) const = default;
     };
 
     /** A bundle: branch bitmap + fixed-size entry array. */
@@ -104,6 +106,8 @@ class AirBtb final : public Btb
         std::uint16_t bitmap = 0;
         std::array<BranchEntry, 8> entries{};  ///< first branchEntries used
         unsigned count = 0;
+
+        bool operator==(const Bundle &) const = default;
     };
 
     /** Insert a predecoded block as a bundle (eager path). */
@@ -118,7 +122,7 @@ class AirBtb final : public Btb
     const Predecoder &predecoder_;
 
     AssocCache<Bundle> bundleStore_;       ///< keyed by block address
-    AssocCache<BtbEntryData> overflow_;    ///< keyed by branch PC
+    FullyAssocCache<BtbEntryData> overflow_;  ///< keyed by branch PC
     FillRequest fillRequest_;
 
     // Per-branch-path counters resolved once (StatSet nodes are stable).

@@ -39,6 +39,8 @@ struct BtbEntryData
 {
     BranchKind kind = BranchKind::None;
     Addr target = 0;  ///< valid only for direct branches
+
+    bool operator==(const BtbEntryData &) const = default;
 };
 
 /** Result of a BTB probe. */

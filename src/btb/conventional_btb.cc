@@ -11,8 +11,8 @@ ConventionalBtb::ConventionalBtb(const ConventionalBtbParams &params,
       main_(assocSets(params.entries, params.ways), params.ways, 2)
 {
     if (params.victimEntries > 0) {
-        victim_ = std::make_unique<AssocCache<BtbEntryData>>(
-            1, params.victimEntries, 0);
+        victim_ = std::make_unique<FullyAssocCache<BtbEntryData>>(
+            params.victimEntries);
     }
 }
 

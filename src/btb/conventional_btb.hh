@@ -53,7 +53,7 @@ class ConventionalBtb final : public Btb
     Stat *lookupMissesStat_ = &stats_.scalar("lookupMisses");
     Stat *insertsStat_ = &stats_.scalar("inserts");
     AssocCache<BtbEntryData> main_;
-    std::unique_ptr<AssocCache<BtbEntryData>> victim_;
+    std::unique_ptr<FullyAssocCache<BtbEntryData>> victim_;
 };
 
 } // namespace cfl

@@ -61,7 +61,7 @@ PhantomBtb::PhantomBtb(const PhantomBtbParams &params,
       history_(std::move(history)),
       coreId_(core_id),
       l1_(assocSets(params.l1Entries, params.l1Ways), params.l1Ways, 2),
-      prefetchBuffer_(1, params.prefetchBufferEntries, 0)
+      prefetchBuffer_(params.prefetchBufferEntries)
 {
     cfl_assert(history_ != nullptr, "PhantomBtb needs a shared history");
 }

@@ -26,7 +26,6 @@
 
 #include <array>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/assoc.hh"
@@ -58,11 +57,20 @@ struct PhantomGroup
 {
     static constexpr unsigned kMaxEntries = 8;
 
-    /** Fixed-capacity (pc, entry) list with the vector surface the
-     *  consumers use. */
+    /** One grouped BTB entry and its branch PC. */
+    struct Slot
+    {
+        Addr pc = 0;
+        BtbEntryData entry;
+
+        bool operator==(const Slot &) const = default;
+    };
+
+    /** Fixed-capacity slot list with the vector surface the consumers
+     *  use. */
     struct EntryList
     {
-        std::array<std::pair<Addr, BtbEntryData>, kMaxEntries> slots{};
+        std::array<Slot, kMaxEntries> slots{};
         std::uint8_t count = 0;
 
         void
@@ -73,20 +81,14 @@ struct PhantomGroup
 
         void clear() { count = 0; }
         std::size_t size() const { return count; }
-        const std::pair<Addr, BtbEntryData> &
-        operator[](std::size_t i) const
-        {
-            return slots[i];
-        }
-        const std::pair<Addr, BtbEntryData> *begin() const
-        {
-            return slots.data();
-        }
-        const std::pair<Addr, BtbEntryData> *end() const
-        {
-            return slots.data() + count;
-        }
+        const Slot &operator[](std::size_t i) const { return slots[i]; }
+        const Slot *begin() const { return slots.data(); }
+        const Slot *end() const { return slots.data() + count; }
+
+        bool operator==(const EntryList &) const = default;
     } entries;
+
+    bool operator==(const PhantomGroup &) const = default;
 };
 
 /** The LLC-virtualized, workload-shared second level. */
@@ -159,7 +161,7 @@ class PhantomBtb final : public Btb
     unsigned coreId_;
 
     AssocCache<BtbEntryData> l1_;
-    AssocCache<BtbEntryData> prefetchBuffer_;
+    FullyAssocCache<BtbEntryData> prefetchBuffer_;
 
     /** In-flight group fetches from the LLC. */
     struct PendingGroup

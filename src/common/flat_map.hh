@@ -3,8 +3,8 @@
  * Open-addressed hash map from 64-bit keys to small values.
  *
  * The per-instruction loop keys several tables by packed integers (block
- * addresses, branch PCs): the L1-I in-flight MSHR map, SHIFT's history
- * index, the Table-2 residency tracker, and the engine's loop counters.
+ * addresses, branch PCs): SHIFT's history index, the Table-2 residency
+ * tracker, and the engine's loop counters.
  * std::unordered_map allocates a node per insert, which puts malloc/free
  * on the steady-state path as entries churn. FlatMap stores slots inline
  * in one array with linear probing; insert/erase never allocate except

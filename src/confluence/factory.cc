@@ -197,7 +197,6 @@ CoreSim::beginMeasurement()
     bpu_->stats().resetAll();
     btb_->stats().resetAll();
     mem_->stats().resetAll();
-    mem_->l1i().stats().resetAll();
     direction_->stats().resetAll();
     ras_->stats().resetAll();
     itc_->stats().resetAll();

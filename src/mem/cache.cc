@@ -8,12 +8,6 @@
 namespace cfl
 {
 
-namespace
-{
-
-/** Sets of a @p capacity_bytes array of @p ways ways, rounded down to a
- *  power of two: the difference models capacity lost to reserved
- *  metadata lines spread over the sets. */
 std::size_t
 cacheSets(const std::string &name, std::uint64_t capacity_bytes,
           unsigned ways)
@@ -22,8 +16,6 @@ cacheSets(const std::string &name, std::uint64_t capacity_bytes,
     cfl_assert(blocks >= ways, "%s: capacity below one set", name.c_str());
     return std::bit_floor(blocks / ways);
 }
-
-} // namespace
 
 Cache::Cache(std::string name, std::uint64_t capacity_bytes, unsigned ways)
     : name_(std::move(name)),
@@ -48,12 +40,6 @@ Cache::access(Addr block_addr)
     return hit;
 }
 
-bool
-Cache::contains(Addr block_addr) const
-{
-    return tags_.peek(block_addr) != nullptr;
-}
-
 void
 Cache::insert(Addr block_addr)
 {
@@ -67,17 +53,8 @@ Cache::insert(Addr block_addr)
     cfl_assert(evicted || tags_.size() > before,
                "%s: insert of present block %#llx", name_.c_str(),
                static_cast<unsigned long long>(block_addr));
-    if (evicted) {
+    if (evicted)
         evictionsStat_->inc();
-        if (evictHook_)
-            evictHook_(evicted->first);
-    }
-}
-
-bool
-Cache::invalidate(Addr block_addr)
-{
-    return tags_.invalidate(block_addr).has_value();
 }
 
 } // namespace cfl

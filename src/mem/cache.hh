@@ -1,12 +1,13 @@
 /**
  * @file
- * Block-presence cache with true-LRU replacement: the L1-I
- * (32KB/4-way/64B, Table 1) and the shared LLC.
+ * Block-presence cache with true-LRU replacement: the shared LLC's tag
+ * array.
  *
- * The tag array is an AssocCache (common/assoc.hh) with an empty
- * payload, keyed by 64B block address; the BTBs build their tables on
- * the same array with a payload per entry. The cache tracks presence
- * only; instruction bytes always come from the CodeImage.
+ * The tags are an AssocCache (common/assoc.hh) with an empty payload,
+ * keyed by 64B block address; the L1-I (mem/InstMemory) and the BTBs
+ * build their tables on the same array with a payload per entry. The
+ * cache tracks presence only; instruction bytes always come from the
+ * CodeImage.
  */
 
 #ifndef CFL_MEM_CACHE_HH
@@ -16,20 +17,23 @@
 #include <string>
 
 #include "common/assoc.hh"
-#include "common/delegate.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace cfl
 {
 
-/** A block-presence cache (tags over 64B block addresses) with hooks. */
+/** Sets of a @p capacity_bytes array of @p ways ways, rounded down to a
+ *  power of two: the difference models capacity lost to reserved
+ *  metadata lines spread over the sets. @p name labels the error when
+ *  the capacity is below one set. */
+std::size_t cacheSets(const std::string &name, std::uint64_t capacity_bytes,
+                      unsigned ways);
+
+/** A block-presence cache (tags over 64B block addresses). */
 class Cache
 {
   public:
-    /** Called with the evicted block address. */
-    using EvictHook = Delegate<void(Addr)>;
-
     /** @param name stat prefix
      *  @param capacity_bytes data capacity; the set count is the
      *         capacity's blocks per way rounded down to a power of two
@@ -39,21 +43,12 @@ class Cache
     /** Probe for a block; counts hit/miss stats. */
     bool access(Addr block_addr);
 
-    /** Probe without stats or LRU update. */
-    bool contains(Addr block_addr) const;
-
-    /** Insert a block the caller has just found absent (access() or
-     *  contains() said so); fires the evict hook for any victim.
-     *  Inserting a present block is a fatal error, in every build. */
+    /** Insert a block the caller has just found absent (access() said
+     *  so), evicting the set's LRU block if the set is full. Inserting
+     *  a present block is a fatal error, in every build. */
     void insert(Addr block_addr);
 
-    /** Remove a block if present. */
-    bool invalidate(Addr block_addr);
-
-    void setEvictHook(EvictHook hook) { evictHook_ = hook; }
-
     std::uint64_t capacityBytes() const { return capacityBytes_; }
-    std::uint64_t numBlocks() const { return tags_.size(); }
     std::size_t numSets() const { return tags_.numSets(); }
     unsigned ways() const { return tags_.ways(); }
     const StatSet &stats() const { return stats_; }
@@ -67,7 +62,6 @@ class Cache
     std::uint64_t capacityBytes_;
     StatSet stats_;
     Tags tags_;
-    EvictHook evictHook_;
 
     // Counters resolved once; StatSet map nodes are stable.
     Stat *hitsStat_;

@@ -1,6 +1,10 @@
 #include "mem/hierarchy.hh"
 
+#include <algorithm>
+
+#include "common/bitops.hh"
 #include "common/logging.hh"
+#include "mem/cache.hh"
 
 namespace cfl
 {
@@ -8,9 +12,9 @@ namespace cfl
 InstMemory::InstMemory(const InstMemoryParams &params, Llc &llc)
     : params_(params),
       llc_(llc),
-      l1i_("l1i", params.l1iBytes, params.l1iWays),
+      l1i_(cacheSets("l1i", params.l1iBytes, params.l1iWays),
+           params.l1iWays, floorLog2(kBlockBytes)),
       stats_("instmem"),
-      inFlight_(32),
       demandFetchesStat_(&stats_.scalar("demandFetches")),
       demandHitsStat_(&stats_.scalar("demandHits")),
       demandMissesStat_(&stats_.scalar("demandMisses")),
@@ -21,32 +25,51 @@ InstMemory::InstMemory(const InstMemoryParams &params, Llc &llc)
       fillsFromLlcStat_(&stats_.scalar("fillsFromLlc")),
       fillsFromMemoryStat_(&stats_.scalar("fillsFromMemory"))
 {
-}
-
-void
-InstMemory::setEvictHook(EvictHook hook)
-{
-    l1i_.setEvictHook(hook);
+    fills_.reserve(32);
 }
 
 void
 InstMemory::expireInFlight(Cycle now)
 {
-    // Lazy MSHR retirement: fills whose completion time passed are done.
-    // The walk only matters once some fill's completion time has been
-    // reached; until then every entry is strictly in flight and the map
-    // is already in its post-expiry state.
+    // Lazy MSHR retirement: fills whose ready cycle passed are done.
+    // The walk only matters once some fill's ready cycle has been
+    // reached; until then every fill is strictly in flight and the
+    // list is already in its post-expiry state.
     if (now < minInFlightReady_)
         return;
     Cycle min_ready = ~Cycle{0};
-    inFlight_.retainIf([now, &min_ready](Addr, const Cycle &ready) {
-        if (ready <= now)
-            return false;
-        if (ready < min_ready)
-            min_ready = ready;
-        return true;
+    std::erase_if(fills_, [now, &min_ready](const Fill &fill) {
+        if (fill.ready <= now)
+            return true;
+        min_ready = std::min(min_ready, fill.ready);
+        return false;
     });
     minInFlightReady_ = min_ready;
+}
+
+void
+InstMemory::insertTag(Addr block_addr, Cycle ready)
+{
+    const std::size_t before = l1i_.size();
+    const auto evicted = l1i_.insert(block_addr, ready);
+    // An absent block either evicts a victim or fills an invalid way;
+    // a present one would only have been refreshed in place.
+    cfl_assert(evicted || l1i_.size() > before,
+               "l1i: insert of present block %#llx",
+               static_cast<unsigned long long>(block_addr));
+    ++installSeq_;
+    if (evicted && evictHook_)
+        evictHook_(evicted->first);
+}
+
+InstMemory::Fill *
+InstMemory::trackedFill(Addr block_addr)
+{
+    for (Fill &fill : fills_) {
+        if (fill.block == block_addr)
+            return &fill;
+    }
+    return nullptr;
 }
 
 Cycle
@@ -57,17 +80,33 @@ InstMemory::install(Addr block_addr, bool from_prefetch, Cycle now,
     const Cycle ready = now + extra_latency + llc_access.latency;
     (llc_access.hit ? fillsFromLlcStat_ : fillsFromMemoryStat_)->inc();
 
-    // The tag is installed immediately (the MSHR owns the line); data
-    // readiness is tracked separately so demand fetches of in-flight
-    // blocks see the residual latency.
-    l1i_.insert(block_addr);
-    inFlight_.assign(block_addr, ready);
-    ++installSeq_;
+    // The tag is installed immediately (the MSHR owns the line) and
+    // its way keeps the fill's ready cycle, so demand fetches of
+    // in-flight blocks see the residual latency. A block evicted with
+    // its fill still tracked has one MSHR, now the new fill's.
+    insertTag(block_addr, ready);
+    if (Fill *tracked = trackedFill(block_addr))
+        tracked->ready = ready;
+    else
+        fills_.push_back(Fill{block_addr, ready});
     if (ready < minInFlightReady_)
         minInFlightReady_ = ready;
     if (fillHook_)
         fillHook_(block_addr, from_prefetch, ready);
     return ready;
+}
+
+void
+InstMemory::warmInstall(Addr block_addr, bool from_prefetch, Cycle now)
+{
+    const Llc::Access llc_access = llc_.access(block_addr);
+    (llc_access.hit ? fillsFromLlcStat_ : fillsFromMemoryStat_)->inc();
+    // No fill of its own, but a tracked fill of the block (started
+    // before an eviction) still decides when its data is there.
+    const Fill *tracked = trackedFill(block_addr);
+    insertTag(block_addr, tracked != nullptr ? tracked->ready : 0);
+    if (fillHook_)
+        fillHook_(block_addr, from_prefetch, now + llc_access.latency);
 }
 
 InstMemory::FetchResult
@@ -88,9 +127,8 @@ InstMemory::demandFetch(Addr block_addr, Cycle now)
 
     expireInFlight(now);
 
-    if (l1i_.access(block_addr)) {
-        const Cycle *ready = inFlight_.find(block_addr);
-        if (ready == nullptr) {
+    if (const Cycle *ready = l1i_.find(block_addr)) {
+        if (*ready <= now) {
             // Present and ready.
             out.l1Hit = true;
             out.readyAt = now;
@@ -116,43 +154,31 @@ InstMemory::demandFetch(Addr block_addr, Cycle now)
 bool
 InstMemory::warmTouch(Addr block_addr, Cycle now)
 {
+    cfl_assert(blockAlign(block_addr) == block_addr,
+               "warmTouch of unaligned address");
     demandFetchesStat_->inc();
-    if (params_.perfectL1I) {
-        demandHitsStat_->inc();
-        return true;
-    }
-    if (l1i_.access(block_addr)) {
+    if (params_.perfectL1I || l1i_.find(block_addr) != nullptr) {
         demandHitsStat_->inc();
         return true;
     }
     demandMissesStat_->inc();
-    const Llc::Access llc_access = llc_.access(block_addr);
-    (llc_access.hit ? fillsFromLlcStat_ : fillsFromMemoryStat_)->inc();
-    l1i_.insert(block_addr);
-    ++installSeq_;
-    if (fillHook_)
-        fillHook_(block_addr, /*from_prefetch=*/false,
-                  now + llc_access.latency);
+    warmInstall(block_addr, /*from_prefetch=*/false, now);
     return false;
 }
 
 void
 InstMemory::warmPrefetch(Addr block_addr, Cycle now)
 {
+    cfl_assert(blockAlign(block_addr) == block_addr,
+               "warmPrefetch of unaligned address");
     if (params_.perfectL1I)
         return;
-    if (l1i_.contains(block_addr)) {
+    if (l1i_.peek(block_addr) != nullptr) {
         prefetchRedundantStat_->inc();
         return;
     }
     prefetchIssuedStat_->inc();
-    const Llc::Access llc_access = llc_.access(block_addr);
-    (llc_access.hit ? fillsFromLlcStat_ : fillsFromMemoryStat_)->inc();
-    l1i_.insert(block_addr);
-    ++installSeq_;
-    if (fillHook_)
-        fillHook_(block_addr, /*from_prefetch=*/true,
-                  now + llc_access.latency);
+    warmInstall(block_addr, /*from_prefetch=*/true, now);
 }
 
 Cycle
@@ -165,10 +191,9 @@ InstMemory::prefetch(Addr block_addr, Cycle now, Cycle extra_latency)
 
     expireInFlight(now);
 
-    if (l1i_.contains(block_addr)) {
-        const Cycle *ready = inFlight_.find(block_addr);
+    if (const Cycle *ready = l1i_.peek(block_addr)) {
         prefetchRedundantStat_->inc();
-        return ready == nullptr ? now : *ready;
+        return std::max(*ready, now);
     }
 
     prefetchIssuedStat_->inc();
@@ -180,34 +205,27 @@ InstMemory::resident(Addr block_addr, Cycle now) const
 {
     if (params_.perfectL1I)
         return true;
-    if (!l1i_.contains(block_addr))
-        return false;
-    const Cycle *ready = inFlight_.find(block_addr);
-    return ready == nullptr || *ready <= now;
+    const Cycle *ready = l1i_.peek(block_addr);
+    return ready != nullptr && *ready <= now;
 }
 
 bool
 InstMemory::residentOrInFlight(Addr block_addr) const
 {
-    return params_.perfectL1I || l1i_.contains(block_addr);
+    return params_.perfectL1I || l1i_.peek(block_addr) != nullptr;
 }
 
 unsigned
 InstMemory::inFlightCount(Cycle now) const
 {
-    // While now < minInFlightReady_ every stored fill is still in
-    // flight, so the occupancy is just the map size — the common case
+    // While now < minInFlightReady_ every tracked fill is still in
+    // flight, so the occupancy is just the list size — the common case
     // during a fetch stall, where this runs every cycle.
-    if (inFlight_.empty())
-        return 0;
     if (now < minInFlightReady_)
-        return static_cast<unsigned>(inFlight_.size());
-    unsigned count = 0;
-    inFlight_.forEach([&](Addr, const Cycle &ready) {
-        if (ready > now)
-            ++count;
-    });
-    return count;
+        return static_cast<unsigned>(fills_.size());
+    return static_cast<unsigned>(
+        std::count_if(fills_.begin(), fills_.end(),
+                      [now](const Fill &f) { return f.ready > now; }));
 }
 
 } // namespace cfl

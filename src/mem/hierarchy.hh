@@ -13,6 +13,13 @@
  *   prefetch()    — an instruction prefetcher (FDP/SHIFT) pulls a block
  *                   ahead of the fetch stream.
  *
+ * Each L1-I way holds the ready cycle of the fill that installed its
+ * block, so demandFetch, prefetch and resident answer from the one set
+ * probe they make. MSHR occupancy is a separate dense list of live
+ * fills, one per block: a fill keeps its MSHR until its ready cycle
+ * even if its block is evicted first, and retires lazily at the next
+ * demandFetch or prefetch that finds it complete.
+ *
  * Fill and evict hooks let Confluence synchronize AirBTB's contents with
  * the L1-I (Section 3: insertions/evictions mirrored in both structures).
  */
@@ -20,11 +27,12 @@
 #ifndef CFL_MEM_HIERARCHY_HH
 #define CFL_MEM_HIERARCHY_HH
 
+#include <vector>
+
+#include "common/assoc.hh"
 #include "common/delegate.hh"
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/cache.hh"
 #include "mem/llc.hh"
 
 namespace cfl
@@ -65,11 +73,13 @@ class InstMemory
     /**
      * Content-only touch for sampled fast-forward warming: probes the
      * L1-I (LRU update) and on a miss installs through the LLC, firing
-     * the usual fill/evict hooks — but skips all MSHR bookkeeping.
+     * the usual fill/evict hooks — but starts no fill of its own.
      * Fill-timing state is transient (a fill outlives its install by at
      * most the memory latency) and is rebuilt by the full-fidelity
      * warming window before anything is measured, so the touch tier
-     * pays only for the state that persists: tags, LRU and hooks.
+     * pays only for the state that persists: tags, LRU and hooks. A
+     * block reinstalled while an earlier fill of it is still live is
+     * ready when that fill's data arrives.
      * Returns true on an L1-I hit (for the prefetcher's warm hook).
      */
     bool warmTouch(Addr block_addr, Cycle now);
@@ -108,8 +118,9 @@ class InstMemory
      */
     std::uint64_t installSeq() const { return installSeq_; }
 
-    /** Fills tracked in the MSHR map regardless of completion time. */
-    std::size_t inFlightSize() const { return inFlight_.size(); }
+    /** Fills tracked as MSHRs, whether or not complete: those that
+     *  have not yet been retired. */
+    std::size_t inFlightSize() const { return fills_.size(); }
 
     /**
      * Lower bound on the earliest in-flight completion cycle (never
@@ -120,35 +131,56 @@ class InstMemory
     Cycle minInFlightReady() const { return minInFlightReady_; }
 
     void setFillHook(FillHook hook) { fillHook_ = hook; }
-    void setEvictHook(EvictHook hook);
+    void setEvictHook(EvictHook hook) { evictHook_ = hook; }
 
-    Cache &l1i() { return l1i_; }
+    /** The L1-I tags: block address -> ready cycle of its fill. */
+    AssocCache<Cycle> &l1i() { return l1i_; }
     Llc &llc() { return llc_; }
     const StatSet &stats() const { return stats_; }
     StatSet &stats() { return stats_; }
 
   private:
-    /** Install a block, firing hooks; returns fill-ready cycle. */
+    /** A live fill: an MSHR, freed at its ready cycle. */
+    struct Fill
+    {
+        Addr block;
+        Cycle ready;
+    };
+
+    /** Start a fill of an absent block, firing hooks; returns its
+     *  ready cycle. */
     Cycle install(Addr block_addr, bool from_prefetch, Cycle now,
                   Cycle extra_latency);
 
-    /** Drop completed fills from the in-flight map. */
+    /** Content-only install of an absent block (the warm paths). */
+    void warmInstall(Addr block_addr, bool from_prefetch, Cycle now);
+
+    /** Put an absent block in the L1-I, ready at @p ready, firing the
+     *  evict hook for its victim. */
+    void insertTag(Addr block_addr, Cycle ready);
+
+    /** The tracked fill of @p block_addr, or nullptr. */
+    Fill *trackedFill(Addr block_addr);
+
+    /** Retire completed fills. */
     void expireInFlight(Cycle now);
 
     InstMemoryParams params_;
     Llc &llc_;
-    Cache l1i_;
+    /** Block address -> ready cycle of the fill that installed it. */
+    AssocCache<Cycle> l1i_;
     StatSet stats_;
     FillHook fillHook_;
+    EvictHook evictHook_;
 
-    /** blockAddr -> fill completion cycle (open-addressed: MSHR churn
-     *  stays off the allocator). */
-    FlatMap<Cycle> inFlight_;
+    /** Live fills, one per block, in no order. Reserved up front, so
+     *  MSHR churn stays off the allocator. */
+    std::vector<Fill> fills_;
 
     /**
-     * Lower bound on the earliest completion cycle in inFlight_ (never
-     * later than the true minimum; ~0 when the map is empty). While
-     * now < minInFlightReady_ every entry is strictly in flight, so
+     * Lower bound on the earliest ready cycle in fills_ (never later
+     * than the true minimum; ~0 when there are none). While
+     * now < minInFlightReady_ every fill is strictly in flight, so
      * expiry walks and occupancy counts take O(1) fast paths.
      */
     Cycle minInFlightReady_ = ~Cycle{0};

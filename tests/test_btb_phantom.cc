@@ -40,7 +40,7 @@ TEST(PhantomSharedHistory, GroupFormationOnFullGroups)
     const PhantomGroup *g = hist.findGroup(hist.regionOf(0x1000));
     ASSERT_NE(g, nullptr);
     EXPECT_EQ(g->entries.size(), 3u);
-    EXPECT_EQ(g->entries[0].first, 0x1000u);
+    EXPECT_EQ(g->entries[0].pc, 0x1000u);
 }
 
 TEST(PhantomSharedHistory, GroupTaggedByTriggerRegion)

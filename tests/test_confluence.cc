@@ -66,7 +66,7 @@ TEST(Confluence, ControllerSynchronizesBtbWithL1I)
     for (int i = 2; i < 9; ++i)
         mem.demandFetch(base + i * kBlockBytes, 10 + i);
     EXPECT_EQ(btb.numBundles(), 4u);
-    EXPECT_EQ(mem.l1i().numBlocks(), 4u);
+    EXPECT_EQ(mem.l1i().size(), 4u);
 }
 
 TEST(Confluence, SyncInvariantHoldsDuringSimulation)
@@ -79,7 +79,7 @@ TEST(Confluence, SyncInvariantHoldsDuringSimulation)
     auto &core = cmp.core(0);
     auto *air = dynamic_cast<AirBtb *>(&core.btb());
     ASSERT_NE(air, nullptr);
-    EXPECT_EQ(air->numBundles(), core.mem().l1i().numBlocks());
+    EXPECT_EQ(air->numBundles(), core.mem().l1i().size());
 }
 
 TEST(Confluence, LlcReservations)

@@ -176,67 +176,169 @@ class LruListModel
     std::size_t size_ = 0;
 };
 
+/**
+ * Random find (with and without the LRU update), peek, insert,
+ * invalidate and clear over @p keys; every returned payload, every
+ * evicted pair and size() must agree with the model, and every 1000
+ * operations so must the contents in way order.
+ */
+template <typename Array>
+void
+expectModelBehaviour(Array &cache, std::size_t sets, unsigned ways,
+                     unsigned shift, const std::vector<std::uint64_t> &keys)
+{
+    LruListModel model(sets, ways, shift);
+    Rng rng(sets * 131 + ways);
+    for (int op = 0; op < 40000; ++op) {
+        const std::uint64_t key = keys[rng.nextBelow(keys.size())];
+        const int value = static_cast<int>(rng.nextBelow(1000));
+        const std::uint64_t dice = rng.nextBelow(10000);
+        if (dice < 3000) {
+            const bool update = dice < 2000;
+            int *got = cache.find(key, update);
+            const std::optional<int> want = model.find(key, update);
+            ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
+            if (got == nullptr)
+                continue;
+            ASSERT_EQ(*got, *want) << "op " << op;
+            if (dice % 4 == 0) {  // write through the payload pointer
+                *got = value;
+                model.set(key, value);
+            }
+        } else if (dice < 4000) {
+            const int *got = cache.peek(key);
+            const std::optional<int> want = model.find(key, false);
+            ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, *want) << "op " << op;
+            }
+        } else if (dice < 9000) {
+            ASSERT_EQ(cache.insert(key, value), model.insert(key, value))
+                << "op " << op;
+        } else if (dice < 9998) {
+            ASSERT_EQ(cache.invalidate(key), model.invalidate(key))
+                << "op " << op;
+        } else {
+            cache.clear();
+            model.clear();
+        }
+        ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+        if (op % 1000 == 999) {  // which way each key took, too
+            std::vector<LruListModel::Pair> got;
+            cache.forEach([&](std::uint64_t k, const int &v) {
+                got.emplace_back(k, v);
+            });
+            ASSERT_EQ(got, model.contents()) << "op " << op;
+        }
+    }
+}
+
+/** Up to @p count keys above @p shift whose WayIndex probes for a
+ *  @p ways-way array all start at @p home. */
+std::vector<std::uint64_t>
+keysWithHome(unsigned ways, std::size_t home, std::size_t count,
+             unsigned shift)
+{
+    const WayIndex index(ways);
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1; keys.size() < count && k < (1u << 22); ++k) {
+        if (index.home(k << shift) == home)
+            keys.push_back(k << shift);
+    }
+    return keys;
+}
+
 } // namespace
 
 TEST(AssocCache, MatchesANaiveLruListModel)
 {
-    // Random find (with and without the LRU update), peek, insert,
-    // invalidate and clear over keys that collide in every set; every
-    // returned payload, every evicted pair and size() must agree, and
-    // every 1000 operations so must the contents in way order. Keys
-    // include 0, and sit above a 6-bit index shift like block addresses.
+    // Keys collide in every set: three times as many as the array
+    // holds, including 0, above a 6-bit index shift like block
+    // addresses. Each one-set geometry runs twice, scanned
+    // (AssocCache) and indexed (FullyAssocCache); {2, 64} has many
+    // ways but is scanned.
     constexpr unsigned kShift = 6;
     const std::pair<std::size_t, unsigned> geometries[] = {
-        {1, 1}, {1, 64}, {16, 4}, {256, 4}, {8, 16}};
+        {1, 1},   {1, 2},   {1, 33}, {1, 64}, {1, 256},
+        {16, 4},  {256, 4}, {8, 16}, {2, 64}};
     for (const auto &[sets, ways] : geometries) {
         SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways));
-        AssocCache<int> cache(sets, ways, kShift);
-        LruListModel model(sets, ways, kShift);
-        Rng rng(sets * 131 + ways);
-        const std::uint64_t key_range = sets * ways * 3;
-        for (int op = 0; op < 40000; ++op) {
-            const std::uint64_t key = rng.nextBelow(key_range) << kShift;
-            const int value = static_cast<int>(rng.nextBelow(1000));
-            const std::uint64_t dice = rng.nextBelow(10000);
-            if (dice < 3000) {
-                const bool update = dice < 2000;
-                int *got = cache.find(key, update);
-                const std::optional<int> want = model.find(key, update);
-                ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
-                if (got == nullptr)
-                    continue;
-                ASSERT_EQ(*got, *want) << "op " << op;
-                if (dice % 4 == 0) {  // write through the payload pointer
-                    *got = value;
-                    model.set(key, value);
-                }
-            } else if (dice < 4000) {
-                const int *got = cache.peek(key);
-                const std::optional<int> want = model.find(key, false);
-                ASSERT_EQ(got != nullptr, want.has_value()) << "op " << op;
-                if (got != nullptr) {
-                    ASSERT_EQ(*got, *want) << "op " << op;
-                }
-            } else if (dice < 9000) {
-                ASSERT_EQ(cache.insert(key, value), model.insert(key, value))
-                    << "op " << op;
-            } else if (dice < 9998) {
-                ASSERT_EQ(cache.invalidate(key), model.invalidate(key))
-                    << "op " << op;
-            } else {
-                cache.clear();
-                model.clear();
-            }
-            ASSERT_EQ(cache.size(), model.size()) << "op " << op;
-            if (op % 1000 == 999) {  // which way each key took, too
-                std::vector<LruListModel::Pair> got;
-                cache.forEach([&](std::uint64_t k, const int &v) {
-                    got.emplace_back(k, v);
-                });
-                ASSERT_EQ(got, model.contents()) << "op " << op;
-            }
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t k = 0; k < sets * ways * 3; ++k)
+            keys.push_back(k << kShift);
+        {
+            SCOPED_TRACE("scanned");
+            AssocCache<int> cache(sets, ways, kShift);
+            expectModelBehaviour(cache, sets, ways, kShift, keys);
         }
+        if (sets != 1)
+            continue;
+        // Keys that collide in the index too: clusters at its last
+        // probe position and at the first two, so probes and erases
+        // wrap around the table, each cluster able to fill the array.
+        std::size_t last = 0;
+        const WayIndex index(ways);
+        for (std::uint64_t k = 0; k < 4096; ++k)
+            last = std::max(last, index.home(k << kShift));
+        for (const std::size_t home : {last, std::size_t{0}, std::size_t{1}}) {
+            const auto cluster = keysWithHome(ways, home, ways + 2, kShift);
+            ASSERT_EQ(cluster.size(), ways + 2u) << "home " << home;
+            keys.insert(keys.end(), cluster.begin(), cluster.end());
+        }
+        SCOPED_TRACE("indexed");
+        FullyAssocCache<int> cache(ways);
+        EXPECT_EQ(cache.numSets(), 1u);
+        EXPECT_EQ(cache.ways(), ways);
+        expectModelBehaviour(cache, sets, ways, kShift, keys);
     }
+}
+
+namespace
+{
+
+struct NonZeroDefault
+{
+    int x = 1;
+    bool operator==(const NonZeroDefault &) const = default;
+};
+
+struct HoldsAPointer
+{
+    const int *p = nullptr;
+    bool operator==(const HoldsAPointer &) const = default;
+};
+
+struct NoEquality
+{
+    int x = 0;
+};
+
+struct ZeroDefaults
+{
+    std::uint8_t kind = 0;  // padding follows: compared by member
+    std::uint64_t target = 0;
+    double weight = 0.0;
+    bool operator==(const ZeroDefaults &) const = default;
+};
+
+} // namespace
+
+TEST(AssocCache, PayloadsMustBeZeroFilled)
+{
+    // Payloads come zeroed from calloc, so AssocCache compiles only for
+    // payloads whose zero bytes are their value-initialised object.
+    static_assert(ZeroFilled<int>);
+    static_assert(ZeroFilled<Cycle>);
+    static_assert(ZeroFilled<ZeroDefaults>);
+    static_assert(!ZeroFilled<NonZeroDefault>);
+    static_assert(!ZeroFilled<HoldsAPointer>);
+    static_assert(!ZeroFilled<NoEquality>);
+    static_assert(!ZeroFilled<std::pair<std::uint64_t, int>>);
+
+    AssocCache<ZeroDefaults> cache(4, 2, 0);
+    cache.insert(3, ZeroDefaults{7, 9, 0.5});
+    ASSERT_NE(cache.peek(3), nullptr);
+    EXPECT_EQ(*cache.peek(3), (ZeroDefaults{7, 9, 0.5}));
 }
 
 TEST(Cache, HitMissAndStats)
@@ -256,19 +358,6 @@ TEST(Cache, InsertOfAPresentBlockIsFatal)
     Cache cache("t", 4 * kBlockBytes, 2);
     cache.insert(0x1000);
     EXPECT_DEATH(cache.insert(0x1000), "t: insert of present block 0x1000");
-}
-
-TEST(Cache, EvictHookFires)
-{
-    Cache cache("t", 2 * kBlockBytes, 2);  // one set, two ways
-    std::vector<Addr> evicted;
-    auto record_evict = [&](Addr a) { evicted.push_back(a); };
-    cache.setEvictHook(Cache::EvictHook::callable(&record_evict));
-    cache.insert(0x0000);
-    cache.insert(0x0040);
-    cache.insert(0x0080);
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_EQ(evicted[0], 0x0000u);  // LRU victim
 }
 
 TEST(MeshNoc, HopsAndAverages)
@@ -394,6 +483,129 @@ TEST(InstMemory, FillAndEvictHooks)
     EXPECT_TRUE(fills[1].second);
     ASSERT_EQ(evictions.size(), 1u);
     EXPECT_EQ(evictions[0], 0x0000u);
+}
+
+namespace
+{
+
+/** The one-set, two-way L1-I of InstMemory.FillAndEvictHooks. */
+InstMemoryParams
+twoBlockL1I()
+{
+    InstMemoryParams params;
+    params.l1iBytes = 2 * kBlockBytes;
+    params.l1iWays = 2;
+    return params;
+}
+
+constexpr Addr kBlockA = 0x0000;
+constexpr Addr kBlockB = 0x0040;
+constexpr Addr kBlockC = 0x0080;
+
+} // namespace
+
+TEST(InstMemory, EvictedFillStaysInFlightUntilItsReadyCycle)
+{
+    Llc llc(LlcParams{});
+    InstMemory mem(twoBlockL1I(), llc);
+    const Cycle ready_a = mem.demandFetch(kBlockA, 1).readyAt;
+    const Cycle ready_b = mem.demandFetch(kBlockB, 2).readyAt;
+    mem.demandFetch(kBlockC, 3);  // evicts A, whose fill is in flight
+    ASSERT_EQ(ready_a, 1 + llc.missLatency());
+    ASSERT_FALSE(mem.residentOrInFlight(kBlockA));
+
+    // A's fill still holds its MSHR until its data arrives.
+    EXPECT_EQ(mem.inFlightSize(), 3u);
+    EXPECT_EQ(mem.inFlightCount(ready_a - 1), 3u);
+    EXPECT_EQ(mem.inFlightCount(ready_a), 2u);
+    EXPECT_LE(mem.minInFlightReady(), ready_a);
+
+    // The next probe at A's ready cycle retires it, and only it.
+    EXPECT_EQ(mem.prefetch(kBlockB, ready_a), ready_b);
+    EXPECT_EQ(mem.inFlightSize(), 2u);
+    EXPECT_EQ(mem.inFlightCount(ready_a), 2u);
+    EXPECT_GT(mem.minInFlightReady(), ready_a);
+}
+
+TEST(InstMemory, RefetchOfAnEvictedInFlightBlockKeepsOneFill)
+{
+    Llc llc(LlcParams{});
+    InstMemory mem(twoBlockL1I(), llc);
+    const Cycle old_ready = mem.demandFetch(kBlockA, 1).readyAt;
+    mem.demandFetch(kBlockB, 2);
+    mem.demandFetch(kBlockC, 3);  // evicts A in flight
+
+    // The re-fetch hits in the LLC, so it lands before the old fill.
+    const InstMemory::FetchResult refetch = mem.demandFetch(kBlockA, 10);
+    EXPECT_FALSE(refetch.l1Hit);
+    EXPECT_FALSE(refetch.wasInFlight);
+    const Cycle new_ready = 10 + llc.hitLatency();
+    ASSERT_EQ(refetch.readyAt, new_ready);
+    ASSERT_LT(new_ready, old_ready);
+
+    // One fill per block: A's entry now holds the new ready cycle.
+    EXPECT_EQ(mem.inFlightSize(), 3u);
+    EXPECT_EQ(mem.inFlightCount(new_ready - 1), 3u);
+    EXPECT_EQ(mem.inFlightCount(new_ready), 2u);
+    const InstMemory::FetchResult wait = mem.demandFetch(kBlockA, 20);
+    EXPECT_TRUE(wait.wasInFlight);
+    EXPECT_EQ(wait.readyAt, new_ready);
+    EXPECT_TRUE(mem.demandFetch(kBlockA, new_ready).l1Hit);
+    EXPECT_EQ(mem.inFlightSize(), 2u);  // no stale entry at old_ready
+}
+
+TEST(InstMemory, WarmReinstallWaitsForTheBlocksLiveFill)
+{
+    // warmTouch and warmPrefetch keep no fill state of their own, but a
+    // block they reinstall while its evicted fill is still live is not
+    // ready before that fill's data arrives.
+    for (const bool touch : {true, false}) {
+        SCOPED_TRACE(touch ? "warmTouch" : "warmPrefetch");
+        Llc llc(LlcParams{});
+        InstMemory mem(twoBlockL1I(), llc);
+        const Cycle ready_a = mem.demandFetch(kBlockA, 1).readyAt;
+        mem.demandFetch(kBlockB, 2);
+        mem.demandFetch(kBlockC, 3);  // evicts A in flight
+        if (touch)
+            EXPECT_FALSE(mem.warmTouch(kBlockA, 4));
+        else
+            mem.warmPrefetch(kBlockA, 4);
+        ASSERT_TRUE(mem.residentOrInFlight(kBlockA));
+        EXPECT_FALSE(mem.resident(kBlockA, ready_a - 1));
+        EXPECT_TRUE(mem.resident(kBlockA, ready_a));
+
+        const InstMemory::FetchResult res = mem.demandFetch(kBlockA, 5);
+        EXPECT_FALSE(res.l1Hit);
+        EXPECT_TRUE(res.wasInFlight);
+        EXPECT_EQ(res.readyAt, ready_a);
+        EXPECT_TRUE(mem.demandFetch(kBlockA, ready_a).l1Hit);
+    }
+}
+
+TEST(InstMemory, WarmInstallWithoutALiveFillIsReady)
+{
+    Llc llc(LlcParams{});
+    InstMemory mem(twoBlockL1I(), llc);
+    EXPECT_FALSE(mem.warmTouch(kBlockA, 1));
+    mem.warmPrefetch(kBlockB, 1);
+    EXPECT_EQ(mem.inFlightSize(), 0u);
+    EXPECT_TRUE(mem.resident(kBlockA, 1));
+    EXPECT_TRUE(mem.resident(kBlockB, 1));
+    EXPECT_TRUE(mem.demandFetch(kBlockA, 2).l1Hit);
+    EXPECT_EQ(mem.prefetch(kBlockB, 2), 2u);
+}
+
+TEST(InstMemory, ResidentOnlyFromTheReadyCycleOn)
+{
+    Llc llc(LlcParams{});
+    InstMemory mem(twoBlockL1I(), llc);
+    const Cycle ready = mem.prefetch(kBlockA, 100);
+    EXPECT_TRUE(mem.residentOrInFlight(kBlockA));
+    EXPECT_FALSE(mem.resident(kBlockA, 100));
+    EXPECT_FALSE(mem.resident(kBlockA, ready - 1));
+    EXPECT_TRUE(mem.resident(kBlockA, ready));
+    EXPECT_TRUE(mem.resident(kBlockA, ready + 1000));
+    EXPECT_FALSE(mem.resident(kBlockB, ready));
 }
 
 TEST(InstMemory, InFlightCount)
